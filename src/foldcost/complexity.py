@@ -337,35 +337,6 @@ def dally(extra: int, pair: SPair) -> SPair:
     return SPair(nat_add(extra, pair.cost), pair.pot)
 
 
-# ---------------------------------------------------------------- environments
-
-class Env:
-    """Immutable variable environment; extension copies.
-
-    `denote` takes one, or any mapping, as the environment to start from.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Mapping[str, SemVal] | None = None):
-        object.__setattr__(self, "_bindings", dict(bindings or {}))
-
-    def lookup(self, name: str) -> SemVal:
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise DenoteError(f"unbound variable at denotation time: {name}") from None
-
-    def extend(self, more: Mapping[str, SemVal]) -> "Env":
-        return Env({**self._bindings, **more})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("environments are immutable")
-
-
-EMPTY_ENV = Env()
-
-
 # ---------------------------------------------------------------- denotation
 
 # A staged node: a closure from an environment and the table of projected
@@ -373,7 +344,7 @@ EMPTY_ENV = Env()
 Staged = Callable[[dict[str, SemVal], dict[int, SemVal]], SemVal]
 
 
-def denote(e: CplxExpr, env: Env | Mapping[str, SemVal] | None = None) -> SemVal:
+def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
     """Evaluate a complexity expression to its semantic value.
 
     The expression is first staged into nested closures, so that pfold steps
@@ -387,8 +358,7 @@ def denote(e: CplxExpr, env: Env | Mapping[str, SemVal] | None = None) -> SemVal
     never beyond it.  Sharing changes nothing observable: evaluation is pure
     and environments are immutable.
     """
-    bindings = env._bindings if isinstance(env, Env) else dict(env or {})
-    return _stage(e, {})(bindings, {})
+    return _stage(e, {})(dict(env or {}), {})
 
 
 def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .complexity import (
     NAT,
@@ -256,8 +256,7 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
             return Report(source, "pass", result.cost, chi.cost, size, pot)
         # Function-typed program: probe the closure against its potential.
         rng = random.Random(cfg.seed)
-        checked, skipped = _probe_closure(
-            result.value, lambda: denote(cplx).pot, ty, cfg, rng)
+        checked, skipped = _probe_closure(result.value, chi.pot, ty, cfg, rng)
         if checked == 0:
             return Report(source, "inconclusive", result.cost, chi.cost, None, None,
                           detail="all probes hit evaluation limits",
@@ -300,33 +299,26 @@ def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAUL
     argument's potential.  Exact when it answers False.
     """
     try:
-        _check_value(v, lambda: pot, ty, cfg, random.Random(cfg.seed))
+        _check_value(v, pot, ty, cfg, random.Random(cfg.seed))
     except _Violation:
         return False
     return True
 
 
-def _check_value(
-    v: Value,
-    pot_maker: Callable[[], SemVal],
-    ty: Ty,
-    cfg: ProbeConfig,
-    rng: random.Random,
-) -> None:
+def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Random) -> None:
     if not isinstance(ty, ArrowTy):
-        pot = pot_maker()
         size = value_size(v)
         if not isinstance(pot, int) or size > pot:
             raise _Violation(f"size {size} > potential {pot!r}")
         return
-    checked, skipped = _probe_closure(v, pot_maker, ty, cfg, rng)
+    checked, skipped = _probe_closure(v, pot, ty, cfg, rng)
     if checked == 0:
         raise _Inconclusive("all probes hit evaluation limits")
 
 
 def _probe_closure(
     v: Value,
-    pot_maker: Callable[[], SemVal],
+    pot: SemVal,
     ty: ArrowTy,
     cfg: ProbeConfig,
     rng: random.Random,
@@ -334,9 +326,7 @@ def _probe_closure(
 ) -> tuple[int, int]:
     """Probe a closure against a function potential; returns (checked, skipped).
 
-    The potential is re-derived per probe through `pot_maker` so no
-    evaluation state accumulates across probes.  Raises _Violation on the
-    first counterexample.
+    Raises _Violation on the first counterexample.
     """
     if not isinstance(v, VClosure):
         raise _Violation(f"expected a closure at type {ty}")
@@ -349,27 +339,26 @@ def _probe_closure(
         except (BudgetExceededError, ArithOverflowError):
             skipped += 1
             continue
-        out = _apply_pot(pot_maker, q)
+        out = _apply_pot(pot, q)
         if result.cost > out.cost:
             raise _Violation(
                 f"at argument {_render_arg(z)}: body cost {result.cost} > bound {out.cost}")
         if isinstance(ty.cod, ArrowTy):
             sub_checked, sub_skipped = _probe_closure(
-                result.value, lambda out=out: out.pot, ty.cod, cfg, rng, per_level)
+                result.value, out.pot, ty.cod, cfg, rng, per_level)
             checked += sub_checked
             skipped += sub_skipped
         else:
             size = value_size(result.value)
-            pot = out.pot
-            if not isinstance(pot, int) or size > pot:
+            out_pot = out.pot
+            if not isinstance(out_pot, int) or size > out_pot:
                 raise _Violation(
-                    f"at argument {_render_arg(z)}: size {size} > potential {pot!r}")
+                    f"at argument {_render_arg(z)}: size {size} > potential {out_pot!r}")
             checked += 1
     return checked, skipped
 
 
-def _apply_pot(pot_maker: Callable[[], SemVal], q: SemVal) -> SPair:
-    pot = pot_maker()
+def _apply_pot(pot: SemVal, q: SemVal) -> SPair:
     if not isinstance(pot, SFun):
         raise _Violation(f"expected a function potential, got {pot!r}")
     out = pot.fn(q)
@@ -593,7 +582,7 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
         if isinstance(spec, TermArg) and typecheck({}, spec.term) != dom:
             raise ValueError(f"argument term does not have type {dom}")
 
-    cplx = translate(e)
+    chi = denote(translate(e))
     term_pairs = {
         i: denote(translate(spec.term))
         for i, spec in enumerate(args) if isinstance(spec, TermArg)
@@ -602,8 +591,7 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     for n in ns:
         if n < 0:
             raise ValueError("potentials are nonnegative")
-        # A fresh denotation per row keeps each row's working set independent.
-        val = denote(cplx)
+        val = chi
         for i, spec in enumerate(args):
             if isinstance(spec, SweepArg):
                 arg = SPair(1, n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -211,6 +211,24 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 # ---------------------------------------------------------------- substitution
 
+def rename_apart(binders: list[str], danger: frozenset[str], taken: Iterable[str]) -> list[str]:
+    """New names for binders: each one in `danger` gets a fresh name, apart
+    from `danger`, `taken`, the binders and the names already given.
+
+    Binders shadow left to right, so a later binder wins when two share a
+    name.  Substituting under renamed binders cannot capture as long as
+    `taken` holds the body's free variables and the substitution's keys.
+    """
+    taken = {*danger, *taken, *binders}
+    out: list[str] = []
+    for b in binders:
+        if b in danger:
+            b = fresh_name(b, taken)
+            taken.add(b)
+        out.append(b)
+    return out
+
+
 def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     """Simultaneous capture-avoiding substitution of bindings into e."""
     if not bindings:
@@ -219,28 +237,13 @@ def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     # Names that must not capture anything we substitute in.
     danger = frozenset().union(*(free_vars(v) for v in bindings.values()))
 
-    def rename(binders: list[str], body_fvs: frozenset[str]) -> tuple[list[str], dict[str, Expr]]:
-        # Binders shadow left to right, later binders over earlier ones.  A
-        # fresh name must also avoid sibling binders or it would re-capture.
-        taken = set(danger) | set(body_fvs) | set(binders)
-        out: list[str] = []
-        renaming: dict[str, Expr] = {}
-        for b in binders:
-            if b in danger:
-                nb = fresh_name(b, taken)
-                taken.add(nb)
-                renaming[b] = Var(nb)
-                out.append(nb)
-            else:
-                out.append(b)
-        return out, renaming
-
     def go_under(binders: list[str], body: Expr) -> tuple[list[str], Expr]:
-        inner = {k: v for k, v in bindings.items() if k not in binders}
-        new_binders, renaming = rename(binders, free_vars(body))
+        new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
+        renaming = {b: Var(nb) for b, nb in zip(binders, new_binders) if b != nb}
         if renaming:
             body = subst(body, renaming)
-        return new_binders, subst(body, inner) if inner else body
+        inner = {k: v for k, v in bindings.items() if k not in binders}
+        return new_binders, subst(body, inner)
 
     match e:
         case Var(name):

@@ -15,9 +15,12 @@ instances the original program will execute) is written by adding to the
 cost component; the helper below shares the wrapped pair between both
 projections rather than copying it.
 
-Substitution here (`csubst`) replaces the head/tail variables of a branch
-with pairs built from the fresh potential variables the pcase/pfold binds;
-it is capture-avoiding in general.
+A cons branch is translated with its head and tail bound, in an
+environment, to the pairs (1, p) and (1, ps) over the fresh potential
+variables the pcase/pfold binds, as in the paper's translation.  So the
+recurrence is built with its branch variables in place and never needs a
+substitution pass.  `csubst`, a plain capture-avoiding substitution, is kept
+for the substitution lemma.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .syntax import (
     Ty,
     Var,
     fresh_name,
+    rename_apart,
 )
 
 
@@ -87,88 +91,46 @@ def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
 def csubst(e: CplxExpr, bindings: Mapping[str, CplxExpr]) -> CplxExpr:
     """Simultaneous capture-avoiding substitution of bindings into e.
 
-    Every binder named like a free variable of a substituted term is renamed
-    apart, so nothing substituted in is ever captured.  Shared subterms stay
-    shared: a node reached twice (the cost-charging wrapper below references
-    its pair from both projections) is rewritten once and reused, and a
-    subterm the substitution leaves unchanged is returned as it is, so
-    substitution does not blow up the term DAG and downstream evaluation can
-    keep deduplicating.
+    Shaped like `syntax.subst`: a binder named like a free variable of a
+    substituted term is renamed apart, to a name that also avoids the body's
+    free variables and the keys of the bindings.  Translation never calls
+    it; it is the substitution of the substitution lemma.
     """
     if not bindings:
         return e
     danger = frozenset().union(*map(cplx_free_vars, bindings.values()))
-    return _subst(e, bindings, danger, {})
 
+    def go_under(binders: list[str], body: CplxExpr) -> tuple[list[str], CplxExpr]:
+        new_binders = rename_apart(binders, danger, cplx_free_vars(body) | bindings.keys())
+        renaming = {b: CVar(nb) for b, nb in zip(binders, new_binders) if b != nb}
+        if renaming:
+            body = csubst(body, renaming)
+        inner = {k: v for k, v in bindings.items() if k not in binders}
+        return new_binders, csubst(body, inner)
 
-def _subst(e: CplxExpr, bindings: Mapping[str, CplxExpr], danger: frozenset[str],
-           seen: dict[int, CplxExpr]) -> CplxExpr:
-    # A node none of whose parts change is returned as it is, not rebuilt.
-    done = seen.get(id(e))
-    if done is not None:
-        return done
     t = type(e)
     if t is CVar:
         return bindings.get(e.name, e)
     if t is CNum:
         return e
     if t is CPlus or t is CMax:
-        lhs = _subst(e.lhs, bindings, danger, seen)
-        rhs = _subst(e.rhs, bindings, danger, seen)
-        out = e if lhs is e.lhs and rhs is e.rhs else t(lhs, rhs)
-    elif t is CostOf or t is PotOf:
-        pair = _subst(e.pair, bindings, danger, seen)
-        out = e if pair is e.pair else t(pair)
-    elif t is CPair:
-        cost = _subst(e.cost, bindings, danger, seen)
-        pot = _subst(e.pot, bindings, danger, seen)
-        out = e if cost is e.cost and pot is e.pot else CPair(cost, pot)
-    elif t is StarApp:
-        fn = _subst(e.fn, bindings, danger, seen)
-        arg = _subst(e.arg, bindings, danger, seen)
-        out = e if fn is e.fn and arg is e.arg else StarApp(fn, arg)
-    elif t is CLam:
-        binders = (e.param,)
-        names, body = _subst_under(binders, e.body, bindings, danger, seen)
-        out = e if names is binders and body is e.body else CLam(names[0], e.param_ty, body)
-    elif t is PCase or t is PFold:
-        binders = (e.p, e.ps) if t is PCase else (e.p, e.ps, e.w)
-        names, succ = _subst_under(binders, e.succ, bindings, danger, seen)
-        scrut = _subst(e.scrut, bindings, danger, seen)
-        zero = _subst(e.zero, bindings, danger, seen)
-        unchanged = names is binders and scrut is e.scrut and zero is e.zero and succ is e.succ
-        out = e if unchanged else t(scrut, zero, *names, succ)
-    else:
-        raise TypeError(f"not a complexity expression: {e!r}")
-    seen[id(e)] = out
-    return out
-
-
-def _subst_under(binders: tuple[str, ...], body: CplxExpr, bindings: Mapping[str, CplxExpr],
-                 danger: frozenset[str], seen: dict[int, CplxExpr]
-                 ) -> tuple[tuple[str, ...], CplxExpr]:
-    """Substitute under binders: the bindings they shadow are dropped, and a
-    binder named like a free variable of a substituted term is renamed apart
-    first.  Returns the binders' names after renaming, and the body."""
-    inner = bindings
-    if not bindings.keys().isdisjoint(binders):
-        inner = {k: v for k, v in bindings.items() if k not in binders}
-    if danger.isdisjoint(binders):
-        if inner is bindings:
-            return binders, _subst(body, bindings, danger, seen)
-        return binders, csubst(body, inner)
-    taken = set(danger) | cplx_free_vars(body) | set(binders)
-    out: list[str] = []
-    renaming: dict[str, CplxExpr] = {}
-    for b in binders:
-        if b in danger:
-            nb = fresh_name(b, taken)
-            taken.add(nb)
-            renaming[b] = CVar(nb)
-            out.append(nb)
-        else:
-            out.append(b)
-    return tuple(out), csubst(csubst(body, renaming), inner)
+        return t(csubst(e.lhs, bindings), csubst(e.rhs, bindings))
+    if t is CostOf or t is PotOf:
+        return t(csubst(e.pair, bindings))
+    if t is CPair:
+        return CPair(csubst(e.cost, bindings), csubst(e.pot, bindings))
+    if t is StarApp:
+        return StarApp(csubst(e.fn, bindings), csubst(e.arg, bindings))
+    if t is CLam:
+        (param,), body = go_under([e.param], e.body)
+        return CLam(param, e.param_ty, body)
+    if t is PCase:
+        (p, ps), succ = go_under([e.p, e.ps], e.succ)
+        return PCase(csubst(e.scrut, bindings), csubst(e.zero, bindings), p, ps, succ)
+    if t is PFold:
+        (p, ps, w), succ = go_under([e.p, e.ps, e.w], e.succ)
+        return PFold(csubst(e.scrut, bindings), csubst(e.zero, bindings), p, ps, w, succ)
+    raise TypeError(f"not a complexity expression: {e!r}")
 
 
 # ---------------------------------------------------------------- translation
@@ -182,68 +144,96 @@ def charge(extra: CplxExpr, pair: CplxExpr) -> CplxExpr:
     return CPair(CPlus(extra, CostOf(pair)), PotOf(pair))
 
 
+# Translation environments map the target variables bound by enclosing
+# branches (and renamed binders) to what they translate to.
+_Env = Mapping[str, CplxExpr]
+
+
 def translate(e: Expr) -> CplxExpr:
     """The cost/potential recurrence of a target expression.
 
     Free target variables appear free in the result, at their translated
     types; a closed program translates to a closed recurrence.
     """
+    return _translate(e, {}, frozenset())
+
+
+def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
+    """Translate e with the target variables in env replaced by their
+    translations; names holds every complexity variable those mention."""
     match e:
         case Var(name):
-            return CVar(name)
+            bound = env.get(name)
+            return CVar(name) if bound is None else bound
         case IntLit() | BoolLit():
             return CPair(CNum(1), CNum(1))
         case Nil():
             return CPair(CNum(1), CNum(0))
         case Cons(head, tail):
-            th, tt = translate(head), translate(tail)
+            th, tt = _translate(head, env, names), _translate(tail, env, names)
             return CPair(
                 CPlus(CNum(1), CPlus(CostOf(th), CostOf(tt))),
                 CPlus(CNum(1), PotOf(tt)),
             )
         case Rel(_, lhs, rhs) | Arith(_, lhs, rhs):
-            tl, tr = translate(lhs), translate(rhs)
+            tl, tr = _translate(lhs, env, names), _translate(rhs, env, names)
             return CPair(CPlus(CNum(2), CPlus(CostOf(tl), CostOf(tr))), CNum(1))
         case If(test, then, orelse):
-            tt = translate(test)
-            joined = CMax(translate(then), translate(orelse))
+            tt = _translate(test, env, names)
+            joined = CMax(_translate(then, env, names), _translate(orelse, env, names))
             return charge(CPlus(CNum(1), CostOf(tt)), joined)
         case Lam(param, param_ty, body):
-            return CLam(param, pot_ty(param_ty), translate(body))
+            env, names, param = _bind(param, body, env, names)
+            return CLam(param, pot_ty(param_ty), _translate(body, env, names))
         case App(fn, arg):
-            return StarApp(translate(fn), translate(arg))
+            return StarApp(_translate(fn, env, names), _translate(arg, env, names))
         case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            ts = translate(scrutinee)
-            tz = translate(nil_branch)
-            tb, p, ps = _translate_branch(cons_branch, head, tail, avoid=frozenset())
+            ts = _translate(scrutinee, env, names)
+            tz = _translate(nil_branch, env, names)
+            taken = syntax.free_vars(cons_branch) | {head, tail} | names
+            env, names, p, ps = _bind_branch(head, tail, env, names, taken)
+            tb = _translate(cons_branch, env, names)
             return charge(CPlus(CNum(1), CostOf(ts)), PCase(PotOf(ts), tz, p, ps, tb))
         case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            ts = translate(scrutinee)
-            tz = translate(nil_branch)
-            tb, p, ps = _translate_branch(step, head, tail, avoid=frozenset((acc,)), acc=acc)
-            return charge(CPlus(CNum(1), CostOf(ts)), PFold(PotOf(ts), tz, p, ps, acc, tb))
+            ts = _translate(scrutinee, env, names)
+            tz = _translate(nil_branch, env, names)
+            taken = syntax.free_vars(step) | {head, tail, acc} | names
+            env, names, p, ps = _bind_branch(head, tail, env, names, taken)
+            # The accumulator shadows the head and tail.
+            env, names, w = _bind(acc, step, env, names)
+            tb = _translate(step, env, names)
+            return charge(CPlus(CNum(1), CostOf(ts)), PFold(PotOf(ts), tz, p, ps, w, tb))
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _translate_branch(
-    branch: Expr, head: str, tail: str, avoid: frozenset[str], acc: str | None = None
-) -> tuple[CplxExpr, str, str]:
-    """Translate a cons branch, replacing head/tail with potential pairs.
+def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]
+                 ) -> tuple[_Env, frozenset[str], str, str]:
+    """Bind a cons branch's head and tail to potential pairs.
 
     The head is a value of potential at most 1 (an int); the tail a value
-    whose potential is one less than the scrutinee's.  Both are substituted
-    as pairs (1, p) and (1, ps) over fresh variables that the surrounding
-    pcase/pfold then binds.
+    whose potential is one less than the scrutinee's.  They become (1, p)
+    and (1, ps) over fresh p and ps, which the pcase/pfold binds; fresh
+    means apart from `taken`: the branch's free target variables, its
+    binders and every name the environment mentions.  One pair per binder
+    is shared by all its occurrences.
     """
-    taken = (syntax.free_vars(branch) - {head, tail}) | avoid | {head, tail}
     p = fresh_name("p", taken)
     ps = fresh_name("ps", taken | {p})
-    tb = translate(branch)
-    bindings: dict[str, CplxExpr] = {}
-    # Respect target scoping: later binders shadow earlier ones, and a fold's
-    # accumulator shadows both.
-    bindings[head] = CPair(CNum(1), CVar(p))
-    bindings[tail] = CPair(CNum(1), CVar(ps))
-    if acc is not None:
-        bindings.pop(acc, None)
-    return csubst(tb, bindings), p, ps
+    inner = {**env, head: CPair(CNum(1), CVar(p)), tail: CPair(CNum(1), CVar(ps))}
+    return inner, names | {p, ps}, p, ps
+
+
+def _bind(x: str, body: Expr, env: _Env, names: frozenset[str]
+          ) -> tuple[_Env, frozenset[str], str]:
+    """Scope a lambda parameter or fold accumulator x over its body.
+
+    x shadows any binding of x in env.  If x is in `names`, keeping it could
+    capture a pair's variable, so x is renamed apart from `names` and the
+    body's free variables, and env maps x to the new name.
+    """
+    if x in names:
+        nx = fresh_name(x, names | syntax.free_vars(body))
+        return {**env, x: CVar(nx)}, names | {nx}, nx
+    if x in env:
+        env = {k: v for k, v in env.items() if k != x}
+    return env, names, x

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,23 @@ def test_translate_prints_recurrence_and_type(capsys):
     assert second == ": N x N"
 
 
+# sha256 of `foldcost translate` on each corpus program, as first recorded.
+TRANSLATE_SHA256 = {
+    "case_if": "7c0b70ff5b50bbe1f271665146f1fe93a74dd7ba8fa6e053c7cc2c24a41117e4",
+    "ins": "d4518af574d5c67f17802108e37a371c4a1e68d50ef37aa189b64861dda8f497",
+    "ins_sort": "4ff0eb347dae94e52697e12699fdff34376b3c38829fd92b95e800baefb03a90",
+    "map": "a4c580d7e83dc6b7bf6f37c354ae7e83dde26f75ab8d108e9ee0f26f4d6aeb60",
+    "list_fold": "b53c16fac89bdd6550c1871a15664a575494080b8f724a04f1b07834d0d9326b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_SHA256))
+def test_translate_output_is_frozen(capsys, name):
+    code, out, _ = run(capsys, "translate", corpus_path(name))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TRANSLATE_SHA256[name]
+
+
 def test_bound_tabulates_rows(capsys):
     code, out, err = run(capsys, "bound", corpus_path("ins"),
                          "--arg", "1,1", "--sweep", "--range", "0:8")
@@ -86,6 +104,17 @@ def test_check_base_program_json(capsys):
 def test_check_function_program_reports_probes(capsys):
     code, out, _ = run(capsys, "check", corpus_path("ins"))
     assert (code, out) == (EXIT_OK, "cost=1 bound=1 probes=100 verdict=pass\n")
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("case [1] of (0, [p', w] case w of (0, [a, b] a))",
+     "cost=7 bound=7 size=1 pot=1 verdict=pass\n"),
+    ("case [1, 2] of (nil, [h, p''] fold [1, 2, 3] of (nil, [a, b, p] a :: p))",
+     "cost=30 bound=30 size=3 pot=3 verdict=pass\n"),
+], ids=["case-in-case", "fold-in-case"])
+def test_check_branch_variables_named_like_potential_variables(capsys, tmp_path, source, expected):
+    code, out, err = run(capsys, "check", write_program(tmp_path, source))
+    assert (code, out, err) == (EXIT_OK, expected, "")
 
 
 def test_fuzz_is_deterministic(capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldcost.complexity import (
-    EMPTY_ENV,
     NAT,
     NAT_MAX,
     NAT_PAIR,
@@ -19,7 +18,6 @@ from foldcost.complexity import (
     CVar,
     CplxTypeError,
     DenoteError,
-    Env,
     NatOverflowError,
     PCase,
     PFold,
@@ -160,17 +158,6 @@ def test_denote_env_and_errors():
         denote(CPlus(PAIR(1, 1), CNum(1)))
     with pytest.raises(DenoteError, match="non-function"):
         denote(StarApp(PAIR(1, 1), PAIR(1, 1)))
-
-
-def test_env_is_immutable():
-    env = Env({"x": 1})
-    with pytest.raises(AttributeError):
-        env._bindings = {}
-    extended = env.extend({"y": 2})
-    assert extended.lookup("y") == 2
-    with pytest.raises(DenoteError):
-        env.lookup("y")
-    assert EMPTY_ENV is not env
 
 
 # ---------------------------------------------------------------- maxima and naturals

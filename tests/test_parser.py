@@ -26,6 +26,7 @@ from foldcost.syntax import (
     Nil,
     Rel,
     Var,
+    subst,
     to_source,
 )
 
@@ -153,6 +154,13 @@ def test_defs_are_not_recursive():
 def test_def_does_not_cross_binders():
     e = parse("def n = 5\n\\n:int. n")
     assert e == Lam("n", INT, Var("n"))
+
+
+def test_subst_renamed_binder_avoids_binding_keys():
+    # Renaming y to y' would let the y' binding be substituted into it.
+    lam = Lam("y", INT, Arith("+", Var("x"), Var("y")))
+    out = subst(lam, {"x": Var("y"), "y'": IntLit(5)})
+    assert out == Lam("y''", INT, Arith("+", Var("y"), Var("y''")))
 
 
 def test_application_stops_at_line_break_outside_groups():

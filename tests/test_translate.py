@@ -1,4 +1,7 @@
-"""Translation to recurrences: shapes, sharing, substitution, preservation."""
+"""Translation to recurrences: shapes, branch binding, sharing, substitution,
+preservation."""
+
+import random
 
 import pytest
 
@@ -12,6 +15,7 @@ from foldcost.complexity import (
     CNum,
     CPair,
     CPlus,
+    CplxExpr,
     CostOf,
     CVar,
     PCase,
@@ -22,9 +26,10 @@ from foldcost.complexity import (
     ctypecheck,
     denote,
 )
+from foldcost import harness
 from foldcost.harness import ProbeConfig, check_program, gen_typed_term
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy
+from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, to_source
 from foldcost.translate import charge, csubst, pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
 
@@ -135,12 +140,29 @@ def test_translation_shares_charged_pairs():
     assert e.cost.rhs.pair is e.pot.pair
 
 
-def test_csubst_preserves_sharing():
-    pair = CPair(CVar("x"), CNum(1))
-    wrapped = charge(CNum(1), pair)
-    out = csubst(wrapped, {"x": CNum(7)})
-    assert out.cost.rhs.pair is out.pot.pair
-    assert out.cost.rhs.pair == CPair(CNum(7), CNum(1))
+def dag_size(e) -> int:
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
+    return len(seen)
+
+
+def test_branch_translation_keeps_sharing():
+    # Every if shares its joined pair between two projections, and every
+    # occurrence of h one pair; inside a cons branch the recurrence must
+    # keep that sharing, or it doubles in size with each level.
+    depth = 12
+    body = "h"
+    for _ in range(depth):
+        body = f"if true then {body} else h"
+    e = parse(f"case [1] of (0, [h, t] {body})")
+    cplx = translate(e)
+    assert dag_size(cplx) < 20 * depth
+    assert ctypecheck({}, cplx) == NAT_PAIR
+    assert check_program(e).status == "pass"
 
 
 def test_csubst_capture_avoiding():
@@ -155,6 +177,42 @@ def test_csubst_capture_avoiding():
 def test_csubst_binders_shadow():
     lam = CLam("x", NAT, CostOf(CVar("x")))
     assert csubst(lam, {"x": CNum(9)}) == lam
+
+
+def test_csubst_renamed_binder_avoids_binding_keys():
+    # Renaming y to y' would let the y' binding be substituted into it.
+    lam = CLam("y", NAT, CPlus(CostOf(CVar("x")), CostOf(CVar("y"))))
+    out = csubst(lam, {"x": CVar("y"), "y'": CPair(CNum(5), CNum(5))})
+    assert out == CLam("y''", NAT, CPlus(CostOf(CVar("y")), CostOf(CVar("y''"))))
+
+
+# ---------------------------------------------------------------- branch binding
+
+
+def test_inner_binders_do_not_capture_branch_pairs():
+    # A lambda parameter named like the pcase's potential variable is
+    # renamed, so h still translates to the pair over the pcase's p.
+    inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pot.pair
+    lam = inner.succ
+    assert (inner.p, lam.param) == ("p", "p'")
+    assert lam.body.cost.rhs == CPlus(CostOf(CPair(CNum(1), CVar("p"))), CostOf(CVar("p'")))
+
+
+ADVERSARIAL_NAMES = ("p", "ps", "p'", "ps'", "p''", "w")
+
+
+def test_adversarial_binder_names(monkeypatch):
+    # Generated programs whose binders all take names the translation also
+    # picks for its potential variables.
+    names = random.Random(0)
+    monkeypatch.setattr(harness, "_fresh_var", lambda ctx: names.choice(ADVERSARIAL_NAMES))
+    for seed in range(300):
+        ty = (INT, BOOL, INT_LIST)[seed % 3]
+        e = gen_typed_term(seed, 5, ty)
+        assert typecheck({}, e) == ty
+        assert ctypecheck({}, translate(e)) == translate_ty(ty), to_source(e)
+        report = check_program(e)
+        assert report.status != "fail", (to_source(e), report.detail)
 
 
 # ---------------------------------------------------------------- preservation
