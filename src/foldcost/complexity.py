@@ -14,10 +14,10 @@ with max rather than chosen, so the denotation is an upper bound regardless
 of which branch a run of the original program takes.
 
 Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
-that overflow raise NatOverflowError rather than wrapping.  `denote` is pure;
-it stages the expression into closures and evaluates a pair that two
-projections share once per environment, which only short-circuits
-re-deriving equal values (environments are immutable), never changes them.
+that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
+so it reuses values without changing them: a shared pair is evaluated once
+per environment, and an inlined closed lambda once per denotation, its
+results at natural arguments remembered for as long as the denotation lives.
 """
 
 from __future__ import annotations
@@ -347,29 +347,34 @@ Staged = Callable[[dict[str, SemVal], dict[int, SemVal]], SemVal]
 def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
     """Evaluate a complexity expression to its semantic value.
 
-    The expression is first staged into nested closures, so that pfold steps
-    and potential-function bodies, which run many times, do not dispatch on
-    node types again.  Translation shares, rather than copies, the pair
-    inside a cost charge: both projections point at one node.  So the
-    operand of a projection is staged once, evaluated once per environment,
-    and projecting it again there reuses the value.  Values are remembered
-    only while their environment's scope is evaluated (this call, one pcase
-    successor, one pfold step, one application of a potential function),
-    never beyond it.  Sharing changes nothing observable: evaluation is pure
-    and environments are immutable.
+    The expression is first staged into closures, so that pfold steps and
+    potential-function bodies, which run many times, do not dispatch on node
+    types again.  Translation shares the pair inside a cost charge, so the
+    operand of a projection is staged once and evaluated once per scope of
+    an environment (this call, a pcase successor, a pfold step, one
+    application).  A closed lambda below the root, such as an inlined `def`,
+    is evaluated once, while staging; its potential function, and the one it
+    returns if its body is a lambda, remember their results at natural (never
+    function) arguments for as long as the denotation holding them lives,
+    such as one `tabulate` or `check_program` call.  Neither reuse changes a
+    value, because denotation is pure.
     """
-    return _stage(e, {})(dict(env or {}), {})
+    return _stage(e, {}, set(), hoist=False)(dict(env or {}), {})
 
 
-def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
+def _stage(e: CplxExpr, staged: dict[int, tuple[Staged, set[str]]], fv: set[str],
+           hoist: bool = True) -> Staged:
+    """Stage e into a closure, adding e's free variables to fv."""
     fn: Staged
     t = type(e)
     if t is CostOf or t is PotOf:
         pair = e.pair
         key = id(pair)
-        pf = staged.get(key)
-        if pf is None:
-            pf = staged[key] = _stage(pair, staged)
+        if key not in staged:
+            pair_fv: set[str] = set()
+            staged[key] = _stage(pair, staged, pair_fv), pair_fv
+        pf, pair_fv = staged[key]
+        fv |= pair_fv
 
         def fn(env, seen, pf=pf, key=key, cost=t is CostOf) -> SemVal:
             v = seen.get(key)
@@ -380,13 +385,15 @@ def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
         def fn(env, seen, value=e.value) -> SemVal:
             return value
     elif t is CVar:
+        fv.add(e.name)
+
         def fn(env, seen, name=e.name) -> SemVal:
             try:
                 return env[name]
             except KeyError:
                 raise DenoteError(f"unbound variable at denotation time: {name}") from None
     elif t is CPlus:
-        def fn(env, seen, lf=_stage(e.lhs, staged), rf=_stage(e.rhs, staged)) -> SemVal:
+        def fn(env, seen, lf=_stage(e.lhs, staged, fv), rf=_stage(e.rhs, staged, fv)) -> SemVal:
             a, b = lf(env, seen), rf(env, seen)
             if not isinstance(a, int) or not isinstance(b, int):
                 raise DenoteError("operands of + must be naturals")
@@ -395,13 +402,13 @@ def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
                 raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
             return n
     elif t is CPair:
-        def fn(env, seen, cf=_stage(e.cost, staged), pf=_stage(e.pot, staged)) -> SemVal:
+        def fn(env, seen, cf=_stage(e.cost, staged, fv), pf=_stage(e.pot, staged, fv)) -> SemVal:
             return SPair(_as_nat(cf(env, seen)), pf(env, seen))
     elif t is CMax:
-        def fn(env, seen, lf=_stage(e.lhs, staged), rf=_stage(e.rhs, staged)) -> SemVal:
+        def fn(env, seen, lf=_stage(e.lhs, staged, fv), rf=_stage(e.rhs, staged, fv)) -> SemVal:
             return sem_max(lf(env, seen), rf(env, seen))
     elif t is StarApp:
-        def fn(env, seen, ff=_stage(e.fn, staged), af=_stage(e.arg, staged)) -> SemVal:
+        def fn(env, seen, ff=_stage(e.fn, staged, fv), af=_stage(e.arg, staged, fv)) -> SemVal:
             f = _as_pair(ff(env, seen))
             if not isinstance(f.pot, SFun):
                 raise DenoteError("applied a value with non-function potential")
@@ -411,14 +418,23 @@ def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
-        def fn(env, seen, param=e.param, bf=_stage(e.body, staged)) -> SemVal:
-            def apply(q: SemVal) -> SemVal:
-                return bf({**env, param: SPair(1, q)}, {})
+        bf, own = _stage_under(e.body, staged, fv, {e.param})
+        if hoist and not own:
+            def apply(q: SemVal, param=e.param, curried=type(e.body) is CLam, bf=bf) -> SemVal:
+                v = bf({param: SPair(1, q)}, {})
+                return SPair(1, _memoised(v.pot)) if curried else v
 
-            return SPair(1, SFun(apply))
+            def fn(env, seen, value=SPair(1, _memoised(SFun(apply)))) -> SemVal:
+                return value
+        else:
+            def fn(env, seen, param=e.param, bf=bf) -> SemVal:
+                def apply(q: SemVal) -> SemVal:
+                    return bf({**env, param: SPair(1, q)}, {})
+
+                return SPair(1, SFun(apply))
     elif t is PCase:
-        def fn(env, seen, sf=_stage(e.scrut, staged), zf=_stage(e.zero, staged),
-               tf=_stage(e.succ, staged), p=e.p, ps=e.ps) -> SemVal:
+        def fn(env, seen, sf=_stage(e.scrut, staged, fv), zf=_stage(e.zero, staged, fv),
+               tf=_stage_under(e.succ, staged, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
             n = _as_nat(sf(env, seen))
             if n == 0:
                 return zf(env, seen)
@@ -427,8 +443,9 @@ def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
     elif t is PFold:
         # Primitive recursion, bottom up to keep long recursions off the
         # Python stack: acc is the value at q, starting at 0.
-        def fn(env, seen, sf=_stage(e.scrut, staged), zf=_stage(e.zero, staged),
-               tf=_stage(e.succ, staged), p=e.p, ps=e.ps, w=e.w) -> SemVal:
+        def fn(env, seen, sf=_stage(e.scrut, staged, fv), zf=_stage(e.zero, staged, fv),
+               tf=_stage_under(e.succ, staged, fv, {e.p, e.ps, e.w})[0], p=e.p, ps=e.ps,
+               w=e.w) -> SemVal:
             n = _as_nat(sf(env, seen))
             acc = _as_pair(zf(env, seen))
             zero_pot = acc.pot
@@ -442,6 +459,31 @@ def _stage(e: CplxExpr, staged: dict[int, Staged]) -> Staged:
     else:
         raise DenoteError(f"not a complexity expression: {e!r}")
     return fn
+
+
+def _stage_under(body: CplxExpr, staged: dict[int, tuple[Staged, set[str]]], fv: set[str],
+                 bound: set[str]) -> tuple[Staged, set[str]]:
+    """Stage a body under `bound`; return it and its other free variables, added to fv."""
+    own: set[str] = set()
+    fn = _stage(body, staged, own)
+    own -= bound
+    fv |= own
+    return fn, own
+
+
+def _memoised(f: SFun) -> SFun:
+    """f, remembering its results at natural-number arguments."""
+    memo: dict[int, SemVal] = {}
+
+    def fn(q: SemVal) -> SemVal:
+        if type(q) is not int:
+            return f.fn(q)
+        v = memo.get(q)
+        if v is None:
+            v = memo[q] = f.fn(q)
+        return v
+
+    return SFun(fn)
 
 
 def _as_nat(v: SemVal) -> int:

@@ -218,14 +218,6 @@ def _fresh_var(ctx: Mapping[str, Ty]) -> str:
 
 # ---------------------------------------------------------------- bounding checks
 
-def check_closed_base(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
-    """Check a closed program of base type against its translated bound."""
-    ty = typecheck({}, e)
-    if isinstance(ty, ArrowTy):
-        raise ValueError(f"program has function type {ty}; use check_program")
-    return check_program(e, cfg)
-
-
 def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     """Check a closed program of any type against its translated bound.
 

@@ -154,6 +154,29 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("text, code, out", [
+    ("1 = 2", EXIT_OK, "value = false, cost = 4\n"),
+    ("1 == 2", EXIT_ERROR, ""),
+    ("1 >= 2", EXIT_ERROR, ""),
+])
+def test_comparison_operators(capsys, tmp_path, text, code, out):
+    got_code, got_out, err = run(capsys, "eval", write_program(tmp_path, text))
+    assert (got_code, got_out) == (code, out)
+    assert err.startswith("parse error:") == (code == EXIT_ERROR)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "[" + ", ".join(["1"] * 600) + "]"),
+    ("eval", "(" * 400 + "1" + ")" * 400),
+], ids=["list-600", "parens-400"])
+def test_deep_input_exits_2(tmp_path, command, text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcost", command, write_program(tmp_path, text)],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: input nests too deeply\n"
+
+
 def test_type_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "eval", write_program(tmp_path, "1 + true"))
     assert code == EXIT_ERROR

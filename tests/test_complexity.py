@@ -34,6 +34,8 @@ from foldcost.complexity import (
     render_semval,
     sem_max,
 )
+from foldcost.parser import parse
+from foldcost.translate import translate
 
 def PAIR(c: int, p: int) -> CPair:
     return CPair(CNum(c), CNum(p))
@@ -98,8 +100,8 @@ def test_pcase_pfold_typing():
 
 
 def test_shared_nodes_type_once_per_context():
-    # The checker caches by node and context identity, so a shared pair types
-    # consistently whether reached through one binder or another.
+    # A node shared under two binders types in each binder's context, and a
+    # pair projected twice has one type.
     shared = CPlus(CostOf(CVar("x")), CNum(1))
     lam_a = CLam("x", NAT, CPair(shared, CNum(0)))
     lam_b = CLam("x", NAT, CPair(CPlus(shared, CNum(2)), CNum(0)))
@@ -148,6 +150,23 @@ def test_denote_lambda_binds_value_pairs():
     # The parameter stands for a value: cost 1, the argument's potential.
     e = StarApp(CLam("x", NAT, CPair(CostOf(CVar("x")), PotOf(CVar("x")))), PAIR(6, 5))
     assert denote(e) == SPair(1 + 1 + 6 + 1, 5)
+
+
+# `twice` is a closed `def` inlined into the fold step, so denote evaluates it
+# once and remembers its results at natural arguments.  Each step applies it
+# to two different functions; remembering a result at a function argument
+# would mix their costs up.  The costs were recorded before closed lambdas
+# were memoised.
+TWICE = r"""def twice = \f:int -> int. \x:int. f (f x)
+\xs:int*. fold xs of (0, [y, ys, w]
+  twice (\a:int. a + 1) y + twice (\a:int. fold ys of (a, [b, bs, v] v + b)) w)"""
+
+
+def test_closed_definition_applied_to_different_functions():
+    pot = denote(translate(parse(TWICE))).pot
+    sizes = (5, 0, 3, 1, 4, 2, 5)
+    costs = (323, 3, 159, 43, 235, 95, 323)
+    assert [pot.fn(n) for n in sizes] == [SPair(c, 1) for c in costs]
 
 
 def test_denote_env_and_errors():

@@ -1,5 +1,6 @@
 """Property harness: generators, probing, campaigns, bound tables."""
 
+import hashlib
 import json
 import re
 
@@ -26,7 +27,6 @@ from foldcost.harness import (
     TermArg,
     binary_lists,
     canonical_semval,
-    check_closed_base,
     check_program,
     check_value_bounded,
     descending_list,
@@ -126,11 +126,6 @@ def test_probe_budget_split():
     assert _probes_per_level(1, 1) == 1
 
 
-def test_check_closed_base_rejects_functions():
-    with pytest.raises(ValueError, match="use check_program"):
-        check_closed_base(corpus_expr("ins"))
-
-
 def test_inconclusive_budget_and_overflow():
     r = check_program(parse("1 + 2"), ProbeConfig(budget=3))
     assert (r.status, r.detail) == ("inconclusive", "budget-exceeded")
@@ -208,6 +203,35 @@ def test_tabulated_bounds_match_closed_forms():
             assert (row.cost, row.pot) == form(row.n), (name, row)
         assert table.costs() == [form(n)[0] for n in ns]
         assert table.pots() == [form(n)[1] for n in ns]
+
+
+# sha256 of the "n cost pot" lines of the benchmark's four sweep plans over
+# 0..64, recorded before closed lambdas were memoised.
+SWEEP_SHA256 = {
+    "ins": "a26919ceccac08e09d93675de4d6c777aefe8bfe120ed48b651bd44b061b6ff2",
+    "ins_sort": "22dd955c95c95167291ac3cc72f1a139a00fb5e653ddfdeebf663eeba14af8ee",
+    "map": "672a1e63177395f25e5c3c6ac689e37e8653f0dd154bf4cbc57c2f06c4446860",
+    "list_fold": "2600e838c169419ee9f6b624d6a8e6c24a807e47bc9cc6cbf994669d28f1f487",
+}
+
+
+def test_sweep_rows_are_frozen():
+    for name, args, _ in closed_forms():
+        rows = tabulate(corpus_expr(name), args, range(65)).rows
+        text = "".join(f"{r.n} {r.cost} {r.pot}\n" for r in rows)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_SHA256[name], name
+
+
+def test_insertion_sort_bound_stays_quadratic_to_300():
+    # The quadratic through rows 0..64, by finite differences, must give every
+    # row up to 300.  Unmemoised, the inlined `ins` makes this sweep cubic.
+    table = tabulate(corpus_expr("ins_sort"), [SweepArg()], range(301))
+    costs = table.costs()
+    c0, d1, d2 = costs[0], costs[1] - costs[0], costs[2] - 2 * costs[1] + costs[0]
+    fit = [c0 + d1 * n + d2 * n * (n - 1) // 2 for n in range(301)]
+    assert costs[:65] == fit[:65]
+    assert costs == fit
+    assert table.pots() == list(range(301))
 
 
 def test_tabulate_argument_validation():

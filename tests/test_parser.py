@@ -77,6 +77,14 @@ def test_rel_non_associative():
         parse("1 < 2 < 3")
 
 
+def test_rel_operators_are_lt_le_and_eq():
+    for op in ("<", "<=", "="):
+        assert parse(f"1 {op} 2") == Rel(op, IntLit(1), IntLit(2))
+    for op in ("==", ">=", ">"):
+        with pytest.raises(ParseError):
+            parse(f"1 {op} 2")
+
+
 def test_rel_compares_cons_operands():
     assert parse("x :: nil = nil") == Rel("=", Cons(Var("x"), Nil()), Nil())
 
