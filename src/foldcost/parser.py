@@ -20,6 +20,15 @@ Grammar, loosest binding first:
     type     := btype ("->" type)?                   -- right-associative
     btype    := "int" "*"? | "bool" | "(" type ")"
 
+    INT      := [0-9]+                               -- ASCII digits only
+    IDENT    := a word, not a keyword, whose first character c has
+                c.isalpha() or c == "_", and whose later characters have
+                c.isalnum() or c in "_'"
+
+Tokens are separated by spaces, tabs, carriage returns and newlines; any
+other character that starts no token is an error.  Lines and columns count
+characters from 1, and a tab counts as one column.
+
 "--" starts a comment that runs to end of line (even with no space before it,
 so write "x - -3" rather than "x--3").  A leading "-" is part of a literal
 only in atom position; in particular "f -3" is the subtraction f - 3, not an
@@ -33,7 +42,8 @@ definitions but not itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import (
     BOOL,
@@ -62,7 +72,16 @@ KEYWORDS = frozenset(
     ["if", "then", "else", "case", "fold", "of", "nil", "true", "false", "def", "int", "bool"]
 )
 
-_SYMBOLS = ["->", "::", "<=", "<", "=", "+", "-", "*", "(", ")", "[", "]", ",", ".", ":", "\\"]
+# One match per token.  Group 1 is the blanks before the token and a
+# comment, which runs to the end of the line.  Then exactly one of: a
+# newline, INT, a word, a symbol, or any other character.  "--" is tried
+# before the "-" symbol.  A word may start with any word character but a
+# decimal digit; `tokenize` rejects the ones that are not letters, such as
+# "²".  `\Z` takes the blanks at the end of the input.
+_TOKEN_RE = re.compile(
+    r"([ \t\r]*(?:--[^\n]*)?)"
+    r"(?:(\n)|([0-9]+)|([^\W\d][\w']*)|(->|::|<=|[-<=+*()\[\],.:\\])|(.)|\Z)"
+)
 
 
 class ParseError(Exception):
@@ -73,107 +92,89 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "ident", "kw", or the symbol itself
+class Token(NamedTuple):
+    kind: str  # "int", "ident", "kw", "eof", or the symbol itself
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+# Builds a Token without the Python-level `__new__` that NamedTuple
+# generates; the fields go in declaration order.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for blank, newline, number, word, sym, other in _TOKEN_RE.findall(text):
+        pos += len(blank)
+        if sym:
+            append(_new_token(Token, (sym, sym, line, pos - line_start + 1)))
+            pos += len(sym)
+        elif word:
+            col = pos - line_start + 1
+            if word in KEYWORDS:
+                append(_new_token(Token, ("kw", word, line, col)))
+            elif word[0].isalpha() or word[0] == "_":
+                append(_new_token(Token, ("ident", word, line, col)))
+            else:
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            pos += len(word)
+        elif newline:
+            pos += 1
+            line, line_start = line + 1, pos
+        elif number:
+            append(_new_token(Token, ("int", number, line, pos - line_start + 1)))
+            pos += len(number)
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, pos - line_start + 1)
+    # A comment does not advance the column, so end of input after one sits
+    # where the comment starts.  The first "--" on a line always starts one.
+    end = text.find("--", line_start)
+    append(Token("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
+
+
+# Binding power of each binary operator, loosest first.
+_PREC = {"<": 1, "<=": 1, "=": 1, "::": 2, "+": 3, "-": 3, "*": 4}
+_ATOM_START = frozenset(["int", "ident", "[", "("])
+_ATOM_KWS = frozenset(["true", "false", "nil"])
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # A second eof lets `peek(1)` look past the end without a bounds check.
+        self.tokens = tokens + tokens[-1:]
         self.pos = 0
         self.group = 0  # parenthesis/bracket nesting; relaxes the app line rule
 
     # ------------------------------------------------------------- plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        return self.tokens[self.pos + ahead]
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             wanted = what or f"'{kind}'"
             raise ParseError(f"expected {wanted}, found {self._describe(tok)}", tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
+    def expect_kw(self, word: str) -> None:
+        tok = self.tokens[self.pos]
         if tok.kind != "kw" or tok.text != word:
             raise ParseError(f"expected '{word}', found {self._describe(tok)}", tok.line, tok.col)
-        return self.next()
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == word
+        self.pos += 1
 
     @staticmethod
     def _describe(tok: Token) -> str:
         return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
 
     def ident(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "kw":
             raise ParseError(f"'{tok.text}' is a reserved word", tok.line, tok.col)
         return self.expect("ident", "an identifier").text
@@ -183,23 +184,23 @@ class _Parser:
     def type_(self) -> Ty:
         dom = self.btype()
         if self.peek().kind == "->":
-            self.next()
+            self.pos += 1
             return ArrowTy(dom, self.type_())
         return dom
 
     def btype(self) -> Ty:
         tok = self.peek()
         if tok.kind == "kw" and tok.text == "int":
-            self.next()
+            self.pos += 1
             if self.peek().kind == "*":
-                self.next()
+                self.pos += 1
                 return INT_LIST
             return INT
         if tok.kind == "kw" and tok.text == "bool":
-            self.next()
+            self.pos += 1
             return BOOL
         if tok.kind == "(":
-            self.next()
+            self.pos += 1
             ty = self.type_()
             self.expect(")")
             return ty
@@ -208,94 +209,64 @@ class _Parser:
     # ------------------------------------------------------------- expressions
 
     def expr(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw":
+            word = tok.text
+            if word == "if":
+                self.pos += 1
+                test = self.expr()
+                self.expect_kw("then")
+                then = self.expr()
+                self.expect_kw("else")
+                return If(test, then, self.expr())
+            if word == "case" or word == "fold":
+                self.pos += 1
+                scrutinee = self.expr()
+                self.expect_kw("of")
+                self.expect("(")
+                self.group += 1
+                nil_branch = self.expr()
+                self.expect(",")
+                self.expect("[")
+                head = self.ident()
+                self.expect(",")
+                tail = self.ident()
+                if word == "fold":
+                    self.expect(",")
+                    acc = self.ident()
+                self.expect("]")
+                body = self.expr()
+                self.expect(")")
+                self.group -= 1
+                if word == "fold":
+                    return Fold(scrutinee, nil_branch, head, tail, acc, body)
+                return Case(scrutinee, nil_branch, head, tail, body)
+        elif tok.kind == "\\":
+            self.pos += 1
             param = self.ident()
             self.expect(":")
             param_ty = self.type_()
             self.expect(".")
             return Lam(param, param_ty, self.expr())
-        if self.at_kw("if"):
-            self.next()
-            test = self.expr()
-            self.expect_kw("then")
-            then = self.expr()
-            self.expect_kw("else")
-            return If(test, then, self.expr())
-        if self.at_kw("case"):
-            self.next()
-            scrutinee = self.expr()
-            self.expect_kw("of")
-            self.expect("(")
-            self.group += 1
-            nil_branch = self.expr()
-            self.expect(",")
-            self.expect("[")
-            head = self.ident()
-            self.expect(",")
-            tail = self.ident()
-            self.expect("]")
-            cons_branch = self.expr()
-            self.expect(")")
-            self.group -= 1
-            return Case(scrutinee, nil_branch, head, tail, cons_branch)
-        if self.at_kw("fold"):
-            self.next()
-            scrutinee = self.expr()
-            self.expect_kw("of")
-            self.expect("(")
-            self.group += 1
-            nil_branch = self.expr()
-            self.expect(",")
-            self.expect("[")
-            head = self.ident()
-            self.expect(",")
-            tail = self.ident()
-            self.expect(",")
-            acc = self.ident()
-            self.expect("]")
-            step = self.expr()
-            self.expect(")")
-            self.group -= 1
-            return Fold(scrutinee, nil_branch, head, tail, acc, step)
-        return self.rel()
+        return self.binary(1)
 
-    def rel(self) -> Expr:
-        lhs = self.cons()
-        tok = self.peek()
-        if tok.kind in ("<", "<=", "="):
-            self.next()
-            return Rel(tok.kind, lhs, self.cons())
-        return lhs
-
-    def cons(self) -> Expr:
-        head = self.add()
-        if self.peek().kind == "::":
-            self.next()
-            return Cons(head, self.cons())
-        return head
-
-    def add(self) -> Expr:
-        e = self.mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Arith(op, e, self.mul())
-        return e
-
-    def mul(self) -> Expr:
-        e = self.app()
-        while self.peek().kind == "*":
-            self.next()
-            e = Arith("*", e, self.app())
-        return e
-
-    _ATOM_START = frozenset(["int", "ident", "[", "("])
-    _ATOM_KWS = frozenset(["true", "false", "nil"])
-
-    def _at_atom(self) -> bool:
-        tok = self.peek()
-        return tok.kind in self._ATOM_START or (tok.kind == "kw" and tok.text in self._ATOM_KWS)
+    def binary(self, min_prec: int) -> Expr:
+        # Precedence climbing: "::" parses its right operand at its own
+        # level (right-associative), "+ - *" one level up (left-associative),
+        # and a comparison ends the loop (non-associative).
+        lhs = self.app()
+        while True:
+            op = self.tokens[self.pos].kind
+            prec = _PREC.get(op, 0)
+            if prec < min_prec:
+                return lhs
+            self.pos += 1
+            if prec == 1:
+                return Rel(op, lhs, self.binary(2))
+            if prec == 2:
+                lhs = Cons(lhs, self.binary(2))
+            else:
+                lhs = Arith(op, lhs, self.binary(prec + 1))
 
     def app(self) -> Expr:
         # Outside parentheses, juxtaposition does not cross line breaks;
@@ -303,34 +274,42 @@ class _Parser:
         # starts with an atom.  Inside a group the next `,` or closer
         # delimits, so line breaks are free.
         e = self.atom()
-        while self._at_atom() and (
-                self.group > 0 or self.peek().line == self.tokens[self.pos - 1].line):
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind not in _ATOM_START and (tok.kind != "kw" or tok.text not in _ATOM_KWS):
+                return e
+            if self.group == 0 and tok.line != tokens[self.pos - 1].line:
+                return e
             e = App(e, self.atom())
-        return e
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return self._int_lit(tok, int(tok.text))
-        if tok.kind == "-" and self.peek(1).kind == "int":
-            self.next()
-            lit = self.next()
-            return self._int_lit(tok, -int(lit.text))
-        if tok.kind == "ident":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident":
+            self.pos += 1
             return Var(tok.text)
-        if tok.kind == "kw" and tok.text in self._ATOM_KWS:
-            self.next()
-            return {"true": BoolLit(True), "false": BoolLit(False), "nil": Nil()}[tok.text]
-        if tok.kind == "[":
-            self.next()
+        if kind == "int":
+            self.pos += 1
+            return self._int_lit(tok, int(tok.text))
+        if kind == "(":
+            self.pos += 1
+            self.group += 1
+            e = self.expr()
+            self.expect(")")
+            self.group -= 1
+            return e
+        if kind == "kw" and tok.text in _ATOM_KWS:
+            self.pos += 1
+            return Nil() if tok.text == "nil" else BoolLit(tok.text == "true")
+        if kind == "[":
+            self.pos += 1
             self.group += 1
             items: list[Expr] = []
             if self.peek().kind != "]":
                 items.append(self.expr())
                 while self.peek().kind == ",":
-                    self.next()
+                    self.pos += 1
                     items.append(self.expr())
             self.expect("]")
             self.group -= 1
@@ -338,13 +317,10 @@ class _Parser:
             for item in reversed(items):
                 out = Cons(item, out)
             return out
-        if tok.kind == "(":
-            self.next()
-            self.group += 1
-            e = self.expr()
-            self.expect(")")
-            self.group -= 1
-            return e
+        if kind == "-" and self.peek(1).kind == "int":
+            lit = self.peek(1)
+            self.pos += 2
+            return self._int_lit(tok, -int(lit.text))
         raise ParseError(f"expected an expression, found {self._describe(tok)}", tok.line, tok.col)
 
     @staticmethod
@@ -357,8 +333,8 @@ class _Parser:
 
     def program(self) -> Expr:
         defs: dict[str, Expr] = {}
-        while self.at_kw("def"):
-            self.next()
+        while self.peek()[:2] == ("kw", "def"):
+            self.pos += 1
             name = self.ident()
             self.expect("=")
             # Expand eagerly: a definition may use earlier names, not itself.

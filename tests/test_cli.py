@@ -154,6 +154,16 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("text, err", [
+    ("²", "parse error: 1:1: unexpected character '²'\n"),
+    ("1²", "parse error: 1:2: unexpected character '²'\n"),
+    ("٣", "parse error: 1:1: unexpected character '٣'\n"),
+], ids=["superscript-two", "one-superscript-two", "arabic-indic-three"])
+def test_non_ascii_digits_are_unexpected(capsys, tmp_path, text, err):
+    # Integer literals are ASCII digits only.
+    assert run(capsys, "eval", write_program(tmp_path, text)) == (EXIT_ERROR, "", err)
+
+
 @pytest.mark.parametrize("text, code, out", [
     ("1 = 2", EXIT_OK, "value = false, cost = 4\n"),
     ("1 == 2", EXIT_ERROR, ""),

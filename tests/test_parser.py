@@ -1,11 +1,14 @@
 """Lexing, parsing, precedence, sugar, definitions, and error positions."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, corpus_expr, corpus_source
-from foldcost.harness import gen_typed_term
+from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr, corpus_source
+from foldcost.harness import _gen, gen_typed_term, trial_seed
 from foldcost.parser import ParseError, parse, tokenize
 from foldcost.syntax import (
     BOOL,
@@ -219,3 +222,88 @@ def test_keyword_in_expression_position():
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError, match="after expression"):
         parse("1 2 )")
+
+
+# Exact messages, as first recorded; they pin the error paths of every
+# precedence level and the positions the lexer reports.
+DIAGNOSTICS = [
+    ("1 +\t@ 2", "1:5: unexpected character '@'"),
+    ("1 +\n2 +\n  3 # 4", "3:5: unexpected character '#'"),
+    ("\u00bd", "1:1: unexpected character '\u00bd'"),
+    ("a < b < c", "1:7: unexpected '<' after expression"),
+    ("a = b < c", "1:7: unexpected '<' after expression"),
+    ("(a < b < c)", "1:8: expected ')', found '<'"),
+    ("[x :: xs = nil < 1]", "1:16: expected ']', found '<'"),
+    ("\\then:int. 1", "1:2: 'then' is a reserved word"),
+    ("case xs of (0, [if, t] 0)", "1:17: 'if' is a reserved word"),
+    ("case xs of (", "1:13: expected an expression, found end of input"),
+    ("-9223372036854775809", "1:1: integer literal out of 64-bit range"),
+    ("1 +", "1:4: expected an expression, found end of input"),
+    ("1 + -- nothing follows", "1:5: expected an expression, found end of input"),
+    ("1 :: 2 <", "1:9: expected an expression, found end of input"),
+    ("[1, 2", "1:6: expected ']', found end of input"),
+    ("(1 + 2", "1:7: expected ')', found end of input"),
+    ("[1,]", "1:4: expected an expression, found ']'"),
+    ("f\n5", "2:1: unexpected '5' after expression"),
+    ("\\x:int. x )", "1:11: unexpected ')' after expression"),
+    ("\\x:int -> . x", "1:11: expected a type, found '.'"),
+    ("def 1 = 2\n1", "1:5: expected an identifier, found '1'"),
+    ("if true then 1", "1:15: expected 'else', found end of input"),
+    ("fold xs of (0, [h, t] 0)", "1:21: expected ',', found ']'"),
+]
+
+
+@pytest.mark.parametrize("text, message", DIAGNOSTICS)
+def test_diagnostics_are_frozen(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------- token stream
+
+# Layout the printer never produces: tabs, CRLF, comments, primes, non-ASCII
+# identifiers, definitions, and applications split across lines.
+LAYOUT_CASES = [
+    "",
+    "  \n\n\t ",
+    "\tx\t+\t1\t",
+    "def a = 1\r\ndef b = a + 2\r\nb * a\r\n",
+    "1 -- the rest is ignored\n+ 2",
+    "x--3",
+    "x -- trailing comment",
+    "--only\n--comments\n",
+    "x' + x''",
+    "\\\u03bb:int. \u03bb + x\u00b2 + _a1",
+    "def inc = \\x:int. x + 1\ndef twice = \\f:int -> int. \\x:int. f (f x)\ntwice inc 3",
+    "f\n5",
+    "(f\n 5)",
+    "-> :: <= < = + - * ( ) [ ] , . : \\ -->",
+    "if1 iff then1 1x x1 -3 f -3",
+]
+
+# sha256 of (kind, text, line, col) over the corpus, the first 2,000 printed
+# campaign programs and LAYOUT_CASES, as first recorded.
+TOKEN_STREAM_SHA256 = "fdb757bbce9bc280830ec7fcca25eec3be504dff4637601a6999171374d5bbb0"
+
+
+def _campaign_source(k):
+    rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+    ty = rng.choice((INT, BOOL, INT_LIST))
+    return to_source(_gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+
+
+def _token_stream_sha256():
+    sources = [corpus_source(name) for name in CORPUS_NAMES]
+    sources += [_campaign_source(k) for k in range(2000)]
+    sources += LAYOUT_CASES
+    h = hashlib.sha256()
+    for text in sources:
+        for t in tokenize(text):
+            h.update(repr((t.kind, t.text, t.line, t.col)).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_token_stream_is_frozen():
+    assert _token_stream_sha256() == TOKEN_STREAM_SHA256
