@@ -9,8 +9,8 @@ Commands:
   fuzz                      run a generated-program campaign
 
 Exit codes: 0 success (and, for check/fuzz, no bound violations); 1 a bound
-was violated; 2 parse, type, usage, 64-bit overflow or too deeply nested
-input errors; 3 the evaluation cost budget was exhausted.
+was violated; 2 parse, type, usage, 64-bit overflow, too deep input or too
+large a recurrence to print; 3 the evaluation cost budget was exhausted.
 
 All randomized commands are deterministic for a fixed --seed: running the
 same command twice prints byte-identical output.

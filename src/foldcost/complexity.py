@@ -7,17 +7,18 @@ potential at most p"; potentials of functions map argument potentials to
 pairs for the result.
 
 Expressions: variables; numerals; + and max; pairs with projections `_c` and
-`_p`; costed lambdas and applications (an application charges one unit plus
-both sides' costs); `pcase`, a one-step match on a natural; and `pfold`,
+`_p`; the paper's `c +_c E`, the pair E with c more cost units; `let x = E
+in E'`; costed lambdas and applications (an application charges one unit
+plus both sides' costs); `pcase`, a one-step match on a natural; and `pfold`,
 primitive recursion on a natural.  Branch results of pcase/pfold are combined
 with max rather than chosen, so the denotation is an upper bound regardless
 of which branch a run of the original program takes.
 
 Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
 that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
-so it reuses values without changing them: a shared pair is evaluated once
-per environment, and an inlined closed lambda once per denotation, its
-results at natural arguments remembered for as long as the denotation lives.
+so it reuses values without changing them: an inlined closed lambda is
+evaluated once per denotation, its results at natural arguments remembered
+for as long as the denotation lives.
 """
 
 from __future__ import annotations
@@ -134,6 +135,23 @@ class PotOf(CplxExpr):
 
 
 @dataclass(frozen=True)
+class Charge(CplxExpr):
+    """The paper's `extra +_c pair`: (extra + pair_c, pair_p)."""
+
+    extra: CplxExpr
+    pair: CplxExpr
+
+
+@dataclass(frozen=True)
+class CLet(CplxExpr):
+    """`let name = bound in body`: bound is computed once and named."""
+
+    name: str
+    bound: CplxExpr
+    body: CplxExpr
+
+
+@dataclass(frozen=True)
 class CLam(CplxExpr):
     """Costed lambda: a pair of cost 1 and a potential function."""
 
@@ -193,6 +211,10 @@ def cplx_free_vars(e: CplxExpr) -> frozenset[str]:
         return cplx_free_vars(e.cost) | cplx_free_vars(e.pot)
     if t is StarApp:
         return cplx_free_vars(e.fn) | cplx_free_vars(e.arg)
+    if t is Charge:
+        return cplx_free_vars(e.extra) | cplx_free_vars(e.pair)
+    if t is CLet:
+        return cplx_free_vars(e.bound) | (cplx_free_vars(e.body) - {e.name})
     if t is CLam:
         return cplx_free_vars(e.body) - {e.param}
     if t is PCase:
@@ -207,23 +229,10 @@ def cplx_free_vars(e: CplxExpr) -> frozenset[str]:
 # ---------------------------------------------------------------- typechecking
 
 def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
-    """Return the type of e under ctx, or raise CplxTypeError.
-
-    Translated expressions are DAGs: a cost charge projects both components
-    of one shared pair.  So the operand of a projection is typed once per
-    context, and projecting it again in that context reuses the type.  Types
-    are remembered only while the walk is inside their context's scope.
-    """
-    return _ctype(e, ctx, {})
-
-
-def _ctype(e: CplxExpr, ctx: Mapping[str, CTy], seen: dict[int, CTy]) -> CTy:
+    """Return the type of e under ctx, or raise CplxTypeError."""
     t = type(e)
     if t is CostOf or t is PotOf:
-        pair = e.pair
-        ty = seen.get(id(pair))
-        if ty is None:
-            ty = seen[id(pair)] = _pair_ty(_ctype(pair, ctx, seen))
+        ty = _pair_ty(ctypecheck(ctx, e.pair))
         return NAT if t is CostOf else ty.pot
     if t is CVar:
         ty = ctx.get(e.name)
@@ -235,26 +244,31 @@ def _ctype(e: CplxExpr, ctx: Mapping[str, CTy], seen: dict[int, CTy]) -> CTy:
             raise CplxTypeError(f"numeral out of natural range: {e.value}")
         return NAT
     if t is CPlus:
-        _expect(_ctype(e.lhs, ctx, seen), NAT, "left operand of +")
-        _expect(_ctype(e.rhs, ctx, seen), NAT, "right operand of +")
+        _expect(ctypecheck(ctx, e.lhs), NAT, "left operand of +")
+        _expect(ctypecheck(ctx, e.rhs), NAT, "right operand of +")
         return NAT
     if t is CPair:
-        _expect(_ctype(e.cost, ctx, seen), NAT, "cost component")
-        pt = _ctype(e.pot, ctx, seen)
+        _expect(ctypecheck(ctx, e.cost), NAT, "cost component")
+        pt = ctypecheck(ctx, e.pot)
         if not is_potential(pt):
             raise CplxTypeError(f"pair potential has non-potential type {pt}")
         return ProdTy(pt)
+    if t is Charge:
+        _expect(ctypecheck(ctx, e.extra), NAT, "charged cost")
+        return _pair_ty(ctypecheck(ctx, e.pair))
+    if t is CLet:
+        return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
     if t is CMax:
-        lt = _ctype(e.lhs, ctx, seen)
-        rt = _ctype(e.rhs, ctx, seen)
+        lt = ctypecheck(ctx, e.lhs)
+        rt = ctypecheck(ctx, e.rhs)
         if lt != rt:
             raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
         return lt
     if t is StarApp:
-        fn_ty = _pair_ty(_ctype(e.fn, ctx, seen))
+        fn_ty = _pair_ty(ctypecheck(ctx, e.fn))
         if not isinstance(fn_ty.pot, ArrowPotTy):
             raise CplxTypeError(f"applied a non-function of type {fn_ty}")
-        arg_ty = _pair_ty(_ctype(e.arg, ctx, seen))
+        arg_ty = _pair_ty(ctypecheck(ctx, e.arg))
         if arg_ty.pot != fn_ty.pot.dom:
             raise CplxTypeError(
                 f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
@@ -262,21 +276,21 @@ def _ctype(e: CplxExpr, ctx: Mapping[str, CTy], seen: dict[int, CTy]) -> CTy:
     if t is CLam:
         if not is_potential(e.param_ty):
             raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
-        body_ty = _ctype(e.body, {**ctx, e.param: ProdTy(e.param_ty)}, {})
+        body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
         return ProdTy(ArrowPotTy(e.param_ty, body_ty))
     if t is PCase:
-        _expect(_ctype(e.scrut, ctx, seen), NAT, "pcase scrutinee")
-        zero_ty = _ctype(e.zero, ctx, seen)
-        succ_ty = _ctype(e.succ, {**ctx, e.p: NAT, e.ps: NAT}, {})
+        _expect(ctypecheck(ctx, e.scrut), NAT, "pcase scrutinee")
+        zero_ty = ctypecheck(ctx, e.zero)
+        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
         if succ_ty != zero_ty:
             raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
     if t is PFold:
-        _expect(_ctype(e.scrut, ctx, seen), NAT, "pfold scrutinee")
-        zero_ty = _ctype(e.zero, ctx, seen)
+        _expect(ctypecheck(ctx, e.scrut), NAT, "pfold scrutinee")
+        zero_ty = ctypecheck(ctx, e.zero)
         if not isinstance(zero_ty, ProdTy):
             raise CplxTypeError(f"pfold branches must be pairs, got {zero_ty}")
-        succ_ty = _ctype(e.succ, {**ctx, e.p: NAT, e.ps: NAT, e.w: zero_ty}, {})
+        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT, e.w: zero_ty}, e.succ)
         if succ_ty != zero_ty:
             raise CplxTypeError(f"pfold branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
@@ -339,9 +353,8 @@ def dally(extra: int, pair: SPair) -> SPair:
 
 # ---------------------------------------------------------------- denotation
 
-# A staged node: a closure from an environment and the table of projected
-# values for that environment's scope to the node's value.
-Staged = Callable[[dict[str, SemVal], dict[int, SemVal]], SemVal]
+# A staged node: a closure from an environment to the node's value.
+Staged = Callable[[dict[str, SemVal]], SemVal]
 
 
 def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
@@ -349,108 +362,108 @@ def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
 
     The expression is first staged into closures, so that pfold steps and
     potential-function bodies, which run many times, do not dispatch on node
-    types again.  Translation shares the pair inside a cost charge, so the
-    operand of a projection is staged once and evaluated once per scope of
-    an environment (this call, a pcase successor, a pfold step, one
-    application).  A closed lambda below the root, such as an inlined `def`,
+    types again.  A closed lambda below the root, such as an inlined `def`,
     is evaluated once, while staging; its potential function, and the one it
     returns if its body is a lambda, remember their results at natural (never
     function) arguments for as long as the denotation holding them lives,
-    such as one `tabulate` or `check_program` call.  Neither reuse changes a
+    such as one `tabulate` or `check_program` call.  That reuse changes no
     value, because denotation is pure.
     """
-    return _stage(e, {}, set(), hoist=False)(dict(env or {}), {})
+    return _stage(e, set(), hoist=False)(dict(env or {}))
 
 
-def _stage(e: CplxExpr, staged: dict[int, tuple[Staged, set[str]]], fv: set[str],
-           hoist: bool = True) -> Staged:
+def _stage(e: CplxExpr, fv: set[str], hoist: bool = True) -> Staged:
     """Stage e into a closure, adding e's free variables to fv."""
     fn: Staged
     t = type(e)
     if t is CostOf or t is PotOf:
-        pair = e.pair
-        key = id(pair)
-        if key not in staged:
-            pair_fv: set[str] = set()
-            staged[key] = _stage(pair, staged, pair_fv), pair_fv
-        pf, pair_fv = staged[key]
-        fv |= pair_fv
-
-        def fn(env, seen, pf=pf, key=key, cost=t is CostOf) -> SemVal:
-            v = seen.get(key)
-            if v is None:
-                v = seen[key] = _as_pair(pf(env, seen))
+        def fn(env, pf=_stage(e.pair, fv), cost=t is CostOf) -> SemVal:
+            v = _as_pair(pf(env))
             return v.cost if cost else v.pot
     elif t is CNum:
-        def fn(env, seen, value=e.value) -> SemVal:
+        def fn(env, value=e.value) -> SemVal:
             return value
     elif t is CVar:
         fv.add(e.name)
 
-        def fn(env, seen, name=e.name) -> SemVal:
+        def fn(env, name=e.name) -> SemVal:
             try:
                 return env[name]
             except KeyError:
                 raise DenoteError(f"unbound variable at denotation time: {name}") from None
     elif t is CPlus:
-        def fn(env, seen, lf=_stage(e.lhs, staged, fv), rf=_stage(e.rhs, staged, fv)) -> SemVal:
-            a, b = lf(env, seen), rf(env, seen)
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            a, b = lf(env), rf(env)
             if not isinstance(a, int) or not isinstance(b, int):
                 raise DenoteError("operands of + must be naturals")
             n = a + b
             if n > NAT_MAX:
                 raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
             return n
+    elif t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
+        def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
+            return SPair(cost, pf(env))
     elif t is CPair:
-        def fn(env, seen, cf=_stage(e.cost, staged, fv), pf=_stage(e.pot, staged, fv)) -> SemVal:
-            return SPair(_as_nat(cf(env, seen)), pf(env, seen))
+        def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
+            return SPair(_as_nat(cf(env)), pf(env))
+    elif t is Charge:
+        def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
+            pair = _as_pair(pf(env))
+            n = _as_nat(xf(env)) + pair.cost
+            if n > NAT_MAX:
+                raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
+            return SPair(n, pair.pot)
+    elif t is CLet:
+        def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
+               name=e.name) -> SemVal:
+            return body({**env, name: bf(env)})
     elif t is CMax:
-        def fn(env, seen, lf=_stage(e.lhs, staged, fv), rf=_stage(e.rhs, staged, fv)) -> SemVal:
-            return sem_max(lf(env, seen), rf(env, seen))
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            return sem_max(lf(env), rf(env))
     elif t is StarApp:
-        def fn(env, seen, ff=_stage(e.fn, staged, fv), af=_stage(e.arg, staged, fv)) -> SemVal:
-            f = _as_pair(ff(env, seen))
+        def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
+            f = _as_pair(ff(env))
             if not isinstance(f.pot, SFun):
                 raise DenoteError("applied a value with non-function potential")
-            a = _as_pair(af(env, seen))
+            a = _as_pair(af(env))
             out = _as_pair(f.pot.fn(a.pot))
             return dally(nat_add(1, f.cost, a.cost), out)
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
-        bf, own = _stage_under(e.body, staged, fv, {e.param})
+        bf, own = _stage_under(e.body, fv, {e.param})
         if hoist and not own:
             def apply(q: SemVal, param=e.param, curried=type(e.body) is CLam, bf=bf) -> SemVal:
-                v = bf({param: SPair(1, q)}, {})
+                v = bf({param: SPair(1, q)})
                 return SPair(1, _memoised(v.pot)) if curried else v
 
-            def fn(env, seen, value=SPair(1, _memoised(SFun(apply)))) -> SemVal:
+            def fn(env, value=SPair(1, _memoised(SFun(apply)))) -> SemVal:
                 return value
         else:
-            def fn(env, seen, param=e.param, bf=bf) -> SemVal:
+            def fn(env, param=e.param, bf=bf) -> SemVal:
                 def apply(q: SemVal) -> SemVal:
-                    return bf({**env, param: SPair(1, q)}, {})
+                    return bf({**env, param: SPair(1, q)})
 
                 return SPair(1, SFun(apply))
     elif t is PCase:
-        def fn(env, seen, sf=_stage(e.scrut, staged, fv), zf=_stage(e.zero, staged, fv),
-               tf=_stage_under(e.succ, staged, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
-            n = _as_nat(sf(env, seen))
+        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
+               tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
+            n = _as_nat(sf(env))
             if n == 0:
-                return zf(env, seen)
-            zero = zf(env, seen)
-            return sem_max(zero, tf({**env, p: 1, ps: n - 1}, {}))
+                return zf(env)
+            zero = zf(env)
+            return sem_max(zero, tf({**env, p: 1, ps: n - 1}))
     elif t is PFold:
         # Primitive recursion, bottom up to keep long recursions off the
         # Python stack: acc is the value at q, starting at 0.
-        def fn(env, seen, sf=_stage(e.scrut, staged, fv), zf=_stage(e.zero, staged, fv),
-               tf=_stage_under(e.succ, staged, fv, {e.p, e.ps, e.w})[0], p=e.p, ps=e.ps,
+        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
+               tf=_stage_under(e.succ, fv, {e.p, e.ps, e.w})[0], p=e.p, ps=e.ps,
                w=e.w) -> SemVal:
-            n = _as_nat(sf(env, seen))
-            acc = _as_pair(zf(env, seen))
+            n = _as_nat(sf(env))
+            acc = _as_pair(zf(env))
             zero_pot = acc.pot
             for q in range(n):
-                step = _as_pair(tf({**env, p: 1, ps: q, w: SPair(1, acc.pot)}, {}))
+                step = _as_pair(tf({**env, p: 1, ps: q, w: SPair(1, acc.pot)}))
                 cost = 2 + acc.cost + step.cost
                 if cost > NAT_MAX:
                     raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
@@ -461,11 +474,10 @@ def _stage(e: CplxExpr, staged: dict[int, tuple[Staged, set[str]]], fv: set[str]
     return fn
 
 
-def _stage_under(body: CplxExpr, staged: dict[int, tuple[Staged, set[str]]], fv: set[str],
-                 bound: set[str]) -> tuple[Staged, set[str]]:
+def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged, set[str]]:
     """Stage a body under `bound`; return it and its other free variables, added to fv."""
     own: set[str] = set()
-    fn = _stage(body, staged, own)
+    fn = _stage(body, own)
     own -= bound
     fv |= own
     return fn, own
@@ -504,45 +516,57 @@ _PREC_CO_OPEN = 0  # \* pcase pfold
 _PREC_PLUS = 1
 _PREC_STAR = 2
 _PREC_PROJ = 3
+MAX_PRINTED = 16 * 2**20  # bytes; each nested `+_c` or `let` can double a text
 
 
 def cplx_to_source(e: CplxExpr) -> str:
-    """Concrete rendering of a complexity expression."""
-    return _cshow(e, 0)
+    """Concrete rendering of a complexity expression, with `+_c` and `let`
+    written out (a let variable as its bound, parenthesised as under `_c`);
+    raises ValueError once a part of the text passes MAX_PRINTED bytes."""
+    return _cshow(e, 0, {})
 
 
-def _cshow(e: CplxExpr, ctx: int) -> str:
+def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
     match e:
         case CVar(name):
-            return name
+            s = lets.get(name, name)
         case CNum(value):
-            return str(value)
+            s = str(value)
         case CPlus(lhs, rhs):
-            s = f"{_cshow(lhs, _PREC_PLUS)} + {_cshow(rhs, _PREC_PLUS + 1)}"
-            return _cwrap(s, ctx > _PREC_PLUS)
+            s = f"{_cshow(lhs, _PREC_PLUS, lets)} + {_cshow(rhs, _PREC_PLUS + 1, lets)}"
+            s = _cwrap(s, ctx > _PREC_PLUS)
         case CMax(lhs, rhs):
-            return f"max({_cshow(lhs, 0)}, {_cshow(rhs, 0)})"
+            s = f"max({_cshow(lhs, 0, lets)}, {_cshow(rhs, 0, lets)})"
         case CPair(cost, pot):
-            return f"({_cshow(cost, 0)}, {_cshow(pot, 0)})"
+            s = f"({_cshow(cost, 0, lets)}, {_cshow(pot, 0, lets)})"
+        case Charge(extra, pair):
+            p = _cshow(pair, _PREC_PROJ, lets)
+            s = f"({_cshow(extra, _PREC_PLUS, lets)} + {p}_c, {p}_p)"
+        case CLet(name, bound, body):
+            s = _cshow(body, ctx, {**lets, name: _cshow(bound, _PREC_PROJ, lets)})
         case CostOf(pair):
-            return f"{_cshow(pair, _PREC_PROJ)}_c"
+            s = f"{_cshow(pair, _PREC_PROJ, lets)}_c"
         case PotOf(pair):
-            return f"{_cshow(pair, _PREC_PROJ)}_p"
+            s = f"{_cshow(pair, _PREC_PROJ, lets)}_p"
         case CLam(param, param_ty, body):
-            s = f"\\*{param}:{param_ty}. {_cshow(body, 0)}"
-            return _cwrap(s, ctx > _PREC_CO_OPEN)
+            s = f"\\*{param}:{param_ty}. {_cshow(body, 0, lets)}"
+            s = _cwrap(s, ctx > _PREC_CO_OPEN)
         case StarApp(fn, arg):
-            s = f"{_cshow(fn, _PREC_STAR)} * {_cshow(arg, _PREC_STAR + 1)}"
-            return _cwrap(s, ctx > _PREC_STAR)
+            s = f"{_cshow(fn, _PREC_STAR, lets)} * {_cshow(arg, _PREC_STAR + 1, lets)}"
+            s = _cwrap(s, ctx > _PREC_STAR)
         case PCase(scrut, zero, p, ps, succ):
-            s = (f"pcase {_cshow(scrut, 0)} of ({_cshow(zero, 0)}, "
-                 f"[{p}, {ps}] {_cshow(succ, 0)})")
-            return _cwrap(s, ctx > _PREC_CO_OPEN)
+            s = (f"pcase {_cshow(scrut, 0, lets)} of ({_cshow(zero, 0, lets)}, "
+                 f"[{p}, {ps}] {_cshow(succ, 0, lets)})")
+            s = _cwrap(s, ctx > _PREC_CO_OPEN)
         case PFold(scrut, zero, p, ps, w, succ):
-            s = (f"pfold {_cshow(scrut, 0)} of ({_cshow(zero, 0)}, "
-                 f"[{p}, {ps}, {w}] {_cshow(succ, 0)})")
-            return _cwrap(s, ctx > _PREC_CO_OPEN)
-    raise TypeError(f"not a complexity expression: {e!r}")
+            s = (f"pfold {_cshow(scrut, 0, lets)} of ({_cshow(zero, 0, lets)}, "
+                 f"[{p}, {ps}, {w}] {_cshow(succ, 0, lets)})")
+            s = _cwrap(s, ctx > _PREC_CO_OPEN)
+        case _:
+            raise TypeError(f"not a complexity expression: {e!r}")
+    if len(s) > MAX_PRINTED:
+        raise ValueError(f"recurrence too large to print (over {MAX_PRINTED} bytes)")
+    return s
 
 
 def _cwrap(s: str, needed: bool) -> str:

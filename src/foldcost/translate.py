@@ -11,9 +11,9 @@ matches cannot know which branch will run, so both are translated and joined
 with max; `fold` becomes `pfold`, primitive recursion on the scrutinee's
 potential, which dominates the actual recursion on the list because the
 potential bounds the length.  Extra cost charged onto a pair (for the rule
-instances the original program will execute) is written by adding to the
-cost component; the helper below shares the wrapped pair between both
-projections rather than copying it.
+instances the original program will execute) is written with the paper's
+`+_c`; a cons tail or case/fold scrutinee, read by both projections, is
+named by a `let`, so the recurrence grows linearly with the program.
 
 A cons branch is translated with its head and tail bound, in an
 environment, to the pairs (1, p) and (1, ps) over the fresh potential
@@ -25,13 +25,15 @@ for the substitution lemma.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import syntax
 from .complexity import (
     NAT,
     ArrowPotTy,
+    Charge,
     CLam,
+    CLet,
     CMax,
     CNum,
     CPair,
@@ -121,6 +123,11 @@ def csubst(e: CplxExpr, bindings: Mapping[str, CplxExpr]) -> CplxExpr:
         return CPair(csubst(e.cost, bindings), csubst(e.pot, bindings))
     if t is StarApp:
         return StarApp(csubst(e.fn, bindings), csubst(e.arg, bindings))
+    if t is Charge:
+        return Charge(csubst(e.extra, bindings), csubst(e.pair, bindings))
+    if t is CLet:
+        (name,), body = go_under([e.name], e.body)
+        return CLet(name, csubst(e.bound, bindings), body)
     if t is CLam:
         (param,), body = go_under([e.param], e.body)
         return CLam(param, e.param_ty, body)
@@ -134,15 +141,6 @@ def csubst(e: CplxExpr, bindings: Mapping[str, CplxExpr]) -> CplxExpr:
 
 
 # ---------------------------------------------------------------- translation
-
-def charge(extra: CplxExpr, pair: CplxExpr) -> CplxExpr:
-    """Add extra cost onto a pair: (extra + pair_c, pair_p).
-
-    The pair expression is shared between the two projections, not copied,
-    so downstream evaluation can reuse one result for both.
-    """
-    return CPair(CPlus(extra, CostOf(pair)), PotOf(pair))
-
 
 # Translation environments map the target variables bound by enclosing
 # branches (and renamed binders) to what they translate to.
@@ -170,18 +168,18 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         case Nil():
             return CPair(CNum(1), CNum(0))
         case Cons(head, tail):
-            th, tt = _translate(head, env, names), _translate(tail, env, names)
-            return CPair(
+            th = _translate(head, env, names)
+            return _let("$t", _translate(tail, env, names), lambda tt: CPair(
                 CPlus(CNum(1), CPlus(CostOf(th), CostOf(tt))),
                 CPlus(CNum(1), PotOf(tt)),
-            )
+            ))
         case Rel(_, lhs, rhs) | Arith(_, lhs, rhs):
             tl, tr = _translate(lhs, env, names), _translate(rhs, env, names)
             return CPair(CPlus(CNum(2), CPlus(CostOf(tl), CostOf(tr))), CNum(1))
         case If(test, then, orelse):
             tt = _translate(test, env, names)
             joined = CMax(_translate(then, env, names), _translate(orelse, env, names))
-            return charge(CPlus(CNum(1), CostOf(tt)), joined)
+            return Charge(CPlus(CNum(1), CostOf(tt)), joined)
         case Lam(param, param_ty, body):
             env, names, param = _bind(param, body, env, names)
             return CLam(param, pot_ty(param_ty), _translate(body, env, names))
@@ -193,7 +191,8 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
             taken = syntax.free_vars(cons_branch) | {head, tail} | names
             env, names, p, ps = _bind_branch(head, tail, env, names, taken)
             tb = _translate(cons_branch, env, names)
-            return charge(CPlus(CNum(1), CostOf(ts)), PCase(PotOf(ts), tz, p, ps, tb))
+            return _let("$s", ts, lambda s: Charge(
+                CPlus(CNum(1), CostOf(s)), PCase(PotOf(s), tz, p, ps, tb)))
         case Fold(scrutinee, nil_branch, head, tail, acc, step):
             ts = _translate(scrutinee, env, names)
             tz = _translate(nil_branch, env, names)
@@ -202,8 +201,14 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
             # The accumulator shadows the head and tail.
             env, names, w = _bind(acc, step, env, names)
             tb = _translate(step, env, names)
-            return charge(CPlus(CNum(1), CostOf(ts)), PFold(PotOf(ts), tz, p, ps, w, tb))
+            return _let("$s", ts, lambda s: Charge(
+                CPlus(CNum(1), CostOf(s)), PFold(PotOf(s), tz, p, ps, w, tb)))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _let(name: str, bound: CplxExpr, body: Callable[[CplxExpr], CplxExpr]) -> CplxExpr:
+    """body(bound), naming a non-variable bound by a `let` of name, which no program uses."""
+    return body(bound) if type(bound) is CVar else CLet(name, bound, body(CVar(name)))
 
 
 def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,6 +186,22 @@ def test_deep_input_exits_2(tmp_path, command, text):
         capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
     assert proc.stderr == "error: input nests too deeply\n"
+
+
+@pytest.mark.parametrize("text", [
+    "if true then " * 40 + "0" + " else 0" * 40,
+    "[" + ", ".join(["1"] * 40) + "]",
+], ids=["if-40", "list-40"])
+def test_translate_too_large_to_print_exits_2(tmp_path, text):
+    # Each nested if or list element doubles the printed recurrence, so
+    # these would print terabytes; the refusal comes before any is built.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcost", "translate", write_program(tmp_path, text)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == "error: recurrence too large to print (over 16777216 bytes)\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_type_error_exits_2(capsys, tmp_path):

@@ -8,8 +8,11 @@ from foldcost.complexity import (
     NAT,
     NAT_MAX,
     NAT_PAIR,
+    MAX_PRINTED,
     ArrowPotTy,
+    Charge,
     CLam,
+    CLet,
     CMax,
     CNum,
     CPair,
@@ -99,16 +102,21 @@ def test_pcase_pfold_typing():
         ctypecheck({}, PFold(CNum(3), CNum(0), "p", "ps", "w", CNum(0)))
 
 
-def test_shared_nodes_type_once_per_context():
-    # A node shared under two binders types in each binder's context, and a
-    # pair projected twice has one type.
-    shared = CPlus(CostOf(CVar("x")), CNum(1))
-    lam_a = CLam("x", NAT, CPair(shared, CNum(0)))
-    lam_b = CLam("x", NAT, CPair(CPlus(shared, CNum(2)), CNum(0)))
-    assert ctypecheck({}, CMax(lam_a, lam_b)) == ProdTy(ArrowPotTy(NAT, NAT_PAIR))
-    pair = PAIR(2, 3)
-    both = CPair(CPlus(CostOf(pair), CostOf(pair)), PotOf(pair))
-    assert ctypecheck({}, both) == NAT_PAIR
+def test_charge_and_let_type_and_denote():
+    # 3 +_c (2, 7) is (3 + 2, 7); a let names its bound in its body only,
+    # where it shadows an outer binding of the same name.
+    assert ctypecheck({}, Charge(CNum(3), PAIR(2, 7))) == NAT_PAIR
+    assert denote(Charge(CNum(3), PAIR(2, 7))) == SPair(5, 7)
+    with pytest.raises(CplxTypeError, match="charged cost"):
+        ctypecheck({}, Charge(PAIR(1, 1), PAIR(2, 7)))
+    with pytest.raises(CplxTypeError, match="pair"):
+        ctypecheck({}, Charge(CNum(1), CNum(2)))
+    s = CVar("s")
+    let = CLet("s", PAIR(4, 6), CPair(CPlus(CostOf(s), PotOf(s)), CostOf(CVar("t"))))
+    assert ctypecheck({"s": NAT, "t": NAT_PAIR}, let) == NAT_PAIR
+    assert denote(let, {"s": 0, "t": SPair(9, 9)}) == SPair(10, 9)
+    with pytest.raises(CplxTypeError, match="unbound variable: s"):
+        ctypecheck({}, CPair(let.body, CNum(0)))
 
 
 def test_unbound_variable():
@@ -236,6 +244,24 @@ def test_cplx_to_source():
     assert cplx_to_source(
         PFold(CNum(2), PAIR(1, 0), "p", "ps", "w", CostOf(CVar("w")))) == \
         "pfold 2 of ((1, 0), [p, ps, w] w_c)"
+    # +_c and let print written out; a let variable as its bound under a
+    # projection, where translations put it.
+    assert cplx_to_source(Charge(CPlus(CNum(1), CNum(2)), StarApp(CVar("f"), PAIR(1, 1)))) == \
+        "(1 + 2 + (f * (1, 1))_c, (f * (1, 1))_p)"
+    s = CVar("s")
+    assert cplx_to_source(CLet("s", StarApp(CVar("f"), CVar("x")),
+                               CPair(CostOf(s), CMax(s, s)))) == "((f * x)_c, max((f * x), (f * x)))"
+
+
+def test_printing_refuses_text_over_the_limit():
+    # k nested +_c over (1, 1) print 18 * 2**k - 12 bytes: 9.4 MB at k = 19,
+    # and 18.9 MB, over MAX_PRINTED, at k = 20.
+    e = PAIR(1, 1)
+    for _ in range(19):
+        e = Charge(CNum(0), e)
+    assert len(cplx_to_source(e)) == 18 * 2**19 - 12 < MAX_PRINTED
+    with pytest.raises(ValueError, match=f"^recurrence too large to print \\(over {MAX_PRINTED} bytes"):
+        cplx_to_source(Charge(CNum(0), e))
 
 
 def test_render_semval():

@@ -1,4 +1,4 @@
-"""Translation to recurrences: shapes, branch binding, sharing, substitution,
+"""Translation to recurrences: shapes, branch binding, size, substitution,
 preservation."""
 
 import random
@@ -10,7 +10,9 @@ from foldcost.complexity import (
     NAT,
     NAT_PAIR,
     ArrowPotTy,
+    Charge,
     CLam,
+    CLet,
     CMax,
     CNum,
     CPair,
@@ -22,6 +24,7 @@ from foldcost.complexity import (
     PFold,
     PotOf,
     ProdTy,
+    SPair,
     StarApp,
     ctypecheck,
     denote,
@@ -30,7 +33,7 @@ from foldcost import harness
 from foldcost.harness import ProbeConfig, check_program, gen_typed_term
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, to_source
-from foldcost.translate import charge, csubst, pot_ty, translate, translate_ctx, translate_ty
+from foldcost.translate import csubst, pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
 
 # ---------------------------------------------------------------- types
@@ -79,9 +82,7 @@ def test_lambda_translation():
 
 def test_if_translation_joins_branches():
     joined = CMax(CPair(CNum(1), CNum(1)), CPair(CNum(1), CNum(1)))
-    expected = CPair(
-        CPlus(CPlus(CNum(1), CostOf(CPair(CNum(1), CNum(1)))), CostOf(joined)),
-        PotOf(joined))
+    expected = Charge(CPlus(CNum(1), CostOf(CPair(CNum(1), CNum(1)))), joined)
     assert translate(parse("if true then 1 else 0")) == expected
 
 
@@ -89,13 +90,13 @@ def test_case_translation_substitutes_potential_pairs():
     ts = CVar("xs")
     inner = PCase(
         PotOf(ts), CPair(CNum(1), CNum(0)), "p", "ps", CPair(CNum(1), CVar("ps")))
-    expected = CPair(CPlus(CPlus(CNum(1), CostOf(ts)), CostOf(inner)), PotOf(inner))
+    expected = Charge(CPlus(CNum(1), CostOf(ts)), inner)
     assert translate(parse("case xs of (nil, [h, t] t)")) == expected
 
 
 def test_fold_translation_binds_accumulator():
     e = translate(parse("fold xs of (nil, [h, t, w] h :: w)"))
-    inner = e.cost.rhs.pair
+    inner = e.pair
     assert isinstance(inner, PFold)
     assert inner.w == "w"
     # Head occurrences become (1, p); the accumulator stays a variable.
@@ -118,7 +119,7 @@ def test_branch_variables_fresh_against_branch_body():
     # A branch that already uses p/ps forces primed replacements.
     e = parse("case xs of (0, [h, t] h + p)")
     cplx = translate(e)
-    inner = cplx.cost.rhs.pair
+    inner = cplx.pair
     assert isinstance(inner, PCase)
     assert inner.p == "p'"
     assert inner.ps == "ps"
@@ -126,41 +127,43 @@ def test_branch_variables_fresh_against_branch_body():
         {"xs": NAT_PAIR, "p": NAT_PAIR}, cplx) == NAT_PAIR
 
 
-# ---------------------------------------------------------------- sharing
+# ---------------------------------------------------------------- size
 
 
-def test_charge_shares_the_pair():
-    pair = CPair(CVar("c"), CNum(1))
-    wrapped = charge(CNum(3), pair)
-    assert wrapped.cost.rhs.pair is wrapped.pot.pair
+def tree_size(e: CplxExpr, limit: int) -> int:
+    """Nodes of e counted as a tree, a node reached twice counted twice; the
+    count stops once it passes limit."""
+    count, todo = 0, [e]
+    while todo and count <= limit:
+        count += 1
+        todo.extend(v for v in vars(todo.pop()).values() if isinstance(v, CplxExpr))
+    return count
 
 
-def test_translation_shares_charged_pairs():
-    e = translate(parse("if true then 1 else 0"))
-    assert e.cost.rhs.pair is e.pot.pair
-
-
-def dag_size(e) -> int:
-    seen, todo = set(), [e]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
-    return len(seen)
+@pytest.mark.parametrize("n, source, bound", [
+    (150, "[" + ", ".join(["1"] * 150) + "]", (301, 150)),
+    (40, "if true then " * 40 + "0" + " else 0" * 40, (81, 1)),
+], ids=["list-150", "if-40"])
+def test_translation_grows_linearly(n, source, bound):
+    # Every cons tail is read by two projections, and every if's joined
+    # branches by a charge; named once, neither is copied, so the
+    # recurrence grows by a constant per list element or nested if.
+    cplx = translate(parse(source))
+    assert tree_size(cplx, 20 * n) <= 20 * n
+    assert ctypecheck({}, cplx) == NAT_PAIR
+    assert denote(cplx) == SPair(*bound)
 
 
 def test_branch_translation_keeps_sharing():
-    # Every if shares its joined pair between two projections, and every
-    # occurrence of h one pair; inside a cons branch the recurrence must
-    # keep that sharing, or it doubles in size with each level.
+    # Every occurrence of h translates to one pair (1, p); inside a cons
+    # branch a chain of ifs over h must still grow by a constant per level.
     depth = 12
     body = "h"
     for _ in range(depth):
         body = f"if true then {body} else h"
     e = parse(f"case [1] of (0, [h, t] {body})")
     cplx = translate(e)
-    assert dag_size(cplx) < 20 * depth
+    assert tree_size(cplx, 20 * depth) < 20 * depth
     assert ctypecheck({}, cplx) == NAT_PAIR
     assert check_program(e).status == "pass"
 
@@ -186,13 +189,40 @@ def test_csubst_renamed_binder_avoids_binding_keys():
     assert out == CLam("y''", NAT, CPlus(CostOf(CVar("y")), CostOf(CVar("y''"))))
 
 
+def test_csubst_renames_let_binder():
+    # x's replacement mentions y, so the let's y is renamed; else the y
+    # read by x_p would mean the let's (2, 5).
+    t = CLet("y", CPair(CNum(2), CNum(5)),
+             CPair(CPlus(CostOf(CVar("y")), PotOf(CVar("x"))), PotOf(CVar("y"))))
+    out = csubst(t, {"x": CPair(CNum(4), CVar("y"))})
+    assert out.name == "y'"
+    assert denote(out, {"y": 7}) == denote(t, {"x": SPair(4, 7)}) == SPair(9, 5)
+
+
+def test_substitution_lemma_on_translations():
+    # denote(t[x := (a, y)], y := q) = denote(t, x := (a, q)) over open
+    # translated programs, whose +_c and let nodes substitution must enter.
+    lets = charges = 0
+    for seed in range(150):
+        ty = (INT, BOOL, INT_LIST)[seed % 3]
+        e = gen_typed_term(seed, 4, ty, {"x": INT})
+        t = translate(e)
+        text = repr(t)
+        lets += text.count("CLet(")
+        charges += text.count("Charge(")
+        for a, q in ((1, 0), (3, 4)):
+            lhs = denote(csubst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
+            assert lhs == denote(t, {"x": SPair(a, q)}), to_source(e)
+    assert lets > 50 and charges > 50
+
+
 # ---------------------------------------------------------------- branch binding
 
 
 def test_inner_binders_do_not_capture_branch_pairs():
     # A lambda parameter named like the pcase's potential variable is
     # renamed, so h still translates to the pair over the pcase's p.
-    inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pot.pair
+    inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pair
     lam = inner.succ
     assert (inner.p, lam.param) == ("p", "p'")
     assert lam.body.cost.rhs == CPlus(CostOf(CPair(CNum(1), CVar("p"))), CostOf(CVar("p'")))
