@@ -9,8 +9,9 @@ Commands:
   fuzz                      run a generated-program campaign
 
 Exit codes: 0 success (and, for check/fuzz, no bound violations); 1 a bound
-was violated; 2 parse, type, usage, 64-bit overflow, too deep input or too
-large a recurrence to print; 3 the evaluation cost budget was exhausted.
+was violated; 2 parse, type, usage, 64-bit overflow, too deep input, too
+large a recurrence to print, or (for fuzz, when no bound was violated) a
+trial that ended in an error; 3 the evaluation cost budget was exhausted.
 
 All randomized commands are deterministic for a fixed --seed: running the
 same command twice prints byte-identical output.
@@ -192,7 +193,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
         summary = fuzz_campaign(_config(ns))
         for line in summary.lines(as_json=ns.json):
             print(line)
-        return EXIT_OK if summary.failed == 0 else EXIT_VIOLATION
+        if summary.failed:
+            return EXIT_VIOLATION
+        return EXIT_ERROR if summary.errors else EXIT_OK
 
     raise ValueError(f"unknown command {ns.command!r}")
 

@@ -17,8 +17,9 @@ of which branch a run of the original program takes.
 Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
 that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
 so it reuses values without changing them: an inlined closed lambda is
-evaluated once per denotation, its results at natural arguments remembered
-for as long as the denotation lives.
+evaluated once per denotation, and its potential function, like every `max`
+of two potential functions, remembers its results at natural arguments for
+as long as the denotation lives.  A function argument is never a key.
 """
 
 from __future__ import annotations
@@ -335,14 +336,21 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
     """Least upper bound of two semantic values of the same type.
 
     Pointwise on pairs; on functions it is computed lazily, by taking the max
-    of the two results at every argument.
+    of the two results at every argument.  A function join remembers its
+    result at each natural argument for as long as it lives, so a chain of
+    joins, such as a pfold whose accumulator is a function, applies each
+    earlier join once per natural argument instead of twice.  That is sound
+    because denotation is pure: the same argument always gives the same
+    result.  A function argument is never a key; it is passed through every
+    time, so a chain of joins applied at functions still doubles its work at
+    each join.
     """
     if isinstance(a, int) and isinstance(b, int):
         return max(a, b)
     if isinstance(a, SPair) and isinstance(b, SPair):
         return SPair(max(a.cost, b.cost), sem_max(a.pot, b.pot))
     if isinstance(a, SFun) and isinstance(b, SFun):
-        return SFun(lambda q: sem_max(a.fn(q), b.fn(q)))
+        return _memoised(SFun(lambda q: sem_max(a.fn(q), b.fn(q))))
     raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
 
 
@@ -366,8 +374,13 @@ def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
     is evaluated once, while staging; its potential function, and the one it
     returns if its body is a lambda, remember their results at natural (never
     function) arguments for as long as the denotation holding them lives,
-    such as one `tabulate` or `check_program` call.  That reuse changes no
-    value, because denotation is pure.
+    such as one `tabulate` or `check_program` call.  So does every join of
+    two potential functions (see `sem_max`), which makes a pfold or a chain
+    of branches whose potential functions are applied at naturals linear
+    rather than exponential in its depth; one applied at functions, such as
+    an accumulator of type (int -> int) -> int, stays exponential.
+    That reuse changes no value, because denotation is pure: applying a
+    potential function to the same natural always gives the same result.
     """
     return _stage(e, set(), hoist=False)(dict(env or {}))
 

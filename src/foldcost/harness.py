@@ -35,6 +35,7 @@ from .complexity import (
     CostOf,
     CTy,
     CVar,
+    DenoteError,
     NatOverflowError,
     NatTy,
     PCase,
@@ -53,6 +54,7 @@ from .interp import (
     ArithOverflowError,
     BudgetExceededError,
     DEFAULT_BUDGET,
+    EvalError,
     EvalResult,
     VBool,
     VClosure,
@@ -272,7 +274,7 @@ class Report:
     """Outcome of checking one program against its translated bound."""
 
     program: str
-    status: str  # "pass" | "fail" | "inconclusive"
+    status: str  # "pass" | "fail" | "inconclusive" | "error"
     cost: int | None
     bound_cost: int | None
     size: int | None
@@ -429,23 +431,26 @@ class CampaignSummary:
     passed: int
     failed: int
     inconclusive: int
+    errors: int
 
     def counterexamples(self) -> list[Trial]:
         return [t for t in self.trials if t.report.status == "fail"]
 
     def lines(self, as_json: bool = False) -> list[str]:
         out = [_trial_line(t, as_json) for t in self.trials]
+        # The error count is printed only when nonzero, so the output of an
+        # error-free campaign keeps its frozen form.
         if as_json:
-            out.append(json.dumps({
-                "passed": self.passed,
-                "failed": self.failed,
-                "inconclusive": self.inconclusive,
-                "trials": len(self.trials),
-            }))
+            totals = {"passed": self.passed, "failed": self.failed,
+                      "inconclusive": self.inconclusive}
+            if self.errors:
+                totals["errors"] = self.errors
+            out.append(json.dumps({**totals, "trials": len(self.trials)}))
         else:
+            errors = f" errors={self.errors}" if self.errors else ""
             out.append(
                 f"passed={self.passed} failed={self.failed} "
-                f"inconclusive={self.inconclusive} trials={len(self.trials)}")
+                f"inconclusive={self.inconclusive}{errors} trials={len(self.trials)}")
         return out
 
 
@@ -467,6 +472,9 @@ def _trial_line(t: Trial, as_json: bool) -> str:
         return json.dumps(payload)
     if r.status == "inconclusive":
         return f"trial={t.index} seed={t.seed} error={r.detail} verdict=inconclusive"
+    if r.status == "error":
+        return (f"trial={t.index} seed={t.seed} verdict=error "
+                f"detail={r.detail!r} program={r.program!r}")
     line = (f"trial={t.index} seed={t.seed} cost={r.cost} bound={r.bound_cost} "
             f"size={r.size} pot={r.pot} verdict={r.status}")
     if r.status == "fail":
@@ -483,24 +491,28 @@ def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
 
     Deterministic in cfg.seed: each trial derives its own printed seed, so
     any single line can be reproduced in isolation.  Budget and overflow
-    stops are inconclusive, not failures.
+    stops are inconclusive, not failures.  A trial on which the checker
+    itself breaks (a denotation error, an evaluation error other than those
+    stops, too deep a recursion, or a broken internal assertion) gets the
+    verdict "error", with the exception as its detail, and the campaign
+    goes on.
     """
     trials: list[Trial] = []
-    passed = failed = inconclusive = 0
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0, "error": 0}
     for k in range(cfg.trials):
         s = trial_seed(cfg.seed, k)
         rng = random.Random(s)
         ty = rng.choice(_BASE_TYPES)
         program = _gen(rng, cfg.depth, ty, {}, cfg)
-        report = check_program(program, cfg)
-        if report.status == "pass":
-            passed += 1
-        elif report.status == "fail":
-            failed += 1
-        else:
-            inconclusive += 1
+        try:
+            report = check_program(program, cfg)
+        except (DenoteError, EvalError, RecursionError, AssertionError) as exc:
+            report = Report(to_source(program), "error", None, None, None, None,
+                            detail=f"{type(exc).__name__}: {exc}")
+        counts[report.status] += 1
         trials.append(Trial(k, s, report))
-    return CampaignSummary(cfg, tuple(trials), passed, failed, inconclusive)
+    return CampaignSummary(cfg, tuple(trials), counts["pass"], counts["fail"],
+                           counts["inconclusive"], counts["error"])
 
 
 # ---------------------------------------------------------------- bound tables

@@ -30,6 +30,11 @@ def corpus_expr(name: str):
     return parse(corpus_source(name))
 
 
+def fun_acc_fold(n: int) -> str:
+    """A fold of n steps whose accumulator is a function, joined at each step."""
+    return "fold [" + ", ".join(["1"] * n) + "] of (\\v:int*. 0, [y, ys, w] if true then w else w)"
+
+
 @pytest.fixture(scope="session")
 def campaign_10k():
     """The campaign summary plus its wall-clock runtime in seconds."""

@@ -97,6 +97,11 @@ def test_criterion_02_fuzz_campaign_soundness(verdict, campaign_10k):
         problems.append(
             f"{summary.failed} violations, first: {first.report.detail} "
             f"in {first.report.program}")
+    if summary.errors:
+        first = next(t for t in summary.trials if t.report.status == "error")
+        problems.append(
+            f"{summary.errors} trials raised in the checker, first: "
+            f"{first.report.detail} in {first.report.program}")
     allowed = {"int-overflow", "nat-overflow", "budget-exceeded",
                "all probes hit evaluation limits"}
     for t in summary.trials:

@@ -5,11 +5,14 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, fun_acc_fold
+from foldcost import harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
+from foldcost.complexity import DenoteError
 
 
 def corpus_path(name):
@@ -128,6 +131,39 @@ def test_fuzz_is_deterministic(capsys):
     assert len(lines) == 31
     assert lines[-1].startswith("passed=")
     assert "failed=0" in lines[-1]
+
+
+def test_check_function_accumulator_fold(tmp_path):
+    # Each of the 64 steps joins a function accumulator; the joins remember
+    # their results, so this takes well under a second instead of about
+    # 2**64 applications.
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcost", "check", write_program(tmp_path, fun_acc_fold(64))],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
+
+
+@pytest.mark.parametrize("failing, code", [(False, EXIT_ERROR), (True, EXIT_VIOLATION)],
+                         ids=["error-only", "error-and-violation"])
+def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code):
+    real = harness.check_program
+    calls = 0
+
+    def check(e, cfg):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise DenoteError("boom")
+        report = real(e, cfg)
+        return replace(report, status="fail") if failing and calls == 4 else report
+
+    monkeypatch.setattr(harness, "check_program", check)
+    got, out, err = run(capsys, "fuzz", "--trials", "5")
+    assert (got, err) == (code, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("trial=1 seed=1 verdict=error detail='DenoteError: boom' program=")
+    assert lines[-1] == f"passed={4 - failing} failed={int(failing)} inconclusive=0 errors=1 trials=5"
 
 
 def test_fuzz_json_summary(capsys):

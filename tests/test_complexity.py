@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fun_acc_fold
+from foldcost import complexity
 from foldcost.complexity import (
     NAT,
     NAT_MAX,
@@ -204,6 +206,45 @@ def test_sem_max_functions_lazy_pointwise():
     assert isinstance(m, SFun)
     for q in range(6):
         assert m.fn(q) == SPair(max(q, 10), max(2 * q, q + 1))
+
+
+def test_function_join_remembers_naturals_never_functions():
+    calls = []
+
+    def f(q):
+        calls.append(q)
+        return q.fn(0) if isinstance(q, SFun) else SPair(q, q)
+
+    m = sem_max(SFun(f), SFun(lambda q: SPair(0, 0)))
+    assert [m.fn(3), m.fn(3), m.fn(4)] == [SPair(3, 3), SPair(3, 3), SPair(4, 4)]
+    assert calls == [3, 4]
+    # A function argument is never a key: two different functions give
+    # their two different results.
+    g, h = SFun(lambda q: SPair(1, 5)), SFun(lambda q: SPair(3, 7))
+    assert [m.fn(g), m.fn(h), m.fn(g)] == [SPair(1, 5), SPair(3, 7), SPair(1, 5)]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_function_accumulator_fold_joins_in_linear_work(monkeypatch, n):
+    # Each step joins the accumulator with itself (the if) and with the
+    # zero (the pfold's max).  Unless a join remembers its results, applying
+    # the root applies every earlier accumulator twice, about 2**n calls to
+    # sem_max; the count is capped so that such a run fails at once.
+    cap = 50 * n
+    calls = 0
+    real = complexity.sem_max
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise AssertionError(f"more than {cap} calls to sem_max at n = {n}")
+        return real(a, b)
+
+    monkeypatch.setattr(complexity, "sem_max", counting)
+    chi = denote(translate(parse(fun_acc_fold(n))))
+    assert chi.cost == 7 * n + 3
+    assert [chi.pot.fn(q) for q in range(9)] == [SPair(1, 1)] * 9
 
 
 def test_sem_max_mismatch():

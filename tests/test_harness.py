@@ -7,11 +7,13 @@ import re
 import pytest
 
 from conftest import CORPUS_NAMES, corpus_expr
+from foldcost import harness
 from foldcost.complexity import (
     NAT,
     NAT_PAIR,
     ArrowPotTy,
     CNum,
+    DenoteError,
     PFold,
     ProdTy,
     SFun,
@@ -39,7 +41,7 @@ from foldcost.harness import (
     trial_seed,
 )
 from foldcost.harness import _probes_per_level
-from foldcost.interp import VBool, VInt, VList, eval_expr
+from foldcost.interp import EvalError, VBool, VInt, VList, eval_expr
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, to_source
 from foldcost.translate import csubst, translate
@@ -165,6 +167,45 @@ def test_small_campaign_shape_and_determinism():
     for line in lines[:-1]:
         assert PASS_LINE.match(line) or INCONCLUSIVE_LINE.match(line), line
     assert fuzz_campaign(cfg).lines() == lines
+
+
+@pytest.mark.parametrize("exc", [
+    DenoteError("expected a cost/potential pair"),
+    EvalError("stuck"),
+    RecursionError("maximum recursion depth exceeded"),
+    AssertionError("translation changed the type"),
+], ids=lambda exc: type(exc).__name__)
+def test_campaign_records_an_error_verdict_and_goes_on(monkeypatch, exc):
+    cfg = ProbeConfig(trials=6, depth=3, seed=4)
+    clean = fuzz_campaign(cfg)
+    real = harness.check_program
+    calls = 0
+
+    def check(e, cfg):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise exc
+        return real(e, cfg)
+
+    monkeypatch.setattr(harness, "check_program", check)
+    summary = fuzz_campaign(cfg)
+    assert (summary.passed, summary.failed, summary.inconclusive, summary.errors) == (
+        clean.passed - (clean.trials[2].report.status == "pass"), clean.failed,
+        clean.inconclusive - (clean.trials[2].report.status == "inconclusive"), 1)
+    trial = summary.trials[2]
+    detail = f"{type(exc).__name__}: {exc}"
+    assert (trial.index, trial.seed) == (2, trial_seed(4, 2))
+    assert (trial.report.status, trial.report.detail) == ("error", detail)
+    assert trial.report.program == clean.trials[2].report.program
+    lines, clean_lines = summary.lines(), clean.lines()
+    assert lines[2] == (f"trial=2 seed={trial.seed} verdict=error detail={detail!r} "
+                        f"program={trial.report.program!r}")
+    assert lines[:2] + lines[3:-1] == clean_lines[:2] + clean_lines[3:-1]
+    assert lines[-1].endswith(" errors=1 trials=6")
+    rows = [json.loads(line) for line in summary.lines(as_json=True)]
+    assert rows[2]["verdict"] == "error" and rows[2]["detail"] == detail
+    assert rows[-1]["errors"] == 1
 
 
 def test_campaign_json_lines():
