@@ -8,11 +8,12 @@ pairs for the result.
 
 Expressions: variables; numerals; + and max; pairs with projections `_c` and
 `_p`; the paper's `c +_c E`, the pair E with c more cost units; `let x = E
-in E'`; costed lambdas and applications (an application charges one unit
-plus both sides' costs); `pcase`, a one-step match on a natural; and `pfold`,
-primitive recursion on a natural.  Branch results of pcase/pfold are combined
-with max rather than chosen, so the denotation is an upper bound regardless
-of which branch a run of the original program takes.
+in E'`; costed lambdas and applications; `pcase`, a one-step match on a
+natural; and `pfold`, primitive recursion on a natural.  Branch results of
+pcase/pfold are combined with max rather than chosen, so the denotation is an
+upper bound regardless of which branch a run of the original program takes.
+`sem_apply` is the one application rule, charging one unit plus both sides'
+costs plus the body's; the denotation and `tabulate` both apply by it.
 
 Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
 that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
@@ -354,9 +355,14 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
     raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
 
 
-def dally(extra: int, pair: SPair) -> SPair:
-    """Charge `extra` additional cost units onto a pair."""
-    return SPair(nat_add(extra, pair.cost), pair.pot)
+def sem_apply(f: SemVal, a: SemVal) -> SPair:
+    """The costed application `f * a`: one unit plus both sides' costs plus
+    the body's, paired with the body's potential."""
+    f, a = _as_pair(f), _as_pair(a)
+    if not isinstance(f.pot, SFun):
+        raise DenoteError("applied a value with non-function potential")
+    out = _as_pair(f.pot.fn(a.pot))
+    return SPair(nat_add(1, f.cost, a.cost, out.cost), out.pot)
 
 
 # ---------------------------------------------------------------- denotation
@@ -435,12 +441,7 @@ def _stage(e: CplxExpr, fv: set[str], hoist: bool = True) -> Staged:
             return sem_max(lf(env), rf(env))
     elif t is StarApp:
         def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
-            f = _as_pair(ff(env))
-            if not isinstance(f.pot, SFun):
-                raise DenoteError("applied a value with non-function potential")
-            a = _as_pair(af(env))
-            out = _as_pair(f.pot.fn(a.pot))
-            return dally(nat_add(1, f.cost, a.cost), out)
+            return sem_apply(ff(env), af(env))
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.

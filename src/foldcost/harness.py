@@ -9,7 +9,9 @@ every bounded argument, running the body costs no more than the potential
 says and the result is recursively bounded.  That quantifier is approximated
 here by probing: finitely many sampled arguments, each paired with a
 potential that bounds it by construction.  A probe failure is a real
-counterexample; probe success is evidence, not proof.
+counterexample; probe success is evidence, not proof.  The whole relation
+is one recursive check over the type, which `check_program` and
+`check_value_bounded` share.
 
 Everything is deterministic given the config seed.  Trials that hit the cost
 budget or 64-bit overflow prove nothing either way and are reported as
@@ -48,7 +50,7 @@ from .complexity import (
     StarApp,
     ctypecheck,
     denote,
-    nat_add,
+    sem_apply,
 )
 from .interp import (
     ArithOverflowError,
@@ -62,6 +64,7 @@ from .interp import (
     VList,
     Value,
     eval_expr,
+    render_value,
     value_size,
 )
 from .syntax import (
@@ -107,10 +110,6 @@ DEFAULT_CONFIG = ProbeConfig()
 
 class _Violation(Exception):
     """A measured run exceeded its bound; carries the counterexample."""
-
-
-class _Inconclusive(Exception):
-    """The run hit a checked limit, so no verdict is possible."""
 
 
 # ---------------------------------------------------------------- term generation
@@ -223,8 +222,9 @@ def _fresh_var(ctx: Mapping[str, Ty]) -> str:
 def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     """Check a closed program of any type against its translated bound.
 
-    Base-typed results compare cost and size directly; function-typed
-    results are probed per the bounding relation.
+    The run's cost is compared with the bound's cost, and its value with the
+    bound's potential by the bounding relation, which probes function-typed
+    results.
     """
     ty = typecheck({}, e)
     cplx = translate(e)
@@ -242,15 +242,13 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
             return Report(source, "fail", result.cost, chi.cost, None, None,
                           detail=f"cost {result.cost} > bound {chi.cost}")
         if not isinstance(ty, ArrowTy):
-            size = value_size(result.value)
-            pot = chi.pot if isinstance(chi.pot, int) else None
-            if pot is None or size > pot:
-                return Report(source, "fail", result.cost, chi.cost, size, pot,
-                              detail=f"size {size} > potential {pot}")
+            size, pot = value_size(result.value), chi.pot
+            try:
+                _check_value(result.value, pot, ty, cfg)
+            except _Violation as v:
+                return Report(source, "fail", result.cost, chi.cost, size, pot, detail=str(v))
             return Report(source, "pass", result.cost, chi.cost, size, pot)
-        # Function-typed program: probe the closure against its potential.
-        rng = random.Random(cfg.seed)
-        checked, skipped = _probe_closure(result.value, chi.pot, ty, cfg, rng)
+        checked, skipped = _check_value(result.value, chi.pot, ty, cfg)
         if checked == 0:
             return Report(source, "inconclusive", result.cost, chi.cost, None, None,
                           detail="all probes hit evaluation limits",
@@ -259,8 +257,6 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
                       probes_checked=checked, probes_skipped=skipped)
     except _Violation as v:
         return Report(source, "fail", None, None, None, None, detail=str(v))
-    except _Inconclusive as i:
-        return Report(source, "inconclusive", None, None, None, None, detail=str(i))
     except BudgetExceededError:
         return Report(source, "inconclusive", None, None, None, None, detail="budget-exceeded")
     except ArithOverflowError:
@@ -284,46 +280,45 @@ class Report:
     probes_skipped: int | None = None
 
 
-def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAULT_CONFIG) -> bool:
+def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAULT_CONFIG) -> bool | None:
     """Does potential `pot` bound value `v` at type `ty`?
 
     For base types this is exact (1 for ints and booleans, length for
     lists).  For functions it probes: sampled bounded arguments, with the
     body's cost and result checked against the potential applied to the
-    argument's potential.  Exact when it answers False.
+    argument's potential.  Exact when it answers False.  None means that
+    every probe hit an evaluation limit, so nothing could be checked.
     """
     try:
-        _check_value(v, pot, ty, cfg, random.Random(cfg.seed))
+        checked, _ = _check_value(v, pot, ty, cfg)
     except _Violation:
         return False
-    return True
+    return True if checked else None
 
 
-def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Random) -> None:
+def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Random | None = None,
+                 per_level: int | None = None, arg: Value | None = None) -> tuple[int, int]:
+    """The bounding relation, probed; returns (checked, skipped).
+
+    A base value is one check: its size is at most its potential.  A closure
+    is probed at sampled bounded arguments: the body costs no more than the
+    potential applied to the argument's potential, and its result is bounded
+    in turn at the codomain, drawing from `rng` (seeded from cfg if None).
+    `arg` is the probe argument that produced `v`, named in a base-level
+    counterexample.  Raises _Violation on the first counterexample.
+    """
     if not isinstance(ty, ArrowTy):
         size = value_size(v)
         if not isinstance(pot, int) or size > pot:
-            raise _Violation(f"size {size} > potential {pot!r}")
-        return
-    checked, skipped = _probe_closure(v, pot, ty, cfg, rng)
-    if checked == 0:
-        raise _Inconclusive("all probes hit evaluation limits")
-
-
-def _probe_closure(
-    v: Value,
-    pot: SemVal,
-    ty: ArrowTy,
-    cfg: ProbeConfig,
-    rng: random.Random,
-    per_level: int | None = None,
-) -> tuple[int, int]:
-    """Probe a closure against a function potential; returns (checked, skipped).
-
-    Raises _Violation on the first counterexample.
-    """
+            at = "" if arg is None else f"at argument {render_value(arg)}: "
+            raise _Violation(f"{at}size {size} > potential {pot!r}")
+        return 1, 0
     if not isinstance(v, VClosure):
         raise _Violation(f"expected a closure at type {ty}")
+    if not isinstance(pot, SFun):
+        raise _Violation(f"expected a function potential, got {pot!r}")
+    if rng is None:
+        rng = random.Random(cfg.seed)
     if per_level is None:
         per_level = _probes_per_level(cfg.trials, _arrow_depth(ty))
     checked = skipped = 0
@@ -333,32 +328,17 @@ def _probe_closure(
         except (BudgetExceededError, ArithOverflowError):
             skipped += 1
             continue
-        out = _apply_pot(pot, q)
+        out = pot.fn(q)
+        if not isinstance(out, SPair):
+            raise _Violation(f"potential application returned a non-pair: {out!r}")
         if result.cost > out.cost:
             raise _Violation(
-                f"at argument {_render_arg(z)}: body cost {result.cost} > bound {out.cost}")
-        if isinstance(ty.cod, ArrowTy):
-            sub_checked, sub_skipped = _probe_closure(
-                result.value, out.pot, ty.cod, cfg, rng, per_level)
-            checked += sub_checked
-            skipped += sub_skipped
-        else:
-            size = value_size(result.value)
-            out_pot = out.pot
-            if not isinstance(out_pot, int) or size > out_pot:
-                raise _Violation(
-                    f"at argument {_render_arg(z)}: size {size} > potential {out_pot!r}")
-            checked += 1
+                f"at argument {render_value(z)}: body cost {result.cost} > bound {out.cost}")
+        sub_checked, sub_skipped = _check_value(
+            result.value, out.pot, ty.cod, cfg, rng, per_level, z)
+        checked += sub_checked
+        skipped += sub_skipped
     return checked, skipped
-
-
-def _apply_pot(pot: SemVal, q: SemVal) -> SPair:
-    if not isinstance(pot, SFun):
-        raise _Violation(f"expected a function potential, got {pot!r}")
-    out = pot.fn(q)
-    if not isinstance(out, SPair):
-        raise _Violation(f"potential application returned a non-pair: {out!r}")
-    return out
 
 
 def _arrow_depth(ty: Ty) -> int:
@@ -407,12 +387,6 @@ def _probe_args(
             yield value, pot.pot
         else:
             raise TypeError(f"not a type: {dom!r}")
-
-
-def _render_arg(v: Value) -> str:
-    from .interp import render_value
-
-    return render_value(v)
 
 
 # ---------------------------------------------------------------- fuzz campaign
@@ -563,10 +537,11 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     """Bound cost/potential of applying e to the given arguments, per n.
 
     Exactly one argument must be a SweepArg; it is modeled as a value
-    (cost 1) of potential n.  The application is performed in the
-    denotational semantics, charging one unit plus both sides' costs per
-    application, which matches evaluating `f a1 .. ak` with the function and
-    arguments already bound to variables.
+    (cost 1) of potential n.  A FixedArg's cost and potential must be
+    nonnegative.  Each application is `sem_apply`, the denotation's one
+    application rule: one unit plus both sides' costs plus the body's, which
+    matches evaluating `f a1 .. ak` with the function and arguments already
+    bound to variables.
     """
     ty = typecheck({}, e)
     if sum(isinstance(a, SweepArg) for a in args) != 1:
@@ -585,32 +560,21 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
             raise ValueError(f"argument of type {dom} needs a term, not a scalar potential")
         if isinstance(spec, TermArg) and typecheck({}, spec.term) != dom:
             raise ValueError(f"argument term does not have type {dom}")
+        if isinstance(spec, FixedArg) and min(spec.cost, spec.pot) < 0:
+            raise ValueError(f"negative fixed argument {spec.cost},{spec.pot}")
 
     chi = denote(translate(e))
-    term_pairs = {
-        i: denote(translate(spec.term))
-        for i, spec in enumerate(args) if isinstance(spec, TermArg)
-    }
+    # Each argument's pair; None for the swept one, which is (1, n) per row.
+    pairs = [SPair(spec.cost, spec.pot) if isinstance(spec, FixedArg)
+             else denote(translate(spec.term)) if isinstance(spec, TermArg) else None
+             for spec in args]
     rows = []
     for n in ns:
         if n < 0:
             raise ValueError("potentials are nonnegative")
         val = chi
-        for i, spec in enumerate(args):
-            if isinstance(spec, SweepArg):
-                arg = SPair(1, n)
-            elif isinstance(spec, FixedArg):
-                arg = SPair(spec.cost, spec.pot)
-            else:
-                arg = term_pairs[i]
-            if not isinstance(val, SPair) or not isinstance(val.pot, SFun):
-                raise ValueError("applied a non-function bound")
-            out = val.pot.fn(arg.pot)
-            if not isinstance(out, SPair):
-                raise ValueError("potential application returned a non-pair")
-            val = SPair(nat_add(1, val.cost, arg.cost, out.cost), out.pot)
-        if not isinstance(val, SPair) or not isinstance(val.pot, int):
-            raise ValueError("bound did not come out at base type")
+        for arg in pairs:
+            val = sem_apply(val, SPair(1, n) if arg is None else arg)
         rows.append(BoundRow(n, val.cost, val.pot))
     return BoundTable(tuple(rows))
 

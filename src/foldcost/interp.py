@@ -35,8 +35,6 @@ from .syntax import (
     Lam,
     Nil,
     Rel,
-    Ty,
-    ArrowTy,
     Var,
 )
 
@@ -101,7 +99,7 @@ def render_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-def value_size(v: Value, ty: Ty | None = None) -> int:
+def value_size(v: Value) -> int:
     """Size of a first-order value: 1 for ints and booleans, length for lists.
 
     Function values have no size measure; bounding them is the harness's job
@@ -112,7 +110,7 @@ def value_size(v: Value, ty: Ty | None = None) -> int:
             return 1
         case VList(items):
             return len(items)
-    if isinstance(v, VClosure) or isinstance(ty, ArrowTy):
+    if isinstance(v, VClosure):
         raise ValueError("function values have no size measure")
     raise TypeError(f"not a value: {v!r}")
 

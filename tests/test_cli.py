@@ -286,6 +286,13 @@ def test_bound_flag_validation(capsys):
     assert code == EXIT_ERROR and "swept" in err
 
 
+@pytest.mark.parametrize("specs", [("--arg=-7,1", "--sweep"), ("--sweep", "--arg", "1,-5")])
+def test_bound_rejects_a_negative_fixed_argument(capsys, specs):
+    code, out, err = run(capsys, "bound", corpus_path("ins"), *specs, "--range", "0:2")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: negative fixed argument")
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

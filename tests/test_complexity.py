@@ -33,10 +33,10 @@ from foldcost.complexity import (
     StarApp,
     cplx_to_source,
     ctypecheck,
-    dally,
     denote,
     nat_add,
     render_semval,
+    sem_apply,
     sem_max,
 )
 from foldcost.parser import parse
@@ -252,9 +252,11 @@ def test_sem_max_mismatch():
         sem_max(1, SPair(1, 1))
 
 
-def test_dally_charges_cost_only():
-    assert dally(2, SPair(5, 1)) == SPair(7, 1)
-    assert dally(0, SPair(5, 1)) == SPair(5, 1)
+def test_sem_apply_charges_one_unit_plus_both_sides_and_the_body():
+    f = SPair(2, SFun(lambda q: SPair(5, q + 1)))
+    assert sem_apply(f, SPair(3, 4)) == SPair(1 + 2 + 3 + 5, 5)
+    with pytest.raises(DenoteError, match="non-function potential"):
+        sem_apply(SPair(1, 1), SPair(1, 1))
 
 
 def test_nat_overflow():
@@ -264,7 +266,7 @@ def test_nat_overflow():
     with pytest.raises(NatOverflowError):
         denote(CPlus(CNum(NAT_MAX), CNum(1)))
     with pytest.raises(NatOverflowError):
-        dally(2, SPair(NAT_MAX, 1))
+        sem_apply(SPair(NAT_MAX, SFun(lambda q: SPair(0, q))), SPair(0, 1))
     succ = CPair(CPlus(CostOf(CVar("w")), CNum(NAT_MAX)), CNum(0))
     with pytest.raises(NatOverflowError):
         denote(PFold(CNum(1), PAIR(0, 0), "p", "ps", "w", succ))

@@ -99,6 +99,9 @@ def test_closure_bounding_probes_the_body():
     low = SFun(lambda q: SPair(4, q))
     assert check_value_bounded(grow, ok, ArrowTy(INT_LIST, INT_LIST), cfg)
     assert not check_value_bounded(grow, low, ArrowTy(INT_LIST, INT_LIST), cfg)
+    # A budget too small for any probe checks nothing: neither verdict.
+    assert check_value_bounded(
+        clo, SFun(lambda q: SPair(4, 1)), ArrowTy(INT, INT), ProbeConfig(budget=1)) is None
 
 
 # ---------------------------------------------------------------- program reports
@@ -137,6 +140,52 @@ def test_inconclusive_budget_and_overflow():
     r = check_program(parse("\\x:int. x + x"), ProbeConfig(budget=1))
     assert (r.status, r.detail) == ("inconclusive", "all probes hit evaluation limits")
     assert (r.probes_checked, r.probes_skipped) == (0, 100)
+
+
+def _charge_one_less(pot):
+    return SFun(lambda q: (lambda out: SPair(out.cost - 1, out.pot))(pot.fn(q)))
+
+
+def _one_less_potential(pot):
+    return SFun(lambda q: (lambda out: SPair(out.cost, out.pot - 1))(pot.fn(q)))
+
+
+def _inner_charge_one_less(pot):
+    return SFun(lambda q: (lambda out: SPair(out.cost, _charge_one_less(out.pot)))(pot.fn(q)))
+
+
+@pytest.mark.parametrize("source, shrink, budget, expected", [
+    ("1 :: 2 :: nil", lambda p: p - 1, None,
+     ("fail", "size 2 > potential 1", 5, 5, 2, 1, None, None)),
+    ("\\x:int. x + x", _charge_one_less, None,
+     ("fail", "at argument 3: body cost 4 > bound 3", None, None, None, None, None, None)),
+    ("\\l:int*. 0 :: l", _one_less_potential, None,
+     ("fail", "at argument [4,-8,-1,7,6,3]: size 7 > potential 6",
+      None, None, None, None, None, None)),
+    # The outer probe argument is 3; only the innermost one is named.
+    ("\\x:int. \\y:int. x + y", _inner_charge_one_less, None,
+     ("fail", "at argument 4: body cost 4 > bound 3", None, None, None, None, None, None)),
+    ("\\x:int. x + x", _charge_one_less, 1,
+     ("inconclusive", "all probes hit evaluation limits", 1, 1, None, None, 0, 100)),
+    ("\\f:int -> int. f 1", _charge_one_less, None,
+     ("fail", "at argument <fun>: body cost 7 > bound 6", None, None, None, None, None, None)),
+])
+def test_violation_reports_are_frozen(monkeypatch, source, shrink, budget, expected):
+    # Only the checked program's bound is weakened; probe arguments that are
+    # functions keep their true potentials.
+    program = parse(source)
+    target = translate(program)
+    real = harness.denote
+
+    def weakened(e, env=None):
+        chi = real(e, env)
+        return SPair(chi.cost, shrink(chi.pot)) if e == target else chi
+
+    monkeypatch.setattr(harness, "denote", weakened)
+    cfg = ProbeConfig() if budget is None else ProbeConfig(budget=budget)
+    r = check_program(program, cfg)
+    assert (r.status, r.detail, r.cost, r.bound_cost, r.size, r.pot,
+            r.probes_checked, r.probes_skipped) == expected
 
 
 # ---------------------------------------------------------------- campaigns
@@ -291,6 +340,11 @@ def test_tabulate_argument_validation():
         tabulate(corpus_expr("map"), [TermArg(parse("nil")), SweepArg()], [1])
     with pytest.raises(ValueError, match="nonnegative"):
         tabulate(ident, [SweepArg()], [-1])
+    ins = corpus_expr("ins")
+    with pytest.raises(ValueError, match="negative fixed argument -7,1"):
+        tabulate(ins, [FixedArg(-7, 1), SweepArg()], [0])
+    with pytest.raises(ValueError, match="negative fixed argument 1,-5"):
+        tabulate(ins, [SweepArg(), FixedArg(1, -5)], [0])
 
 
 def test_measured_cost_matches_identity_bound():
