@@ -17,10 +17,11 @@ costs plus the body's; the denotation and `tabulate` both apply by it.
 
 Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
 that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
-so it reuses values without changing them: an inlined closed lambda is
-evaluated once per denotation, and its potential function, like every `max`
-of two potential functions, remembers its results at natural arguments for
-as long as the denotation lives.  A function argument is never a key.
+so it reuses values without changing them: a closed lambda, the root
+included, is evaluated once per denotation, and its potential function, like
+every `max` of two potential functions, remembers its result at every
+argument (a natural by value, a potential function by identity) for as long
+as the denotation lives.
 """
 
 from __future__ import annotations
@@ -338,13 +339,12 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
 
     Pointwise on pairs; on functions it is computed lazily, by taking the max
     of the two results at every argument.  A function join remembers its
-    result at each natural argument for as long as it lives, so a chain of
-    joins, such as a pfold whose accumulator is a function, applies each
-    earlier join once per natural argument instead of twice.  That is sound
+    result at each argument for as long as it lives (see `_memoised`), so a
+    chain of joins, such as a pfold whose accumulator is a function, applies
+    each earlier join once per argument instead of twice.  That is sound
     because denotation is pure: the same argument always gives the same
-    result.  A function argument is never a key; it is passed through every
-    time, so a chain of joins applied at functions still doubles its work at
-    each join.
+    result.  Each join applies both sides to the same argument object, so
+    this holds at a function argument, keyed by identity, as at a natural.
     """
     if isinstance(a, int) and isinstance(b, int):
         return max(a, b)
@@ -376,22 +376,22 @@ def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
 
     The expression is first staged into closures, so that pfold steps and
     potential-function bodies, which run many times, do not dispatch on node
-    types again.  A closed lambda below the root, such as an inlined `def`,
-    is evaluated once, while staging; its potential function, and the one it
-    returns if its body is a lambda, remember their results at natural (never
-    function) arguments for as long as the denotation holding them lives,
-    such as one `tabulate` or `check_program` call.  So does every join of
-    two potential functions (see `sem_max`), which makes a pfold or a chain
-    of branches whose potential functions are applied at naturals linear
-    rather than exponential in its depth; one applied at functions, such as
-    an accumulator of type (int -> int) -> int, stays exponential.
+    types again.  A closed lambda, such as an inlined `def` or a closed
+    root, is evaluated once, while staging; its potential function, and the
+    one it returns if its body is a lambda, remember their results at every
+    argument, natural or function, for as long as the denotation holding
+    them lives, such as one `tabulate` or `check_program` call.  So does
+    every join of two potential functions (see `sem_max`), which makes a
+    pfold or a chain of branches of potential functions linear rather than
+    exponential in its depth, whether they are applied at naturals or at
+    functions (an accumulator of type (int -> int) -> int, say).
     That reuse changes no value, because denotation is pure: applying a
-    potential function to the same natural always gives the same result.
+    potential function to the same argument always gives the same result.
     """
-    return _stage(e, set(), hoist=False)(dict(env or {}))
+    return _stage(e, set())(dict(env or {}))
 
 
-def _stage(e: CplxExpr, fv: set[str], hoist: bool = True) -> Staged:
+def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     """Stage e into a closure, adding e's free variables to fv."""
     fn: Staged
     t = type(e)
@@ -446,7 +446,7 @@ def _stage(e: CplxExpr, fv: set[str], hoist: bool = True) -> Staged:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
         bf, own = _stage_under(e.body, fv, {e.param})
-        if hoist and not own:
+        if not own:
             def apply(q: SemVal, param=e.param, curried=type(e.body) is CLam, bf=bf) -> SemVal:
                 v = bf({param: SPair(1, q)})
                 return SPair(1, _memoised(v.pot)) if curried else v
@@ -498,12 +498,12 @@ def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged,
 
 
 def _memoised(f: SFun) -> SFun:
-    """f, remembering its results at natural-number arguments."""
-    memo: dict[int, SemVal] = {}
+    """f, remembering its result at every argument: a natural by value, a
+    potential function by identity.  The memo holds each function argument,
+    so its id cannot be reused while the memo lives."""
+    memo: dict[SemVal, SemVal] = {}
 
     def fn(q: SemVal) -> SemVal:
-        if type(q) is not int:
-            return f.fn(q)
         v = memo.get(q)
         if v is None:
             v = memo[q] = f.fn(q)

@@ -241,22 +241,19 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
         if result.cost > chi.cost:
             return Report(source, "fail", result.cost, chi.cost, None, None,
                           detail=f"cost {result.cost} > bound {chi.cost}")
+        size, pot = (None, None) if isinstance(ty, ArrowTy) else (value_size(result.value), chi.pot)
+        try:
+            checked, skipped = _check_value(result.value, chi.pot, ty, cfg)
+        except _Violation as v:
+            return Report(source, "fail", result.cost, chi.cost, size, pot, detail=str(v))
         if not isinstance(ty, ArrowTy):
-            size, pot = value_size(result.value), chi.pot
-            try:
-                _check_value(result.value, pot, ty, cfg)
-            except _Violation as v:
-                return Report(source, "fail", result.cost, chi.cost, size, pot, detail=str(v))
             return Report(source, "pass", result.cost, chi.cost, size, pot)
-        checked, skipped = _check_value(result.value, chi.pot, ty, cfg)
         if checked == 0:
             return Report(source, "inconclusive", result.cost, chi.cost, None, None,
                           detail="all probes hit evaluation limits",
                           probes_checked=checked, probes_skipped=skipped)
         return Report(source, "pass", result.cost, chi.cost, None, None,
                       probes_checked=checked, probes_skipped=skipped)
-    except _Violation as v:
-        return Report(source, "fail", None, None, None, None, detail=str(v))
     except BudgetExceededError:
         return Report(source, "inconclusive", None, None, None, None, detail="budget-exceeded")
     except ArithOverflowError:

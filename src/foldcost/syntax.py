@@ -6,7 +6,9 @@ step of pattern matching) and `fold` (structural recursion); there is no
 general recursion, so every well-typed program terminates.
 
 Invariants:
-  - Expression and type nodes are immutable; sharing is safe.
+  - Expression and type nodes are immutable and slotted: no node keeps a
+    per-instance dict (an expression's `vars()` is built from its fields).
+    Sharing is safe.
   - `subst` is capture-avoiding and renames binders only when necessary.
   - `to_source` prints minimal parentheses and round-trips through the parser:
     parse(to_source(e)) == e for every well-formed expression e.
@@ -27,20 +29,22 @@ INT_MAX = 2**63 - 1
 class Ty:
     """Base class for target-language types."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class IntTy(Ty):
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolTy(Ty):
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListTy(Ty):
     """Lists of integers; the only compound data type."""
 
@@ -48,7 +52,7 @@ class ListTy(Ty):
         return "int*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowTy(Ty):
     dom: Ty
     cod: Ty
@@ -69,34 +73,41 @@ INT_LIST = ListTy()
 class Expr:
     """Base class for target-language expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    @property
+    def __dict__(self) -> dict[str, object]:
+        """The node's fields by name, so that `vars(node)` still works."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nil(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cons(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel(Expr):
     """Comparison of two integers, yielding a boolean."""
 
@@ -105,7 +116,7 @@ class Rel(Expr):
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith(Expr):
     """Arithmetic on two integers, yielding an integer."""
 
@@ -114,27 +125,27 @@ class Arith(Expr):
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(Expr):
     test: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Expr):
     param: str
     param_ty: Ty  # annotation is mandatory; typechecking never infers it
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Expr):
     """One-step list match: case r of (s, [x, xs] t)."""
 
@@ -145,7 +156,7 @@ class Case(Expr):
     cons_branch: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fold(Expr):
     """Structural list recursion: fold r of (s, [x, xs, w] t).
 

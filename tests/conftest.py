@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from foldcost import complexity
 from foldcost.harness import ProbeConfig, fuzz_campaign
 from foldcost.parser import parse
 
@@ -30,9 +31,27 @@ def corpus_expr(name: str):
     return parse(corpus_source(name))
 
 
-def fun_acc_fold(n: int) -> str:
-    """A fold of n steps whose accumulator is a function, joined at each step."""
-    return "fold [" + ", ".join(["1"] * n) + "] of (\\v:int*. 0, [y, ys, w] if true then w else w)"
+def fun_acc_fold(n: int, dom: str = "int*") -> str:
+    """A fold of n steps whose accumulator is a function from `dom`, joined
+    at each step."""
+    return ("fold [" + ", ".join(["1"] * n) + f"] of (\\v:{dom}. 0, "
+            "[y, ys, w] if true then w else w)")
+
+
+def count_sem_max(monkeypatch, cap: int) -> None:
+    """Make `complexity.sem_max` raise AssertionError past `cap` calls, so
+    that a run with exponential work fails at once instead of running on."""
+    real = complexity.sem_max
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise AssertionError(f"more than {cap} calls to sem_max")
+        return real(a, b)
+
+    monkeypatch.setattr(complexity, "sem_max", counting)
 
 
 @pytest.fixture(scope="session")

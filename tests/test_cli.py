@@ -144,6 +144,17 @@ def test_check_function_accumulator_fold(tmp_path):
         EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
 
 
+def test_check_function_argument_fold(tmp_path):
+    # The accumulator is applied at each probe function; every join
+    # remembers its result at that function, so the 64 steps stay linear.
+    source = fun_acc_fold(64, "int -> int")
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcost", "check", write_program(tmp_path, source)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
+
+
 @pytest.mark.parametrize("failing, code", [(False, EXIT_ERROR), (True, EXIT_VIOLATION)],
                          ids=["error-only", "error-and-violation"])
 def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fun_acc_fold
-from foldcost import complexity
+from conftest import count_sem_max, fun_acc_fold
 from foldcost.complexity import (
     NAT,
     NAT_MAX,
@@ -208,7 +207,7 @@ def test_sem_max_functions_lazy_pointwise():
         assert m.fn(q) == SPair(max(q, 10), max(2 * q, q + 1))
 
 
-def test_function_join_remembers_naturals_never_functions():
+def test_function_join_remembers_every_argument():
     calls = []
 
     def f(q):
@@ -218,10 +217,12 @@ def test_function_join_remembers_naturals_never_functions():
     m = sem_max(SFun(f), SFun(lambda q: SPair(0, 0)))
     assert [m.fn(3), m.fn(3), m.fn(4)] == [SPair(3, 3), SPair(3, 3), SPair(4, 4)]
     assert calls == [3, 4]
-    # A function argument is never a key: two different functions give
-    # their two different results.
+    # A function argument is a key by identity: the same function is
+    # computed once, and two different functions give their two different
+    # results.
     g, h = SFun(lambda q: SPair(1, 5)), SFun(lambda q: SPair(3, 7))
     assert [m.fn(g), m.fn(h), m.fn(g)] == [SPair(1, 5), SPair(3, 7), SPair(1, 5)]
+    assert calls == [3, 4, g, h]
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -230,21 +231,22 @@ def test_function_accumulator_fold_joins_in_linear_work(monkeypatch, n):
     # zero (the pfold's max).  Unless a join remembers its results, applying
     # the root applies every earlier accumulator twice, about 2**n calls to
     # sem_max; the count is capped so that such a run fails at once.
-    cap = 50 * n
-    calls = 0
-    real = complexity.sem_max
-
-    def counting(a, b):
-        nonlocal calls
-        calls += 1
-        if calls > cap:
-            raise AssertionError(f"more than {cap} calls to sem_max at n = {n}")
-        return real(a, b)
-
-    monkeypatch.setattr(complexity, "sem_max", counting)
+    count_sem_max(monkeypatch, 50 * n)
     chi = denote(translate(parse(fun_acc_fold(n))))
     assert chi.cost == 7 * n + 3
     assert [chi.pot.fn(q) for q in range(9)] == [SPair(1, 1)] * 9
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_function_argument_fold_joins_in_linear_work(monkeypatch, n):
+    # As above, but the accumulator is applied at a function, so only a
+    # join that remembers its result at a function argument avoids about
+    # 2**n calls to sem_max; the cap makes such a run fail at once.
+    count_sem_max(monkeypatch, 50 * n)
+    chi = denote(translate(parse(fun_acc_fold(n, "int -> int"))))
+    assert chi.cost == 7 * n + 3
+    probe, other = SFun(lambda q: SPair(1, q)), SFun(lambda q: SPair(2, 0))
+    assert [chi.pot.fn(probe), chi.pot.fn(other), chi.pot.fn(probe)] == [SPair(1, 1)] * 3
 
 
 def test_sem_max_mismatch():

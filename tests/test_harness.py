@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import CORPUS_NAMES, corpus_expr
+from conftest import CORPUS_NAMES, corpus_expr, count_sem_max
 from foldcost import harness
 from foldcost.complexity import (
     NAT,
@@ -158,17 +158,17 @@ def _inner_charge_one_less(pot):
     ("1 :: 2 :: nil", lambda p: p - 1, None,
      ("fail", "size 2 > potential 1", 5, 5, 2, 1, None, None)),
     ("\\x:int. x + x", _charge_one_less, None,
-     ("fail", "at argument 3: body cost 4 > bound 3", None, None, None, None, None, None)),
+     ("fail", "at argument 3: body cost 4 > bound 3", 1, 1, None, None, None, None)),
     ("\\l:int*. 0 :: l", _one_less_potential, None,
      ("fail", "at argument [4,-8,-1,7,6,3]: size 7 > potential 6",
-      None, None, None, None, None, None)),
+      1, 1, None, None, None, None)),
     # The outer probe argument is 3; only the innermost one is named.
     ("\\x:int. \\y:int. x + y", _inner_charge_one_less, None,
-     ("fail", "at argument 4: body cost 4 > bound 3", None, None, None, None, None, None)),
+     ("fail", "at argument 4: body cost 4 > bound 3", 1, 1, None, None, None, None)),
     ("\\x:int. x + x", _charge_one_less, 1,
      ("inconclusive", "all probes hit evaluation limits", 1, 1, None, None, 0, 100)),
     ("\\f:int -> int. f 1", _charge_one_less, None,
-     ("fail", "at argument <fun>: body cost 7 > bound 6", None, None, None, None, None, None)),
+     ("fail", "at argument <fun>: body cost 7 > bound 6", 1, 1, None, None, None, None)),
 ])
 def test_violation_reports_are_frozen(monkeypatch, source, shrink, budget, expected):
     # Only the checked program's bound is weakened; probe arguments that are
@@ -322,6 +322,16 @@ def test_insertion_sort_bound_stays_quadratic_to_300():
     assert costs[:65] == fit[:65]
     assert costs == fit
     assert table.pots() == list(range(301))
+
+
+def test_list_fold_sweep_remembers_the_root_and_the_term_argument(monkeypatch):
+    # Each pfold step calls sem_max once.  With memos on the root and on the
+    # `ins` argument's potential function, the 0..64 sweep makes 8,128 calls;
+    # re-running `ins` at every fold step of every row makes 133,120.
+    count_sem_max(monkeypatch, 10_000)
+    args = [TermArg(corpus_expr("ins")), SweepArg(), FixedArg(1, 0)]
+    table = tabulate(corpus_expr("list_fold"), args, range(65))
+    assert (table.rows[-1].cost, table.rows[-1].pot) == (25036, 64)
 
 
 def test_tabulate_argument_validation():
