@@ -15,19 +15,19 @@ upper bound regardless of which branch a run of the original program takes.
 `sem_apply` is the one application rule, charging one unit plus both sides'
 costs plus the body's; the denotation and `tabulate` both apply by it.
 
-Denotations use checked nonnegative 64-bit arithmetic: costs and potentials
-that overflow raise NatOverflowError rather than wrapping.  `denote` is pure,
-so it reuses values without changing them: a closed lambda, the root
-included, is evaluated once per denotation, and its potential function, like
-every `max` of two potential functions, remembers its result at every
-argument (a natural by value, a potential function by identity) for as long
-as the denotation lives.
+A semantic value is an int, an `SPair`, or a potential function, which is a
+plain callable.  Denotations use checked nonnegative 64-bit arithmetic: costs
+and potentials that overflow raise NatOverflowError rather than wrapping.
+`denote` is pure, so it reuses values without changing them: every lambda's
+potential function, like every `max` of two, remembers its result at every
+argument (a natural by value, a function by identity), and a closed lambda,
+the root included, is built once per denotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 NAT_MAX = 2**63 - 1
 
@@ -313,18 +313,12 @@ def _pair_ty(ty: CTy) -> ProdTy:
 
 # ---------------------------------------------------------------- semantic values
 
-@dataclass(frozen=True)
-class SPair:
+class SPair(NamedTuple):
     cost: int
     pot: "SemVal"
 
 
-@dataclass(frozen=True, eq=False)
-class SFun:
-    fn: Callable[["SemVal"], "SemVal"]
-
-
-SemVal = Union[int, SPair, SFun]
+SemVal = Union[int, SPair, Callable[["SemVal"], "SemVal"]]
 
 
 def nat_add(*ns: int) -> int:
@@ -350,8 +344,8 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
         return max(a, b)
     if isinstance(a, SPair) and isinstance(b, SPair):
         return SPair(max(a.cost, b.cost), sem_max(a.pot, b.pot))
-    if isinstance(a, SFun) and isinstance(b, SFun):
-        return _memoised(SFun(lambda q: sem_max(a.fn(q), b.fn(q))))
+    if callable(a) and callable(b):
+        return _memoised(lambda q: sem_max(a(q), b(q)))
     raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
 
 
@@ -359,9 +353,9 @@ def sem_apply(f: SemVal, a: SemVal) -> SPair:
     """The costed application `f * a`: one unit plus both sides' costs plus
     the body's, paired with the body's potential."""
     f, a = _as_pair(f), _as_pair(a)
-    if not isinstance(f.pot, SFun):
+    if not callable(f.pot):
         raise DenoteError("applied a value with non-function potential")
-    out = _as_pair(f.pot.fn(a.pot))
+    out = _as_pair(f.pot(a.pot))
     return SPair(nat_add(1, f.cost, a.cost, out.cost), out.pot)
 
 
@@ -376,17 +370,14 @@ def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
 
     The expression is first staged into closures, so that pfold steps and
     potential-function bodies, which run many times, do not dispatch on node
-    types again.  A closed lambda, such as an inlined `def` or a closed
-    root, is evaluated once, while staging; its potential function, and the
-    one it returns if its body is a lambda, remember their results at every
-    argument, natural or function, for as long as the denotation holding
-    them lives, such as one `tabulate` or `check_program` call.  So does
-    every join of two potential functions (see `sem_max`), which makes a
-    pfold or a chain of branches of potential functions linear rather than
-    exponential in its depth, whether they are applied at naturals or at
-    functions (an accumulator of type (int -> int) -> int, say).
-    That reuse changes no value, because denotation is pure: applying a
-    potential function to the same argument always gives the same result.
+    types again.  Every lambda denotes (1, f), where f remembers its result
+    at every argument, natural or function, for as long as the value lives.
+    A closed lambda, such as an inlined `def` or a closed root, is built
+    once, while staging, so its memo lasts the whole denotation, such as
+    one `tabulate` or `check_program` call.  Joins of potential functions
+    remember their results too (see `sem_max`), so a pfold of potential
+    functions is linear, not exponential, in its length.  That reuse
+    changes no value, because denotation is pure.
     """
     return _stage(e, set())(dict(env or {}))
 
@@ -446,19 +437,13 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
         bf, own = _stage_under(e.body, fv, {e.param})
-        if not own:
-            def apply(q: SemVal, param=e.param, curried=type(e.body) is CLam, bf=bf) -> SemVal:
-                v = bf({param: SPair(1, q)})
-                return SPair(1, _memoised(v.pot)) if curried else v
 
-            def fn(env, value=SPair(1, _memoised(SFun(apply)))) -> SemVal:
+        def fn(env, param=e.param, bf=bf) -> SemVal:
+            return SPair(1, _memoised(lambda q: bf({**env, param: SPair(1, q)})))
+
+        if not own:  # closed: one value, and so one memo, for the whole denotation
+            def fn(env, value=fn({})) -> SemVal:
                 return value
-        else:
-            def fn(env, param=e.param, bf=bf) -> SemVal:
-                def apply(q: SemVal) -> SemVal:
-                    return bf({**env, param: SPair(1, q)})
-
-                return SPair(1, SFun(apply))
     elif t is PCase:
         def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
                tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
@@ -497,7 +482,7 @@ def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged,
     return fn, own
 
 
-def _memoised(f: SFun) -> SFun:
+def _memoised(f: Callable[[SemVal], SemVal]) -> Callable[[SemVal], SemVal]:
     """f, remembering its result at every argument: a natural by value, a
     potential function by identity.  The memo holds each function argument,
     so its id cannot be reused while the memo lives."""
@@ -506,10 +491,10 @@ def _memoised(f: SFun) -> SFun:
     def fn(q: SemVal) -> SemVal:
         v = memo.get(q)
         if v is None:
-            v = memo[q] = f.fn(q)
+            v = memo[q] = f(q)
         return v
 
-    return SFun(fn)
+    return fn
 
 
 def _as_nat(v: SemVal) -> int:
@@ -586,13 +571,3 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
 def _cwrap(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
 
-
-def render_semval(v: SemVal) -> str:
-    match v:
-        case int():
-            return str(v)
-        case SPair(cost, pot):
-            return f"({cost}, {render_semval(pot)})"
-        case SFun():
-            return "<potential fun>"
-    raise TypeError(f"not a semantic value: {v!r}")

@@ -44,7 +44,6 @@ from .complexity import (
     PFold,
     PotOf,
     ProdTy,
-    SFun,
     SPair,
     SemVal,
     StarApp,
@@ -312,7 +311,7 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
         return 1, 0
     if not isinstance(v, VClosure):
         raise _Violation(f"expected a closure at type {ty}")
-    if not isinstance(pot, SFun):
+    if not callable(pot):
         raise _Violation(f"expected a function potential, got {pot!r}")
     if rng is None:
         rng = random.Random(cfg.seed)
@@ -325,7 +324,7 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
         except (BudgetExceededError, ArithOverflowError):
             skipped += 1
             continue
-        out = pot.fn(q)
+        out = pot(q)
         if not isinstance(out, SPair):
             raise _Violation(f"potential application returned a non-pair: {out!r}")
         if result.cost > out.cost:
@@ -619,7 +618,7 @@ def canonical_semval(cty: CTy, k: int) -> SemVal:
         def fn(q: SemVal, cod=cod, k=k) -> SemVal:
             bump = q if isinstance(q, int) else 1
             return canonical_semval(cod, min(k + bump, 64))
-        return SFun(fn)
+        return fn
     raise TypeError(f"not a complexity type: {cty!r}")
 
 
@@ -631,7 +630,7 @@ def semval_le(a: SemVal, b: SemVal, cty: CTy, probes: Sequence[int] = range(6)) 
         return a.cost <= b.cost and semval_le(a.pot, b.pot, cty.pot, probes)
     if isinstance(cty, ArrowPotTy):
         return all(
-            semval_le(a.fn(_probe_pot(cty.dom, i)), b.fn(_probe_pot(cty.dom, i)), cty.cod, probes)
+            semval_le(a(_probe_pot(cty.dom, i)), b(_probe_pot(cty.dom, i)), cty.cod, probes)
             for i in probes)
     raise TypeError(f"not a complexity type: {cty!r}")
 

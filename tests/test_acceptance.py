@@ -229,7 +229,7 @@ def test_criterion_06_map_bound_shape(verdict):
     problems = []
     h = parse("\\x:int. x + x")
     h_pair = denote(translate(h))
-    step_cost = h_pair.pot.fn(1).cost  # cost of the mapped function per element
+    step_cost = h_pair.pot(1).cost  # cost of the mapped function per element
     start = time.perf_counter()
     table = tabulate(corpus_expr("map"), [TermArg(h), SweepArg()], range(65))
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import CORPUS, fun_acc_fold
+import foldcost
 from foldcost import harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from foldcost.complexity import DenoteError
@@ -23,6 +25,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **kwargs):
+    """Run `python -m foldcost` in a child process that imports the same
+    package as this test, whether or not it is installed or on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(foldcost.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "foldcost", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def write_program(tmp_path, text):
@@ -137,9 +148,7 @@ def test_check_function_accumulator_fold(tmp_path):
     # Each of the 64 steps joins a function accumulator; the joins remember
     # their results, so this takes well under a second instead of about
     # 2**64 applications.
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcost", "check", write_program(tmp_path, fun_acc_fold(64))],
-        capture_output=True, text=True, timeout=60)
+    proc = run_module("check", write_program(tmp_path, fun_acc_fold(64)), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
 
@@ -148,9 +157,7 @@ def test_check_function_argument_fold(tmp_path):
     # The accumulator is applied at each probe function; every join
     # remembers its result at that function, so the 64 steps stay linear.
     source = fun_acc_fold(64, "int -> int")
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcost", "check", write_program(tmp_path, source)],
-        capture_output=True, text=True, timeout=60)
+    proc = run_module("check", write_program(tmp_path, source), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
 
@@ -186,9 +193,7 @@ def test_fuzz_json_summary(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcost", "typecheck", corpus_path("map")],
-        capture_output=True, text=True)
+    proc = run_module("typecheck", corpus_path("map"))
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "(int -> int) -> int* -> int*\n"
 
@@ -228,9 +233,7 @@ def test_comparison_operators(capsys, tmp_path, text, code, out):
     ("eval", "(" * 400 + "1" + ")" * 400),
 ], ids=["list-600", "parens-400"])
 def test_deep_input_exits_2(tmp_path, command, text):
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcost", command, write_program(tmp_path, text)],
-        capture_output=True, text=True)
+    proc = run_module(command, write_program(tmp_path, text))
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
     assert proc.stderr == "error: input nests too deeply\n"
 
@@ -243,9 +246,7 @@ def test_translate_too_large_to_print_exits_2(tmp_path, text):
     # Each nested if or list element doubles the printed recurrence, so
     # these would print terabytes; the refusal comes before any is built.
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "foldcost", "translate", write_program(tmp_path, text)],
-        capture_output=True, text=True, timeout=60)
+    proc = run_module("translate", write_program(tmp_path, text), timeout=60)
     assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
     assert proc.stderr == "error: recurrence too large to print (over 16777216 bytes)\n"
     assert time.perf_counter() - start < 5

@@ -16,7 +16,6 @@ from foldcost.complexity import (
     DenoteError,
     PFold,
     ProdTy,
-    SFun,
     SPair,
     ctypecheck,
     denote,
@@ -91,17 +90,17 @@ def test_closure_bounding_probes_the_body():
     clo = eval_expr(parse("\\x:int. x + x")).value
     cfg = ProbeConfig()
     # Body costs 4 (two lookups plus the checked addition).
-    assert check_value_bounded(clo, SFun(lambda q: SPair(4, 1)), ArrowTy(INT, INT), cfg)
-    assert not check_value_bounded(clo, SFun(lambda q: SPair(3, 1)), ArrowTy(INT, INT), cfg)
+    assert check_value_bounded(clo, lambda q: SPair(4, 1), ArrowTy(INT, INT), cfg)
+    assert not check_value_bounded(clo, lambda q: SPair(3, 1), ArrowTy(INT, INT), cfg)
     # Understating the result's potential also fails.
     grow = eval_expr(parse("\\l:int*. 0 :: l")).value
-    ok = SFun(lambda q: SPair(4, q + 1))
-    low = SFun(lambda q: SPair(4, q))
+    ok = lambda q: SPair(4, q + 1)
+    low = lambda q: SPair(4, q)
     assert check_value_bounded(grow, ok, ArrowTy(INT_LIST, INT_LIST), cfg)
     assert not check_value_bounded(grow, low, ArrowTy(INT_LIST, INT_LIST), cfg)
     # A budget too small for any probe checks nothing: neither verdict.
     assert check_value_bounded(
-        clo, SFun(lambda q: SPair(4, 1)), ArrowTy(INT, INT), ProbeConfig(budget=1)) is None
+        clo, lambda q: SPair(4, 1), ArrowTy(INT, INT), ProbeConfig(budget=1)) is None
 
 
 # ---------------------------------------------------------------- program reports
@@ -143,15 +142,15 @@ def test_inconclusive_budget_and_overflow():
 
 
 def _charge_one_less(pot):
-    return SFun(lambda q: (lambda out: SPair(out.cost - 1, out.pot))(pot.fn(q)))
+    return lambda q: (lambda out: SPair(out.cost - 1, out.pot))(pot(q))
 
 
 def _one_less_potential(pot):
-    return SFun(lambda q: (lambda out: SPair(out.cost, out.pot - 1))(pot.fn(q)))
+    return lambda q: (lambda out: SPair(out.cost, out.pot - 1))(pot(q))
 
 
 def _inner_charge_one_less(pot):
-    return SFun(lambda q: (lambda out: SPair(out.cost, _charge_one_less(out.pot)))(pot.fn(q)))
+    return lambda q: (lambda out: SPair(out.cost, _charge_one_less(out.pot)))(pot(q))
 
 
 @pytest.mark.parametrize("source, shrink, budget, expected", [
@@ -216,6 +215,21 @@ def test_small_campaign_shape_and_determinism():
     for line in lines[:-1]:
         assert PASS_LINE.match(line) or INCONCLUSIVE_LINE.match(line), line
     assert fuzz_campaign(cfg).lines() == lines
+
+
+JOINS = re.compile(r"\b(if|case|fold)\b")
+
+
+def test_join_free_campaign_trials_are_exact(campaign_10k):
+    # Without a branch or a fold the translation takes no max, so the bound
+    # is the measured cost and the potential is the result's size, with or
+    # without lambdas.
+    summary, _ = campaign_10k
+    join_free = [t.report for t in summary.trials if not JOINS.search(t.report.program)]
+    assert len(join_free) == 2_500
+    assert sum("\\" in r.program for r in join_free) == 57
+    for r in join_free:
+        assert (r.status, r.bound_cost, r.pot) == ("pass", r.cost, r.size), r.program
 
 
 @pytest.mark.parametrize("exc", [
@@ -324,14 +338,17 @@ def test_insertion_sort_bound_stays_quadratic_to_300():
     assert table.pots() == list(range(301))
 
 
-def test_list_fold_sweep_remembers_the_root_and_the_term_argument(monkeypatch):
-    # Each pfold step calls sem_max once.  With memos on the root and on the
-    # `ins` argument's potential function, the 0..64 sweep makes 8,128 calls;
-    # re-running `ins` at every fold step of every row makes 133,120.
+@pytest.mark.parametrize("name", ["list_fold", "ins_sort"])
+def test_sweep_remembers_closed_potential_functions(monkeypatch, name):
+    # Each pfold step calls sem_max once.  Each 0..64 sweep makes 8,128 calls
+    # when a closed lambda is built once per denotation and remembers its
+    # results: list_fold's root and its `ins` argument, ins_sort's root and
+    # its inlined `ins`.  Re-running `ins` at every fold step of every row
+    # makes 133,120.
+    args, form = next((args, form) for n, args, form in closed_forms() if n == name)
     count_sem_max(monkeypatch, 10_000)
-    args = [TermArg(corpus_expr("ins")), SweepArg(), FixedArg(1, 0)]
-    table = tabulate(corpus_expr("list_fold"), args, range(65))
-    assert (table.rows[-1].cost, table.rows[-1].pot) == (25036, 64)
+    table = tabulate(corpus_expr(name), args, range(65))
+    assert (table.rows[-1].cost, table.rows[-1].pot) == form(64)
 
 
 def test_tabulate_argument_validation():
@@ -394,8 +411,8 @@ def test_canonical_semvals_inhabit_their_types():
     assert canonical_semval(NAT, 3) == 3
     assert canonical_semval(NAT_PAIR, 2) == SPair(2, 2)
     f = canonical_semval(ArrowPotTy(NAT, NAT_PAIR), 3)
-    assert f.fn(5) == SPair(8, 8)
-    assert f.fn(SPair(2, 2)) == SPair(4, 4)
+    assert f(5) == SPair(8, 8)
+    assert f(SPair(2, 2)) == SPair(4, 4)
 
 
 def test_semval_le_orders_values():
@@ -403,8 +420,8 @@ def test_semval_le_orders_values():
     assert semval_le(SPair(3, 3), SPair(4, 3), NAT_PAIR)
     assert not semval_le(SPair(5, 3), SPair(4, 9), NAT_PAIR)
     fty = ArrowPotTy(NAT, NAT_PAIR)
-    lo = SFun(lambda q: SPair(q, 1))
-    hi = SFun(lambda q: SPair(q + 1, 1))
+    lo = lambda q: SPair(q, 1)
+    hi = lambda q: SPair(q + 1, 1)
     assert semval_le(lo, hi, fty)
     assert not semval_le(hi, lo, fty)
 
