@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="run the program, print value and cost")
     p_eval.add_argument("file")
-    p_eval.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_eval.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                         help="evaluation cost budget (default %(default)s)")
 
     p_tr = sub.add_parser("translate", help="print the recurrence and its type")
@@ -106,16 +106,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=DEFAULT_CONFIG.trials,
+    p.add_argument("--trials", type=_count, default=DEFAULT_CONFIG.trials,
                    help="programs to generate, or probes per function (default %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
                    help="generator seed (default %(default)s)")
     p.add_argument("--depth", type=int, default=DEFAULT_CONFIG.depth,
                    help="generated term depth (default %(default)s)")
-    p.add_argument("--max-list", type=int, default=DEFAULT_CONFIG.max_list,
+    p.add_argument("--max-list", type=_count, default=DEFAULT_CONFIG.max_list,
                    help="longest generated list (default %(default)s)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="evaluation cost budget (default %(default)s)")
+
+
+def _count(text: str) -> int:
+    """Parse a nonnegative integer option value."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
 
 
 def _load(path: str) -> Expr:
@@ -219,6 +230,8 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ValueError(f"--range wants LO:HI integers, got {ns.range!r}") from None
+    if lo > hi:
+        raise ValueError(f"--range wants LO <= HI, got {ns.range!r}")
     table = tabulate(e, specs, range(lo, hi + 1))
     for row in table.rows:
         if ns.json:

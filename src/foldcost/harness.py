@@ -57,10 +57,7 @@ from .interp import (
     DEFAULT_BUDGET,
     EvalError,
     EvalResult,
-    VBool,
     VClosure,
-    VInt,
-    VList,
     Value,
     eval_expr,
     render_value,
@@ -309,7 +306,7 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
             at = "" if arg is None else f"at argument {render_value(arg)}: "
             raise _Violation(f"{at}size {size} > potential {pot!r}")
         return 1, 0
-    if not isinstance(v, VClosure):
+    if type(v) is not VClosure:
         raise _Violation(f"expected a closure at type {ty}")
     if not callable(pot):
         raise _Violation(f"expected a function potential, got {pot!r}")
@@ -367,13 +364,13 @@ def _probe_args(
     """
     for _ in range(count):
         if dom == INT:
-            yield VInt(rng.randint(cfg.int_lo, cfg.int_hi)), 1
+            yield rng.randint(cfg.int_lo, cfg.int_hi), 1
         elif dom == BOOL:
-            yield VBool(rng.random() < 0.5), 1
+            yield rng.random() < 0.5, 1
         elif dom == INT_LIST:
             items = tuple(
                 rng.randint(cfg.int_lo, cfg.int_hi) for _ in range(rng.randint(0, cfg.max_list)))
-            yield VList(items), len(items)
+            yield items, len(items)
         elif isinstance(dom, ArrowTy):
             term = _gen(rng, min(cfg.depth, 3), dom, {}, cfg)
             value = eval_expr(term, budget=cfg.budget).value
@@ -595,14 +592,14 @@ def measure_application(
     return eval_expr(expr, env, budget=budget)
 
 
-def descending_list(n: int) -> VList:
-    return VList(tuple(range(n, 0, -1)))
+def descending_list(n: int) -> tuple[int, ...]:
+    return tuple(range(n, 0, -1))
 
 
-def binary_lists(n: int) -> Iterator[VList]:
+def binary_lists(n: int) -> Iterator[tuple[int, ...]]:
     """All 0/1 lists of length n; adversarial inputs for small n."""
     for bits in range(2**n):
-        yield VList(tuple((bits >> i) & 1 for i in range(n)))
+        yield tuple((bits >> i) & 1 for i in range(n))
 
 
 # ---------------------------------------------------------------- lemma probes

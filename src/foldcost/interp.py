@@ -9,6 +9,9 @@ argument, and body; `fold` over a k-element list unrolls into k+1 rule
 instances, with each unrolling after the first reading the remaining tail
 from a fresh variable (one unit per lookup).
 
+Runtime values are plain Python values: an `int`, a `bool`, a `tuple` of
+ints for a list, or a `VClosure` for a function.
+
 Evaluation is total on well-typed terms except for two checked limits, both
 reported as distinct errors: 64-bit integer overflow and the cost budget.
 """
@@ -16,7 +19,7 @@ reported as distinct errors: 64-bit integer overflow and the cost budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Union
 
 from .syntax import (
     ARITH_OPS,
@@ -57,45 +60,29 @@ class ArithOverflowError(EvalError):
 
 # ---------------------------------------------------------------- values
 
-class Value:
-    pass
-
-
-@dataclass(frozen=True)
-class VInt(Value):
-    value: int
-
-
-@dataclass(frozen=True)
-class VBool(Value):
-    value: bool
-
-
-@dataclass(frozen=True)
-class VList(Value):
-    items: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
-class VClosure(Value):
+class VClosure:
     param: str
     body: Expr
     env: Mapping[str, Value]
 
 
+# bool is a subclass of int and True == 1, so values are told apart by their
+# exact type, never by isinstance or equality.
+Value = Union[int, bool, tuple, VClosure]
 ValueEnv = Mapping[str, Value]
 
 
 def render_value(v: Value) -> str:
-    match v:
-        case VInt(n):
-            return str(n)
-        case VBool(b):
-            return "true" if b else "false"
-        case VList(items):
-            return "[" + ",".join(str(n) for n in items) + "]"
-        case VClosure():
-            return "<fun>"
+    t = type(v)
+    if t is bool:
+        return "true" if v else "false"
+    if t is int:
+        return str(v)
+    if t is tuple:
+        return "[" + ",".join(map(str, v)) + "]"
+    if t is VClosure:
+        return "<fun>"
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -105,12 +92,12 @@ def value_size(v: Value) -> int:
     Function values have no size measure; bounding them is the harness's job
     (it probes them pointwise).
     """
-    match v:
-        case VInt() | VBool():
-            return 1
-        case VList(items):
-            return len(items)
-    if isinstance(v, VClosure):
+    t = type(v)
+    if t is int or t is bool:
+        return 1
+    if t is tuple:
+        return len(v)
+    if t is VClosure:
         raise ValueError("function values have no size measure")
     raise TypeError(f"not a value: {v!r}")
 
@@ -159,27 +146,27 @@ def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
                 raise EvalError(f"unbound variable at runtime: {name}")
             return v
         case IntLit(n):
-            return VInt(n)
+            return n
         case BoolLit(b):
-            return VBool(b)
+            return b
         case Nil():
-            return VList(())
+            return ()
         case Lam(param, _, body):
             return VClosure(param, body, env)
         case Cons(head, tail):
             h = _as_int(_eval(head, env, counter))
             t = _as_list(_eval(tail, env, counter))
-            return VList((h, *t))
+            return (h, *t)
         case Rel(op, lhs, rhs):
             a = _as_int(_eval(lhs, env, counter))
             b = _as_int(_eval(rhs, env, counter))
             counter.tick()  # operator side condition
-            return VBool(REL_OPS[op](a, b))
+            return REL_OPS[op](a, b)
         case Arith(op, lhs, rhs):
             a = _as_int(_eval(lhs, env, counter))
             b = _as_int(_eval(rhs, env, counter))
             counter.tick()  # operator side condition
-            return VInt(_checked(op, a, b))
+            return _checked(op, a, b)
         case If(test, then, orelse):
             t = _eval(test, env, counter)
             taken = then if _as_bool(t) else orelse
@@ -187,14 +174,14 @@ def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
         case App(fn, arg):
             f = _eval(fn, env, counter)
             a = _eval(arg, env, counter)
-            if not isinstance(f, VClosure):
+            if type(f) is not VClosure:
                 raise EvalError(f"applied a non-function: {render_value(f)}")
             return _eval(f.body, {**f.env, f.param: a}, counter)
         case Case(scrutinee, nil_branch, head, tail, cons_branch):
             items = _as_list(_eval(scrutinee, env, counter))
             if not items:
                 return _eval(nil_branch, env, counter)
-            env1 = {**env, head: VInt(items[0]), tail: VList(items[1:])}
+            env1 = {**env, head: items[0], tail: items[1:]}
             return _eval(cons_branch, env1, counter)
         case Fold(scrutinee, nil_branch, head, tail, acc, step):
             items = _as_list(_eval(scrutinee, env, counter))
@@ -208,28 +195,28 @@ def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
             counter.tick(2 * len(items))
             v = _eval(nil_branch, env, counter)
             for j in reversed(range(len(items))):
-                env1 = {**env, head: VInt(items[j]), tail: VList(items[j + 1:]), acc: v}
+                env1 = {**env, head: items[j], tail: items[j + 1:], acc: v}
                 v = _eval(step, env1, counter)
             return v
     raise EvalError(f"not an expression: {e!r}")
 
 
 def _as_int(v: Value) -> int:
-    if not isinstance(v, VInt):
+    if type(v) is not int:
         raise EvalError(f"expected an integer, got: {render_value(v)}")
-    return v.value
+    return v
 
 
 def _as_bool(v: Value) -> bool:
-    if not isinstance(v, VBool):
+    if type(v) is not bool:
         raise EvalError(f"expected a boolean, got: {render_value(v)}")
-    return v.value
+    return v
 
 
 def _as_list(v: Value) -> tuple[int, ...]:
-    if not isinstance(v, VList):
+    if type(v) is not tuple:
         raise EvalError(f"expected a list, got: {render_value(v)}")
-    return v.items
+    return v
 
 
 # ---------------------------------------------------------------- derivation oracle
@@ -275,24 +262,24 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
         case Var(name):
             return Derivation("var", env[name], ())
         case IntLit(n):
-            return Derivation("int", VInt(n), ())
+            return Derivation("int", n, ())
         case BoolLit(b):
-            return Derivation("bool", VBool(b), ())
+            return Derivation("bool", b, ())
         case Nil():
-            return Derivation("nil", VList(()), ())
+            return Derivation("nil", (), ())
         case Lam(param, _, body):
             return Derivation("lam", VClosure(param, body, env), ())
         case Cons(head, tail):
             dh, dt = _derive(head, env), _derive(tail, env)
             items = (_as_int(dh.value), *_as_list(dt.value))
-            return Derivation("cons", VList(items), (dh, dt))
+            return Derivation("cons", items, (dh, dt))
         case Rel(op, lhs, rhs):
             dl, dr = _derive(lhs, env), _derive(rhs, env)
-            out = VBool(REL_OPS[op](_as_int(dl.value), _as_int(dr.value)))
+            out = REL_OPS[op](_as_int(dl.value), _as_int(dr.value))
             return Derivation("rel", out, (dl, dr), side_conditions=1)
         case Arith(op, lhs, rhs):
             dl, dr = _derive(lhs, env), _derive(rhs, env)
-            out = VInt(_checked(op, _as_int(dl.value), _as_int(dr.value)))
+            out = _checked(op, _as_int(dl.value), _as_int(dr.value))
             return Derivation("arith", out, (dl, dr), side_conditions=1)
         case If(test, then, orelse):
             dt = _derive(test, env)
@@ -301,7 +288,7 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
         case App(fn, arg):
             df, da = _derive(fn, env), _derive(arg, env)
             clo = df.value
-            if not isinstance(clo, VClosure):
+            if type(clo) is not VClosure:
                 raise EvalError(f"applied a non-function: {render_value(clo)}")
             db = _derive(clo.body, {**clo.env, clo.param: da.value})
             return Derivation("app", db.value, (df, da, db))
@@ -311,7 +298,7 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
             if not items:
                 db = _derive(nil_branch, env)
                 return Derivation("case-nil", db.value, (ds, db))
-            env1 = {**env, head: VInt(items[0]), tail: VList(items[1:])}
+            env1 = {**env, head: items[0], tail: items[1:]}
             db = _derive(cons_branch, env1)
             return Derivation("case-cons", db.value, (ds, db))
         case Fold(scrutinee, nil_branch, head, tail, acc, step):
@@ -321,10 +308,10 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
                 db = _derive(nil_branch, env)
                 return Derivation("fold-nil", db.value, (ds, db))
             fresh = _fresh_fold_var(env)
-            env_rec = {**env, fresh: VList(items[1:])}
+            env_rec = {**env, fresh: items[1:]}
             rec = Fold(Var(fresh), nil_branch, head, tail, acc, step)
             dr = _derive(rec, env_rec)
-            env1 = {**env, head: VInt(items[0]), tail: VList(items[1:]), acc: dr.value}
+            env1 = {**env, head: items[0], tail: items[1:], acc: dr.value}
             db = _derive(step, env1)
             return Derivation("fold-cons", db.value, (ds, dr, db))
     raise EvalError(f"not an expression: {e!r}")

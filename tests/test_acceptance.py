@@ -40,7 +40,7 @@ from foldcost.harness import (
     tabulate,
     trial_seed,
 )
-from foldcost.interp import ArithOverflowError, VInt, VList, derive, eval_expr, value_size
+from foldcost.interp import ArithOverflowError, derive, eval_expr, value_size
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, App, ArrowTy
 from foldcost.translate import csubst, translate, translate_ctx, translate_ty
@@ -150,12 +150,12 @@ def test_criterion_03_corpus_soundness(verdict):
     def value_args(name, n, xs):
         if name == "ins":
             # insert below and above everything the list can contain
-            return [VInt(0), xs], [VInt(n + 1), xs]
+            return [0, xs], [n + 1, xs]
         if name == "ins_sort":
             return ([xs],)
         if name == "map":
             return ([h_clo, xs],)
-        return ([ins_clo, xs, VList(())],)
+        return ([ins_clo, xs, ()],)
 
     def check_input(n, xs):
         for name in plans:

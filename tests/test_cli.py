@@ -305,6 +305,28 @@ def test_bound_rejects_a_negative_fixed_argument(capsys, specs):
     assert err.startswith("error: negative fixed argument")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("check", corpus_path("ins"), "--trials", "-5"), "--trials"),
+    (("fuzz", "--trials", "-1"), "--trials"),
+    (("fuzz", "--max-list", "-1"), "--max-list"),
+    (("check", corpus_path("ins"), "--budget", "-1"), "--budget"),
+    (("eval", corpus_path("case_if"), "--budget", "-1"), "--budget"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_ERROR
+    assert f"argument {flag}: must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_bound_rejects_an_empty_range(capsys):
+    code, out, err = run(capsys, "bound", corpus_path("ins"), "--arg", "1,1", "--sweep",
+                         "--range", "3:1")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: --range wants LO <= HI, got '3:1'\n")
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

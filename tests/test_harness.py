@@ -40,7 +40,7 @@ from foldcost.harness import (
     trial_seed,
 )
 from foldcost.harness import _probes_per_level
-from foldcost.interp import EvalError, VBool, VInt, VList, eval_expr
+from foldcost.interp import EvalError, eval_expr
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, to_source
 from foldcost.translate import csubst, translate
@@ -78,12 +78,12 @@ def test_generation_is_deterministic_and_diverse():
 
 def test_base_values_bounded_exactly():
     cfg = ProbeConfig()
-    assert check_value_bounded(VInt(7), 1, INT, cfg)
-    assert not check_value_bounded(VInt(7), 0, INT, cfg)
-    assert check_value_bounded(VBool(False), 1, BOOL, cfg)
-    assert check_value_bounded(VList((1, 2, 3)), 3, INT_LIST, cfg)
-    assert not check_value_bounded(VList((1, 2, 3)), 2, INT_LIST, cfg)
-    assert check_value_bounded(VList(()), 0, INT_LIST, cfg)
+    assert check_value_bounded(7, 1, INT, cfg)
+    assert not check_value_bounded(7, 0, INT, cfg)
+    assert check_value_bounded(False, 1, BOOL, cfg)
+    assert check_value_bounded((1, 2, 3), 3, INT_LIST, cfg)
+    assert not check_value_bounded((1, 2, 3), 2, INT_LIST, cfg)
+    assert check_value_bounded((), 0, INT_LIST, cfg)
 
 
 def test_closure_bounding_probes_the_body():
@@ -377,31 +377,32 @@ def test_tabulate_argument_validation():
 def test_measured_cost_matches_identity_bound():
     ident = parse("\\x:int. x")
     row = tabulate(ident, [SweepArg()], [1]).rows[0]
-    measured = measure_application(ident, [VInt(5)])
+    measured = measure_application(ident, [5])
     assert (row.cost, row.pot) == (4, 1)
     assert measured.cost == 4
-    assert measured.value == VInt(5)
+    assert (type(measured.value), measured.value) == (int, 5)
 
 
 def test_measured_runs_stay_under_tabulated_bounds():
     table = tabulate(corpus_expr("ins"), [FixedArg(), SweepArg()], range(9))
     for n in range(9):
         for xs in binary_lists(n):
-            got = measure_application(corpus_expr("ins"), [VInt(1), xs])
+            got = measure_application(corpus_expr("ins"), [1, xs])
             row = table.rows[n]
             assert got.cost <= row.cost
-            assert len(got.value.items) <= row.pot
+            assert len(got.value) <= row.pot
 
 
 def test_input_builders():
-    assert descending_list(5) == VList((5, 4, 3, 2, 1))
-    assert descending_list(0) == VList(())
+    assert (type(descending_list(5)), descending_list(5)) == (tuple, (5, 4, 3, 2, 1))
+    assert (type(descending_list(0)), descending_list(0)) == (tuple, ())
     lists = list(binary_lists(3))
     assert len(lists) == 8
     assert len(set(lists)) == 8
-    assert all(len(v.items) == 3 for v in lists)
-    assert all(set(v.items) <= {0, 1} for v in lists)
-    assert list(binary_lists(0)) == [VList(())]
+    assert all(type(v) is tuple and len(v) == 3 for v in lists)
+    assert all(type(b) is int for v in lists for b in v)
+    assert all(set(v) <= {0, 1} for v in lists)
+    assert [(type(v), v) for v in binary_lists(0)] == [(tuple, ())]
 
 
 # ---------------------------------------------------------------- lemma probes

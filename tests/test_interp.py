@@ -10,10 +10,7 @@ from foldcost.interp import (
     ArithOverflowError,
     BudgetExceededError,
     EvalError,
-    VBool,
     VClosure,
-    VInt,
-    VList,
     derivation_nodes,
     derive,
     eval_expr,
@@ -28,30 +25,36 @@ from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, Var
 # cost = derivation size: one per rule instance, plus one per comparison or
 # arithmetic side condition.
 FROZEN = [
-    ("5", VInt(5), 1),
-    ("true", VBool(True), 1),
-    ("nil", VList(()), 1),
-    ("3 <= 5", VBool(True), 4),
-    ("1 + 2", VInt(3), 4),
-    ("[0, 0]", VList((0, 0)), 5),
-    ("if true then 1 else 2", VInt(1), 3),
-    ("(\\x:int. x) 5", VInt(5), 4),
-    ("(\\x:int. \\y:int. x + y) 3 4", VInt(7), 10),
-    ("case nil of (0, [h, t] h)", VInt(0), 3),
-    ("case [7] of (0, [h, t] h)", VInt(7), 5),
+    ("5", 5, 1),
+    ("true", True, 1),
+    ("nil", (), 1),
+    ("3 <= 5", True, 4),
+    ("1 + 2", 3, 4),
+    ("[0, 0]", (0, 0), 5),
+    ("if true then 1 else 2", 1, 3),
+    ("(\\x:int. x) 5", 5, 4),
+    ("(\\x:int. \\y:int. x + y) 3 4", 7, 10),
+    ("case nil of (0, [h, t] h)", 0, 3),
+    ("case [7] of (0, [h, t] h)", 7, 5),
 ]
 
 
-@pytest.mark.parametrize("source,value,cost", FROZEN)
+def typed(v):
+    """A value with its exact type, so that True and 1 compare unequal."""
+    return type(v), v
+
+
+@pytest.mark.parametrize("source,value,cost", FROZEN,
+                         ids=[f"{s}-value{i}-{c}" for i, (s, _, c) in enumerate(FROZEN)])
 def test_frozen_costs(source, value, cost):
     result = eval_expr(parse(source))
-    assert result.value == value
+    assert typed(result.value) == typed(value)
     assert result.cost == cost
 
 
 def test_worked_example_cost_and_size():
     result = eval_expr(corpus_expr("case_if"))
-    assert result.value == VList((0, 0))
+    assert result.value == (0, 0)
     assert result.cost == 9
     assert value_size(result.value) == 2
 
@@ -70,25 +73,25 @@ def test_fold_unrolling_cost_law():
         lst = "[" + ", ".join("1" for _ in range(k)) + "]"
         result = eval_expr(parse(f"fold {lst} of (nil, [h, t, w] w)"))
         assert result.cost == 5 * k + 3
-        assert result.value == VList(())
+        assert result.value == ()
 
 
 def test_fold_is_a_right_fold():
     assert eval_expr(parse("fold [1, 2, 3] of (nil, [h, t, w] h :: w)")).value == \
-        VList((1, 2, 3))
+        (1, 2, 3)
     # 1 - (2 - (3 - 0)): the first step to run combines the last element.
-    assert eval_expr(parse("fold [1, 2, 3] of (0, [h, t, w] h - w)")).value == VInt(2)
+    assert eval_expr(parse("fold [1, 2, 3] of (0, [h, t, w] h - w)")).value == 2
 
 
 def test_fold_tail_binding():
     # The step sees the tail of the element being folded; the outermost step
     # runs last, so the result is the tail of the first element.
-    assert eval_expr(parse("fold [5, 6, 7] of (nil, [h, t, w] t)")).value == VList((6, 7))
+    assert eval_expr(parse("fold [5, 6, 7] of (nil, [h, t, w] t)")).value == (6, 7)
 
 
 def test_closures_capture_their_environment():
     e = parse("(\\x:int. \\y:int. x * y) 6 7")
-    assert eval_expr(e).value == VInt(42)
+    assert eval_expr(e).value == 42
 
 
 # ---------------------------------------------------------------- limits
@@ -107,7 +110,7 @@ def test_arithmetic_overflow_checked():
         eval_expr(parse(f"{INT_MAX} + 1"))
     with pytest.raises(ArithOverflowError):
         eval_expr(parse(f"{INT_MAX} * 2"))
-    assert eval_expr(parse(f"{INT_MAX} - 1")).value == VInt(INT_MAX - 1)
+    assert eval_expr(parse(f"{INT_MAX} - 1")).value == INT_MAX - 1
 
 
 def test_unbound_variable_at_runtime():
@@ -118,19 +121,32 @@ def test_unbound_variable_at_runtime():
 # ---------------------------------------------------------------- values
 
 def test_render_value():
-    assert render_value(VInt(-3)) == "-3"
-    assert render_value(VBool(True)) == "true"
-    assert render_value(VList((0, 0))) == "[0,0]"
-    assert render_value(VList(())) == "[]"
+    assert render_value(-3) == "-3"
+    assert render_value(True) == "true"
+    assert render_value((0, 0)) == "[0,0]"
+    assert render_value(()) == "[]"
     assert render_value(eval_expr(parse("\\x:int. x")).value) == "<fun>"
 
 
 def test_value_size():
-    assert value_size(VInt(999)) == 1
-    assert value_size(VBool(False)) == 1
-    assert value_size(VList((1, 2, 3))) == 3
+    assert value_size(999) == 1
+    assert value_size(False) == 1
+    assert value_size((1, 2, 3)) == 3
     with pytest.raises(ValueError, match="no size measure"):
         value_size(eval_expr(parse("\\x:int. x")).value)
+
+
+def test_bools_and_ints_stay_apart():
+    # bool is a subclass of int and True == 1; values must not mix them up.
+    assert type(eval_expr(parse("1 = 1")).value) is bool
+    assert render_value(True) == "true"
+    assert render_value(1) == "1"
+    with pytest.raises(ValueError, match="no size measure"):
+        value_size(VClosure("x", Var("x"), {}))
+    with pytest.raises(EvalError, match="expected an integer, got: true"):
+        eval_expr(parse("x + 1"), {"x": True})
+    with pytest.raises(EvalError, match="expected a boolean, got: 1"):
+        eval_expr(parse("if x then 1 else 2"), {"x": 1})
 
 
 # ---------------------------------------------------------------- derivation oracle
@@ -139,7 +155,7 @@ def test_derivation_matches_counter_on_examples():
     for source, _, cost in FROZEN:
         d = derive(parse(source))
         assert d.size() == cost
-        assert d.value == eval_expr(parse(source)).value
+        assert typed(d.value) == typed(eval_expr(parse(source)).value)
 
 
 def test_derivation_fold_unrolls_through_fresh_variable():
@@ -162,7 +178,7 @@ def test_counter_equals_derivation_size(seed, ty):
         return
     d = derive(e)
     assert d.size() == result.cost
-    assert d.value == result.value
+    assert typed(d.value) == typed(result.value)
 
 
 def test_corpus_closures_cost_one():
