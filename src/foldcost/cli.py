@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -110,7 +111,7 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
                    help="programs to generate, or probes per function (default %(default)s)")
     p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
                    help="generator seed (default %(default)s)")
-    p.add_argument("--depth", type=int, default=DEFAULT_CONFIG.depth,
+    p.add_argument("--depth", type=_count, default=DEFAULT_CONFIG.depth,
                    help="generated term depth (default %(default)s)")
     p.add_argument("--max-list", type=_count, default=DEFAULT_CONFIG.max_list,
                    help="longest generated list (default %(default)s)")
@@ -149,9 +150,20 @@ def _config(ns: argparse.Namespace) -> ProbeConfig:
     )
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """`--range -1:2` as `--range=-1:2`, and so for `--arg`: argparse takes
+    a value that starts with `-` and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--range", "--arg") and re.match(r"-\d", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(ns)
     except ParseError as exc:

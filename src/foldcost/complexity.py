@@ -22,6 +22,11 @@ and potentials that overflow raise NatOverflowError rather than wrapping.
 potential function, like every `max` of two, remembers its result at every
 argument (a natural by value, a function by identity), and a closed lambda,
 the root included, is built once per denotation.
+
+Nodes and types are frozen and compare structurally, so a shared one equals
+a fresh one: translation shares its constant leaves, `ctypecheck` and
+`translate_ty` give every pair of potential N the one `NAT_PAIR`, and
+`ctypecheck` tests identity before equality.
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         pt = ctypecheck(ctx, e.pot)
         if not is_potential(pt):
             raise CplxTypeError(f"pair potential has non-potential type {pt}")
-        return ProdTy(pt)
+        return NAT_PAIR if pt is NAT else ProdTy(pt)
     if t is Charge:
         _expect(ctypecheck(ctx, e.extra), NAT, "charged cost")
         return _pair_ty(ctypecheck(ctx, e.pair))
@@ -264,7 +269,7 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
     if t is CMax:
         lt = ctypecheck(ctx, e.lhs)
         rt = ctypecheck(ctx, e.rhs)
-        if lt != rt:
+        if lt is not rt and lt != rt:
             raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
         return lt
     if t is StarApp:
@@ -285,7 +290,7 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         _expect(ctypecheck(ctx, e.scrut), NAT, "pcase scrutinee")
         zero_ty = ctypecheck(ctx, e.zero)
         succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
-        if succ_ty != zero_ty:
+        if succ_ty is not zero_ty and succ_ty != zero_ty:
             raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
     if t is PFold:
@@ -294,14 +299,14 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if not isinstance(zero_ty, ProdTy):
             raise CplxTypeError(f"pfold branches must be pairs, got {zero_ty}")
         succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT, e.w: zero_ty}, e.succ)
-        if succ_ty != zero_ty:
+        if succ_ty is not zero_ty and succ_ty != zero_ty:
             raise CplxTypeError(f"pfold branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
     raise CplxTypeError(f"not a complexity expression: {e!r}")
 
 
 def _expect(actual: CTy, expected: CTy, what: str) -> None:
-    if actual != expected:
+    if actual is not expected and actual != expected:
         raise CplxTypeError(f"{what}: expected {expected}, got {actual}")
 
 

@@ -10,6 +10,9 @@ Invariants:
     per-instance dict (an expression's `vars()` is built from its fields).
     Sharing is safe.
   - `subst` is capture-avoiding and renames binders only when necessary.
+  - `free_vars`, `to_source`, `typecheck` and `translate` dispatch on the
+    exact node type, most frequent first, not on `match` patterns, which
+    test isinstance case by case; so node classes are never subclassed.
   - `to_source` prints minimal parentheses and round-trips through the parser:
     parse(to_source(e)) == e for every well-formed expression e.
 """
@@ -188,27 +191,27 @@ ARITH_OPS: Mapping[str, Callable[[int, int], int]] = {
 # ---------------------------------------------------------------- free variables
 
 def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case IntLit() | BoolLit() | Nil():
-            return frozenset()
-        case Cons(head, tail):
-            return free_vars(head) | free_vars(tail)
-        case Rel(_, lhs, rhs) | Arith(_, lhs, rhs):
-            return free_vars(lhs) | free_vars(rhs)
-        case If(test, then, orelse):
-            return free_vars(test) | free_vars(then) | free_vars(orelse)
-        case Lam(param, _, body):
-            return free_vars(body) - {param}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            branch = free_vars(cons_branch) - {head, tail}
-            return free_vars(scrutinee) | free_vars(nil_branch) | branch
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            branch = free_vars(step) - {head, tail, acc}
-            return free_vars(scrutinee) | free_vars(nil_branch) | branch
+    t = type(e)
+    if t is IntLit or t is Nil or t is BoolLit:
+        return frozenset()
+    if t is Cons:
+        return free_vars(e.head) | free_vars(e.tail)
+    if t is Var:
+        return frozenset((e.name,))
+    if t is Arith or t is Rel:
+        return free_vars(e.lhs) | free_vars(e.rhs)
+    if t is Lam:
+        return free_vars(e.body) - {e.param}
+    if t is If:
+        return free_vars(e.test) | free_vars(e.then) | free_vars(e.orelse)
+    if t is Fold:
+        branch = free_vars(e.step) - {e.head, e.tail, e.acc}
+        return free_vars(e.scrutinee) | free_vars(e.nil_branch) | branch
+    if t is App:
+        return free_vars(e.fn) | free_vars(e.arg)
+    if t is Case:
+        branch = free_vars(e.cons_branch) - {e.head, e.tail}
+        return free_vars(e.scrutinee) | free_vars(e.nil_branch) | branch
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -304,43 +307,43 @@ def to_source(e: Expr) -> str:
 
 
 def _show(e: Expr, ctx: int) -> str:
-    match e:
-        case Var(name):
-            return name
-        case IntLit(value):
-            # Negative literals are atoms only inside parentheses.
-            return str(value) if value >= 0 else _wrap(str(value), True)
-        case BoolLit(value):
-            return "true" if value else "false"
-        case Nil():
-            return "nil"
-        case Cons(head, tail):
-            s = f"{_show(head, _PREC_CONS + 1)} :: {_show(tail, _PREC_CONS)}"
-            return _wrap(s, ctx > _PREC_CONS)
-        case Rel(op, lhs, rhs):
-            s = f"{_show(lhs, _PREC_REL + 1)} {op} {_show(rhs, _PREC_REL + 1)}"
-            return _wrap(s, ctx > _PREC_REL)
-        case Arith(op, lhs, rhs):
-            prec = _ARITH_PREC[op]
-            s = f"{_show(lhs, prec)} {op} {_show(rhs, prec + 1)}"
-            return _wrap(s, ctx > prec)
-        case If(test, then, orelse):
-            s = f"if {_show(test, 0)} then {_show(then, 0)} else {_show(orelse, 0)}"
-            return _wrap(s, ctx > _PREC_OPEN)
-        case Lam(param, param_ty, body):
-            s = f"\\{param}:{param_ty}. {_show(body, 0)}"
-            return _wrap(s, ctx > _PREC_OPEN)
-        case App(fn, arg):
-            s = f"{_show(fn, _PREC_APP)} {_show(arg, _PREC_APP + 1)}"
-            return _wrap(s, ctx > _PREC_APP)
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            s = (f"case {_show(scrutinee, 0)} of ({_show(nil_branch, 0)}, "
-                 f"[{head}, {tail}] {_show(cons_branch, 0)})")
-            return _wrap(s, ctx > _PREC_OPEN)
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            s = (f"fold {_show(scrutinee, 0)} of ({_show(nil_branch, 0)}, "
-                 f"[{head}, {tail}, {acc}] {_show(step, 0)})")
-            return _wrap(s, ctx > _PREC_OPEN)
+    t = type(e)
+    if t is IntLit:
+        # Negative literals are atoms only inside parentheses.
+        return str(e.value) if e.value >= 0 else _wrap(str(e.value), True)
+    if t is Cons:
+        s = f"{_show(e.head, _PREC_CONS + 1)} :: {_show(e.tail, _PREC_CONS)}"
+        return _wrap(s, ctx > _PREC_CONS)
+    if t is Var:
+        return e.name
+    if t is Nil:
+        return "nil"
+    if t is Arith:
+        prec = _ARITH_PREC[e.op]
+        s = f"{_show(e.lhs, prec)} {e.op} {_show(e.rhs, prec + 1)}"
+        return _wrap(s, ctx > prec)
+    if t is BoolLit:
+        return "true" if e.value else "false"
+    if t is Lam:
+        s = f"\\{e.param}:{e.param_ty}. {_show(e.body, 0)}"
+        return _wrap(s, ctx > _PREC_OPEN)
+    if t is If:
+        s = f"if {_show(e.test, 0)} then {_show(e.then, 0)} else {_show(e.orelse, 0)}"
+        return _wrap(s, ctx > _PREC_OPEN)
+    if t is Fold:
+        s = (f"fold {_show(e.scrutinee, 0)} of ({_show(e.nil_branch, 0)}, "
+             f"[{e.head}, {e.tail}, {e.acc}] {_show(e.step, 0)})")
+        return _wrap(s, ctx > _PREC_OPEN)
+    if t is App:
+        s = f"{_show(e.fn, _PREC_APP)} {_show(e.arg, _PREC_APP + 1)}"
+        return _wrap(s, ctx > _PREC_APP)
+    if t is Case:
+        s = (f"case {_show(e.scrutinee, 0)} of ({_show(e.nil_branch, 0)}, "
+             f"[{e.head}, {e.tail}] {_show(e.cons_branch, 0)})")
+        return _wrap(s, ctx > _PREC_OPEN)
+    if t is Rel:
+        s = f"{_show(e.lhs, _PREC_REL + 1)} {e.op} {_show(e.rhs, _PREC_REL + 1)}"
+        return _wrap(s, ctx > _PREC_REL)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -21,6 +21,10 @@ variables the pcase/pfold binds, as in the paper's translation.  So the
 recurrence is built with its branch variables in place and never needs a
 substitution pass.  `csubst`, a plain capture-avoiding substitution, is kept
 for the substitution lemma.
+
+The constant leaves 0, 1 and 2 and the pairs (1, 1) of a literal and (1, 0)
+of nil are module-level nodes shared by every translation.  Nodes are frozen
+and compare structurally, so a shared leaf equals, and prints as, a fresh one.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable, Mapping
 from . import syntax
 from .complexity import (
     NAT,
+    NAT_PAIR,
     ArrowPotTy,
     Charge,
     CLam,
@@ -80,8 +85,9 @@ def pot_ty(ty: Ty) -> CTy:
 
 
 def translate_ty(ty: Ty) -> ProdTy:
-    """The full cost/potential type of a target type."""
-    return ProdTy(pot_ty(ty))
+    """The full cost/potential type of a target type; N x N is the shared `NAT_PAIR`."""
+    pot = pot_ty(ty)
+    return NAT_PAIR if pot is NAT else ProdTy(pot)
 
 
 def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
@@ -142,6 +148,11 @@ def csubst(e: CplxExpr, bindings: Mapping[str, CplxExpr]) -> CplxExpr:
 
 # ---------------------------------------------------------------- translation
 
+# Constant leaves shared by every translation (see the module docstring).
+_ZERO, _ONE, _TWO = CNum(0), CNum(1), CNum(2)
+_VALUE = CPair(_ONE, _ONE)  # an int or bool literal: cost 1, potential 1
+_NIL = CPair(_ONE, _ZERO)
+
 # Translation environments map the target variables bound by enclosing
 # branches (and renamed binders) to what they translate to.
 _Env = Mapping[str, CplxExpr]
@@ -159,50 +170,48 @@ def translate(e: Expr) -> CplxExpr:
 def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
     """Translate e with the target variables in env replaced by their
     translations; names holds every complexity variable those mention."""
-    match e:
-        case Var(name):
-            bound = env.get(name)
-            return CVar(name) if bound is None else bound
-        case IntLit() | BoolLit():
-            return CPair(CNum(1), CNum(1))
-        case Nil():
-            return CPair(CNum(1), CNum(0))
-        case Cons(head, tail):
-            th = _translate(head, env, names)
-            return _let("$t", _translate(tail, env, names), lambda tt: CPair(
-                CPlus(CNum(1), CPlus(CostOf(th), CostOf(tt))),
-                CPlus(CNum(1), PotOf(tt)),
-            ))
-        case Rel(_, lhs, rhs) | Arith(_, lhs, rhs):
-            tl, tr = _translate(lhs, env, names), _translate(rhs, env, names)
-            return CPair(CPlus(CNum(2), CPlus(CostOf(tl), CostOf(tr))), CNum(1))
-        case If(test, then, orelse):
-            tt = _translate(test, env, names)
-            joined = CMax(_translate(then, env, names), _translate(orelse, env, names))
-            return Charge(CPlus(CNum(1), CostOf(tt)), joined)
-        case Lam(param, param_ty, body):
-            env, names, param = _bind(param, body, env, names)
-            return CLam(param, pot_ty(param_ty), _translate(body, env, names))
-        case App(fn, arg):
-            return StarApp(_translate(fn, env, names), _translate(arg, env, names))
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            ts = _translate(scrutinee, env, names)
-            tz = _translate(nil_branch, env, names)
-            taken = syntax.free_vars(cons_branch) | {head, tail} | names
-            env, names, p, ps = _bind_branch(head, tail, env, names, taken)
-            tb = _translate(cons_branch, env, names)
-            return _let("$s", ts, lambda s: Charge(
-                CPlus(CNum(1), CostOf(s)), PCase(PotOf(s), tz, p, ps, tb)))
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            ts = _translate(scrutinee, env, names)
-            tz = _translate(nil_branch, env, names)
-            taken = syntax.free_vars(step) | {head, tail, acc} | names
-            env, names, p, ps = _bind_branch(head, tail, env, names, taken)
-            # The accumulator shadows the head and tail.
-            env, names, w = _bind(acc, step, env, names)
-            tb = _translate(step, env, names)
-            return _let("$s", ts, lambda s: Charge(
-                CPlus(CNum(1), CostOf(s)), PFold(PotOf(s), tz, p, ps, w, tb)))
+    t = type(e)
+    if t is IntLit or t is BoolLit:
+        return _VALUE
+    if t is Cons:
+        th = _translate(e.head, env, names)
+        return _let("$t", _translate(e.tail, env, names), lambda tt: CPair(
+            CPlus(_ONE, CPlus(CostOf(th), CostOf(tt))), CPlus(_ONE, PotOf(tt))))
+    if t is Var:
+        bound = env.get(e.name)
+        return CVar(e.name) if bound is None else bound
+    if t is Nil:
+        return _NIL
+    if t is Arith or t is Rel:
+        tl, tr = _translate(e.lhs, env, names), _translate(e.rhs, env, names)
+        return CPair(CPlus(_TWO, CPlus(CostOf(tl), CostOf(tr))), _ONE)
+    if t is Lam:
+        env, names, param = _bind(e.param, e.body, env, names)
+        return CLam(param, pot_ty(e.param_ty), _translate(e.body, env, names))
+    if t is If:
+        tt = _translate(e.test, env, names)
+        joined = CMax(_translate(e.then, env, names), _translate(e.orelse, env, names))
+        return Charge(CPlus(_ONE, CostOf(tt)), joined)
+    if t is Fold:
+        ts = _translate(e.scrutinee, env, names)
+        tz = _translate(e.nil_branch, env, names)
+        taken = syntax.free_vars(e.step) | {e.head, e.tail, e.acc} | names
+        env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
+        # The accumulator shadows the head and tail.
+        env, names, w = _bind(e.acc, e.step, env, names)
+        tb = _translate(e.step, env, names)
+        return _let("$s", ts, lambda s: Charge(
+            CPlus(_ONE, CostOf(s)), PFold(PotOf(s), tz, p, ps, w, tb)))
+    if t is App:
+        return StarApp(_translate(e.fn, env, names), _translate(e.arg, env, names))
+    if t is Case:
+        ts = _translate(e.scrutinee, env, names)
+        tz = _translate(e.nil_branch, env, names)
+        taken = syntax.free_vars(e.cons_branch) | {e.head, e.tail} | names
+        env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
+        tb = _translate(e.cons_branch, env, names)
+        return _let("$s", ts, lambda s: Charge(
+            CPlus(_ONE, CostOf(s)), PCase(PotOf(s), tz, p, ps, tb)))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -224,7 +233,7 @@ def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: 
     """
     p = fresh_name("p", taken)
     ps = fresh_name("ps", taken | {p})
-    inner = {**env, head: CPair(CNum(1), CVar(p)), tail: CPair(CNum(1), CVar(ps))}
+    inner = {**env, head: CPair(_ONE, CVar(p)), tail: CPair(_ONE, CVar(ps))}
     return inner, names | {p, ps}, p, ps
 
 

@@ -50,94 +50,97 @@ def check(ctx: Mapping[str, Ty], e: Expr, expected: Ty, where: Expr) -> None:
 
 def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
     """Return the type of e under ctx, or raise TypeCheckError."""
-    match e:
-        # ---------------------------------------------------------
-        #  x : τ ∈ Γ
-        # -----------
-        #  Γ ⊢ x : τ
-        case Var(name):
-            ty = ctx.get(name)
-            if ty is None:
-                raise TypeCheckError(f"unbound variable: {name}")
-            return ty
+    t = type(e)
+    # Γ ⊢ n : int
+    if t is IntLit:
+        return INT
 
-        # Γ ⊢ n : int        Γ ⊢ true/false : bool        Γ ⊢ nil : int*
-        case IntLit():
-            return INT
-        case BoolLit():
-            return BOOL
-        case Nil():
-            return INT_LIST
+    #  Γ ⊢ r : int   Γ ⊢ s : int*
+    # ----------------------------
+    #  Γ ⊢ r :: s : int*
+    if t is Cons:
+        check(ctx, e.head, INT, e)
+        check(ctx, e.tail, INT_LIST, e)
+        return INT_LIST
 
-        #  Γ ⊢ r : int   Γ ⊢ s : int*
-        # ----------------------------
-        #  Γ ⊢ r :: s : int*
-        case Cons(head, tail):
-            check(ctx, head, INT, e)
-            check(ctx, tail, INT_LIST, e)
-            return INT_LIST
+    #  x : τ ∈ Γ
+    # -----------
+    #  Γ ⊢ x : τ
+    if t is Var:
+        ty = ctx.get(e.name)
+        if ty is None:
+            raise TypeCheckError(f"unbound variable: {e.name}")
+        return ty
 
-        #  Γ ⊢ r : int   Γ ⊢ s : int
-        # ---------------------------       R ∈ {<, <=, =}
-        #  Γ ⊢ r R s : bool
-        case Rel(_, lhs, rhs):
-            check(ctx, lhs, INT, e)
-            check(ctx, rhs, INT, e)
-            return BOOL
+    # Γ ⊢ nil : int*
+    if t is Nil:
+        return INT_LIST
 
-        #  Γ ⊢ r : int   Γ ⊢ s : int
-        # ---------------------------       op ∈ {+, -, *}
-        #  Γ ⊢ r op s : int
-        case Arith(op, lhs, rhs):
-            if op not in ARITH_OPS:
-                raise TypeCheckError(f"unknown operator: {op}")
-            check(ctx, lhs, INT, e)
-            check(ctx, rhs, INT, e)
-            return INT
+    #  Γ ⊢ r : int   Γ ⊢ s : int
+    # ---------------------------       op ∈ {+, -, *}
+    #  Γ ⊢ r op s : int
+    if t is Arith:
+        if e.op not in ARITH_OPS:
+            raise TypeCheckError(f"unknown operator: {e.op}")
+        check(ctx, e.lhs, INT, e)
+        check(ctx, e.rhs, INT, e)
+        return INT
 
-        #  Γ ⊢ r : bool   Γ ⊢ s : τ   Γ ⊢ t : τ
-        # --------------------------------------
-        #  Γ ⊢ if r then s else t : τ
-        case If(test, then, orelse):
-            check(ctx, test, BOOL, e)
-            then_ty = typecheck(ctx, then)
-            check(ctx, orelse, then_ty, e)
-            return then_ty
+    # Γ ⊢ true/false : bool
+    if t is BoolLit:
+        return BOOL
 
-        #  Γ, x : σ ⊢ r : τ
-        # --------------------------
-        #  Γ ⊢ \x:σ. r : σ -> τ
-        case Lam(param, param_ty, body):
-            return ArrowTy(param_ty, typecheck({**ctx, param: param_ty}, body))
+    #  Γ, x : σ ⊢ r : τ
+    # --------------------------
+    #  Γ ⊢ \x:σ. r : σ -> τ
+    if t is Lam:
+        return ArrowTy(e.param_ty, typecheck({**ctx, e.param: e.param_ty}, e.body))
 
-        #  Γ ⊢ r : σ -> τ   Γ ⊢ s : σ
-        # ----------------------------
-        #  Γ ⊢ r s : τ
-        case App(fn, arg):
-            fn_ty = typecheck(ctx, fn)
-            if not isinstance(fn_ty, ArrowTy):
-                raise _mismatch(e, "a function", fn_ty)
-            check(ctx, arg, fn_ty.dom, e)
-            return fn_ty.cod
+    #  Γ ⊢ r : bool   Γ ⊢ s : τ   Γ ⊢ t : τ
+    # --------------------------------------
+    #  Γ ⊢ if r then s else t : τ
+    if t is If:
+        check(ctx, e.test, BOOL, e)
+        then_ty = typecheck(ctx, e.then)
+        check(ctx, e.orelse, then_ty, e)
+        return then_ty
 
-        #  Γ ⊢ r : int*   Γ ⊢ s : τ   Γ, x : int, xs : int* ⊢ t : τ
-        # ----------------------------------------------------------
-        #  Γ ⊢ case r of (s, [x, xs] t) : τ
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            check(ctx, scrutinee, INT_LIST, e)
-            nil_ty = typecheck(ctx, nil_branch)
-            branch_ctx = {**ctx, head: INT, tail: INT_LIST}
-            check(branch_ctx, cons_branch, nil_ty, e)
-            return nil_ty
+    #  Γ ⊢ r : int*   Γ ⊢ s : τ   Γ, x : int, xs : int*, w : τ ⊢ t : τ
+    # -----------------------------------------------------------------
+    #  Γ ⊢ fold r of (s, [x, xs, w] t) : τ
+    if t is Fold:
+        check(ctx, e.scrutinee, INT_LIST, e)
+        nil_ty = typecheck(ctx, e.nil_branch)
+        step_ctx = {**ctx, e.head: INT, e.tail: INT_LIST, e.acc: nil_ty}
+        check(step_ctx, e.step, nil_ty, e)
+        return nil_ty
 
-        #  Γ ⊢ r : int*   Γ ⊢ s : τ   Γ, x : int, xs : int*, w : τ ⊢ t : τ
-        # -----------------------------------------------------------------
-        #  Γ ⊢ fold r of (s, [x, xs, w] t) : τ
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            check(ctx, scrutinee, INT_LIST, e)
-            nil_ty = typecheck(ctx, nil_branch)
-            step_ctx = {**ctx, head: INT, tail: INT_LIST, acc: nil_ty}
-            check(step_ctx, step, nil_ty, e)
-            return nil_ty
+    #  Γ ⊢ r : σ -> τ   Γ ⊢ s : σ
+    # ----------------------------
+    #  Γ ⊢ r s : τ
+    if t is App:
+        fn_ty = typecheck(ctx, e.fn)
+        if not isinstance(fn_ty, ArrowTy):
+            raise _mismatch(e, "a function", fn_ty)
+        check(ctx, e.arg, fn_ty.dom, e)
+        return fn_ty.cod
+
+    #  Γ ⊢ r : int*   Γ ⊢ s : τ   Γ, x : int, xs : int* ⊢ t : τ
+    # ----------------------------------------------------------
+    #  Γ ⊢ case r of (s, [x, xs] t) : τ
+    if t is Case:
+        check(ctx, e.scrutinee, INT_LIST, e)
+        nil_ty = typecheck(ctx, e.nil_branch)
+        branch_ctx = {**ctx, e.head: INT, e.tail: INT_LIST}
+        check(branch_ctx, e.cons_branch, nil_ty, e)
+        return nil_ty
+
+    #  Γ ⊢ r : int   Γ ⊢ s : int
+    # ---------------------------       R ∈ {<, <=, =}
+    #  Γ ⊢ r R s : bool
+    if t is Rel:
+        check(ctx, e.lhs, INT, e)
+        check(ctx, e.rhs, INT, e)
+        return BOOL
 
     raise TypeCheckError(f"not an expression: {e!r}")

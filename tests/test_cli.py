@@ -144,6 +144,22 @@ def test_fuzz_is_deterministic(capsys):
     assert "failed=0" in lines[-1]
 
 
+# sha256 of the stdout of `foldcost fuzz --trials 300 --seed 9`, plain and
+# --json, recorded before the tree walkers dispatched on exact node types.
+FUZZ_SHA256 = {
+    "plain": "ec3a1dfa183f9a5ad74fb2e53864ec8cfcfd420cf46b3fe3cde44f3842eefdee",
+    "json": "765a5d47dfe1a0841549356e0c3c4cf7fb7316f856e58d2685318dc28bbfb81a",
+}
+
+
+@pytest.mark.parametrize("form", ["plain", "json"])
+def test_seeded_fuzz_output_is_frozen(capsys, form):
+    argv = ["fuzz", "--trials", "300", "--seed", "9"] + (["--json"] if form == "json" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_SHA256[form]
+
+
 def test_check_function_accumulator_fold(tmp_path):
     # Each of the 64 steps joins a function accumulator; the joins remember
     # their results, so this takes well under a second instead of about
@@ -298,7 +314,8 @@ def test_bound_flag_validation(capsys):
     assert code == EXIT_ERROR and "swept" in err
 
 
-@pytest.mark.parametrize("specs", [("--arg=-7,1", "--sweep"), ("--sweep", "--arg", "1,-5")])
+@pytest.mark.parametrize("specs", [("--arg=-7,1", "--sweep"), ("--sweep", "--arg", "1,-5"),
+                                   ("--arg", "-7,1", "--sweep")])
 def test_bound_rejects_a_negative_fixed_argument(capsys, specs):
     code, out, err = run(capsys, "bound", corpus_path("ins"), *specs, "--range", "0:2")
     assert (code, out) == (EXIT_ERROR, "")
@@ -311,6 +328,8 @@ def test_bound_rejects_a_negative_fixed_argument(capsys, specs):
     (("fuzz", "--max-list", "-1"), "--max-list"),
     (("check", corpus_path("ins"), "--budget", "-1"), "--budget"),
     (("eval", corpus_path("case_if"), "--budget", "-1"), "--budget"),
+    (("fuzz", "--trials", "3", "--depth", "-1"), "--depth"),
+    (("check", corpus_path("ins"), "--depth", "-3"), "--depth"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -325,6 +344,12 @@ def test_bound_rejects_an_empty_range(capsys):
     code, out, err = run(capsys, "bound", corpus_path("ins"), "--arg", "1,1", "--sweep",
                          "--range", "3:1")
     assert (code, out, err) == (EXIT_ERROR, "", "error: --range wants LO <= HI, got '3:1'\n")
+
+
+@pytest.mark.parametrize("bounds", [("--range", "-1:2"), ("--range=-1:2",)])
+def test_bound_rejects_a_negative_range(capsys, bounds):
+    code, out, err = run(capsys, "bound", corpus_path("ins"), "--arg", "1,1", "--sweep", *bounds)
+    assert (code, out, err) == (EXIT_ERROR, "", "error: potentials are nonnegative\n")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

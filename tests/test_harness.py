@@ -122,6 +122,30 @@ def test_function_program_reports_probe_counts():
         assert (r.probes_checked, r.probes_skipped) == (probes, 0), name
 
 
+# The benchmark's four probe types, and the sha256 of check_program's report
+# fields (status, cost, bound, size, pot, probes checked and skipped, detail;
+# tab-separated, one line per program) on 25 generated programs of each at
+# depth 4, recorded before the tree walkers dispatched on exact node types.
+PROBE_TYPES = (
+    ArrowTy(INT_LIST, INT_LIST),
+    ArrowTy(INT, ArrowTy(INT_LIST, INT_LIST)),
+    ArrowTy(INT_LIST, INT),
+    ArrowTy(ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST)),
+)
+PROBE_REPORTS_SHA256 = "8206680c31a61bd706f5315ee7adfb50814e3d561bae44212c3746adc673556d"
+
+
+def test_probe_reports_are_frozen():
+    text = ""
+    for ty in PROBE_TYPES:
+        for seed in range(25):
+            r = check_program(gen_typed_term(seed, 4, ty))
+            fields = (r.status, r.cost, r.bound_cost, r.size, r.pot,
+                      r.probes_checked, r.probes_skipped, r.detail)
+            text += "\t".join("" if v is None else str(v) for v in fields) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PROBE_REPORTS_SHA256
+
+
 def test_probe_budget_split():
     assert _probes_per_level(100, 1) == 100
     assert _probes_per_level(100, 2) == 10
