@@ -23,6 +23,8 @@ import argparse
 import json
 import re
 import sys
+import threading
+from concurrent.futures import Future
 from dataclasses import replace
 from typing import Sequence
 
@@ -50,17 +52,6 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-class _OrderedArg(argparse.Action):
-    """Collect --arg/--arg-fn/--sweep in the order they appear."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        specs = getattr(namespace, "specs", None)
-        if specs is None:
-            specs = []
-            setattr(namespace, "specs", specs)
-        specs.append((self.dest, values))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foldcost",
@@ -83,12 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser(
         "bound", help="tabulate the bound while sweeping one argument's size")
     p_bound.add_argument("file")
-    p_bound.add_argument("--sweep", dest="sweep", action=_OrderedArg, nargs=0,
+    # The three share one list, so the arguments keep their command-line order.
+    p_bound.add_argument("--sweep", dest="specs", action="append_const", const=("sweep", None),
                          help="the argument position swept over --range")
-    p_bound.add_argument("--arg", dest="arg", action=_OrderedArg, metavar="COST,POT",
-                         help="a fixed cost,potential argument (e.g. 1,1)")
-    p_bound.add_argument("--arg-fn", dest="arg_fn", action=_OrderedArg, metavar="TERM",
-                         help="a closed function argument, as source text")
+    p_bound.add_argument("--arg", dest="specs", action="append", type=lambda v: ("arg", v),
+                         metavar="COST,POT", help="a fixed cost,potential argument (e.g. 1,1)")
+    p_bound.add_argument("--arg-fn", dest="specs", action="append", type=lambda v: ("fn", v),
+                         metavar="TERM", help="a closed function argument, as source text")
     p_bound.add_argument("--range", default="0:16", metavar="LO:HI",
                          help="inclusive sweep range (default %(default)s)")
     p_bound.add_argument("--json", action="store_true", help="one JSON object per row")
@@ -162,8 +154,30 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    ns = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    # Every layer recurses on the input's nesting, so run on a deep stack.
+    done: Future[int] = Future()
+
+    def work() -> None:
+        try:
+            done.set_result(_run(ns))
+        except BaseException as exc:
+            done.set_exception(exc)
+
+    old_stack = threading.stack_size(256 * 2**20)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200_000)
+    try:
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(old_stack)
+        sys.setrecursionlimit(old_limit)
+    return done.result()  # raises what the command raised
+
+
+def _run(ns: argparse.Namespace) -> int:
     try:
         return _dispatch(ns)
     except ParseError as exc:
@@ -226,7 +240,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
 def _cmd_bound(ns: argparse.Namespace) -> int:
     e = _load(ns.file)
     specs: list[ArgSpec] = []
-    for kind, value in getattr(ns, "specs", None) or []:
+    for kind, value in ns.specs or []:
         if kind == "sweep":
             specs.append(SweepArg())
         elif kind == "arg":

@@ -68,8 +68,8 @@ from .syntax import (
     INT,
     INT_LIST,
     App,
-    Arith,
     ArrowTy,
+    BinOp,
     BoolLit,
     Case,
     Cons,
@@ -79,7 +79,6 @@ from .syntax import (
     IntLit,
     Lam,
     Nil,
-    Rel,
     Ty,
     Var,
     to_source,
@@ -162,20 +161,13 @@ def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeC
     if roll < 0.15:
         test = _gen(rng, depth - 1, BOOL, ctx, cfg)
         return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
-    if ty == INT:
-        if roll < 0.70:
-            op = rng.choice(("+", "-", "*"))
-            return Arith(op, _gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT, ctx, cfg))
+    if roll >= 0.70:
         return _gen_leaf(rng, ty, ctx, cfg)
-    if ty == BOOL:
-        if roll < 0.70:
-            op = rng.choice(("<", "<=", "="))
-            return Rel(op, _gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT, ctx, cfg))
-        return _gen_leaf(rng, ty, ctx, cfg)
+    if ty == INT or ty == BOOL:
+        op = rng.choice(("+", "-", "*") if ty == INT else ("<", "<=", "="))
+        return BinOp(op, _gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT, ctx, cfg))
     if ty == INT_LIST:
-        if roll < 0.70:
-            return Cons(_gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT_LIST, ctx, cfg))
-        return _gen_leaf(rng, ty, ctx, cfg)
+        return Cons(_gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT_LIST, ctx, cfg))
     raise TypeError(f"not a type: {ty!r}")
 
 

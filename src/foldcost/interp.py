@@ -1,13 +1,12 @@
 """Big-step evaluator with evaluation-cost instrumentation.
 
 The cost of running a program is the size of its big-step derivation: every
-rule instance contributes 1, and comparison/arithmetic rules contribute one
-extra unit for their operator side condition.  So literals, variables, and
-lambdas cost 1; `r R s` and `r op s` cost 2 plus their operands; `if` pays
-for the test and the taken branch only; application pays for function,
-argument, and body; `fold` over a k-element list unrolls into k+1 rule
-instances, with each unrolling after the first reading the remaining tail
-from a fresh variable (one unit per lookup).
+rule instance contributes 1, and the one binary-operator rule one more for
+its side condition.  So literals, variables, and lambdas cost 1; `r op s`
+costs 2 plus its operands; `if` pays for the test and the taken branch
+only; application pays for function, argument, and body; `fold` over a
+k-element list unrolls into k+1 rule instances, with each unrolling after
+the first reading the remaining tail from a fresh variable (one per lookup).
 
 Runtime values are plain Python values: an `int`, a `bool`, a `tuple` of
 ints for a list, or a `VClosure` for a function.
@@ -22,12 +21,11 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .syntax import (
-    ARITH_OPS,
     INT_MAX,
     INT_MIN,
-    REL_OPS,
+    OPS,
     App,
-    Arith,
+    BinOp,
     BoolLit,
     Case,
     Cons,
@@ -37,7 +35,6 @@ from .syntax import (
     IntLit,
     Lam,
     Nil,
-    Rel,
     Var,
 )
 
@@ -123,8 +120,8 @@ class _Counter:
             raise BudgetExceededError(self.budget)
 
 
-def _checked(op: str, a: int, b: int) -> int:
-    n = ARITH_OPS[op](a, b)
+def _checked(op: str, a: int, b: int) -> int | bool:
+    n = OPS[op].fn(a, b)
     if not INT_MIN <= n <= INT_MAX:
         raise ArithOverflowError(f"64-bit overflow: {a} {op} {b}")
     return n
@@ -157,12 +154,7 @@ def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
             h = _as_int(_eval(head, env, counter))
             t = _as_list(_eval(tail, env, counter))
             return (h, *t)
-        case Rel(op, lhs, rhs):
-            a = _as_int(_eval(lhs, env, counter))
-            b = _as_int(_eval(rhs, env, counter))
-            counter.tick()  # operator side condition
-            return REL_OPS[op](a, b)
-        case Arith(op, lhs, rhs):
+        case BinOp(op, lhs, rhs):
             a = _as_int(_eval(lhs, env, counter))
             b = _as_int(_eval(rhs, env, counter))
             counter.tick()  # operator side condition
@@ -225,7 +217,7 @@ def _as_list(v: Value) -> tuple[int, ...]:
 class Derivation:
     """A materialized big-step derivation, for cross-checking the counter.
 
-    `side_conditions` is 1 on comparison/arithmetic nodes (the operator
+    `side_conditions` is 1 on a binary-operator node (the operator
     hypothesis) and 0 elsewhere.  The derivation size is the node count plus
     the side conditions, which must equal the evaluator's cost exactly.
     """
@@ -273,14 +265,10 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
             dh, dt = _derive(head, env), _derive(tail, env)
             items = (_as_int(dh.value), *_as_list(dt.value))
             return Derivation("cons", items, (dh, dt))
-        case Rel(op, lhs, rhs):
-            dl, dr = _derive(lhs, env), _derive(rhs, env)
-            out = REL_OPS[op](_as_int(dl.value), _as_int(dr.value))
-            return Derivation("rel", out, (dl, dr), side_conditions=1)
-        case Arith(op, lhs, rhs):
+        case BinOp(op, lhs, rhs):
             dl, dr = _derive(lhs, env), _derive(rhs, env)
             out = _checked(op, _as_int(dl.value), _as_int(dr.value))
-            return Derivation("arith", out, (dl, dr), side_conditions=1)
+            return Derivation("binop", out, (dl, dr), side_conditions=1)
         case If(test, then, orelse):
             dt = _derive(test, env)
             db = _derive(then if _as_bool(dt.value) else orelse, env)

@@ -50,9 +50,10 @@ from .syntax import (
     INT,
     INT_LIST,
     INT_MAX,
+    OPS,
     ArrowTy,
     App,
-    Arith,
+    BinOp,
     BoolLit,
     Case,
     Cons,
@@ -62,7 +63,6 @@ from .syntax import (
     IntLit,
     Lam,
     Nil,
-    Rel,
     Ty,
     Var,
     subst,
@@ -137,8 +137,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Binding power of each binary operator, loosest first.
-_PREC = {"<": 1, "<=": 1, "=": 1, "::": 2, "+": 3, "-": 3, "*": 4}
+_PREC = {**{op: info.prec for op, info in OPS.items()}, "::": 2}
 _ATOM_START = frozenset(["int", "ident", "[", "("])
 _ATOM_KWS = frozenset(["true", "false", "nil"])
 
@@ -261,12 +260,12 @@ class _Parser:
             if prec < min_prec:
                 return lhs
             self.pos += 1
-            if prec == 1:
-                return Rel(op, lhs, self.binary(2))
             if prec == 2:
                 lhs = Cons(lhs, self.binary(2))
             else:
-                lhs = Arith(op, lhs, self.binary(prec + 1))
+                lhs = BinOp(op, lhs, self.binary(prec + 1))
+                if prec == 1:
+                    return lhs
 
     def app(self) -> Expr:
         # Outside parentheses, juxtaposition does not cross line breaks;

@@ -9,6 +9,8 @@ Invariants:
   - Expression and type nodes are immutable and slotted: no node keeps a
     per-instance dict (an expression's `vars()` is built from its fields).
     Sharing is safe.
+  - Comparisons and arithmetic are one node, `BinOp`, whose operator every
+    walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - `subst` is capture-avoiding and renames binders only when necessary.
   - `free_vars`, `to_source`, `typecheck` and `translate` dispatch on the
     exact node type, most frequent first, not on `match` patterns, which
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -111,19 +113,10 @@ class Cons(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Rel(Expr):
-    """Comparison of two integers, yielding a boolean."""
+class BinOp(Expr):
+    """A binary operator on two integers: a comparison or arithmetic."""
 
-    op: str  # one of REL_OPS
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Arith(Expr):
-    """Arithmetic on two integers, yielding an integer."""
-
-    op: str  # one of ARITH_OPS
+    op: str  # a key of OPS
     lhs: Expr
     rhs: Expr
 
@@ -175,16 +168,19 @@ class Fold(Expr):
     step: Expr
 
 
-REL_OPS: Mapping[str, Callable[[int, int], bool]] = {
-    "<": operator.lt,
-    "<=": operator.le,
-    "=": operator.eq,
-}
+class Op(NamedTuple):
+    fn: Callable[[int, int], int | bool]
+    result: Ty  # BOOL for a comparison, INT for arithmetic
+    prec: int  # binding power, shared by the parser and the printer
 
-ARITH_OPS: Mapping[str, Callable[[int, int], int]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+
+OPS: Mapping[str, Op] = {
+    "<": Op(operator.lt, BOOL, 1),
+    "<=": Op(operator.le, BOOL, 1),
+    "=": Op(operator.eq, BOOL, 1),
+    "+": Op(operator.add, INT, 3),
+    "-": Op(operator.sub, INT, 3),
+    "*": Op(operator.mul, INT, 4),
 }
 
 
@@ -198,7 +194,7 @@ def free_vars(e: Expr) -> frozenset[str]:
         return free_vars(e.head) | free_vars(e.tail)
     if t is Var:
         return frozenset((e.name,))
-    if t is Arith or t is Rel:
+    if t is BinOp:
         return free_vars(e.lhs) | free_vars(e.rhs)
     if t is Lam:
         return free_vars(e.body) - {e.param}
@@ -266,10 +262,8 @@ def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
             return e
         case Cons(head, tail):
             return Cons(subst(head, bindings), subst(tail, bindings))
-        case Rel(op, lhs, rhs):
-            return Rel(op, subst(lhs, bindings), subst(rhs, bindings))
-        case Arith(op, lhs, rhs):
-            return Arith(op, subst(lhs, bindings), subst(rhs, bindings))
+        case BinOp(op, lhs, rhs):
+            return BinOp(op, subst(lhs, bindings), subst(rhs, bindings))
         case If(test, then, orelse):
             return If(subst(test, bindings), subst(then, bindings), subst(orelse, bindings))
         case Lam(param, param_ty, body):
@@ -291,14 +285,8 @@ def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 # Precedence levels, loosest to tightest.  Binders and branching forms extend
 # as far right as possible, so they only parenthesize when used as operands.
 _PREC_OPEN = 0  # \ if case fold
-_PREC_REL = 1
-_PREC_CONS = 2
-_PREC_ADD = 3
-_PREC_MUL = 4
+_PREC_CONS = 2  # between OPS's comparisons (1) and arithmetic (3 and 4)
 _PREC_APP = 5
-_PREC_ATOM = 6
-
-_ARITH_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL}
 
 
 def to_source(e: Expr) -> str:
@@ -318,10 +306,12 @@ def _show(e: Expr, ctx: int) -> str:
         return e.name
     if t is Nil:
         return "nil"
-    if t is Arith:
-        prec = _ARITH_PREC[e.op]
-        s = f"{_show(e.lhs, prec)} {e.op} {_show(e.rhs, prec + 1)}"
-        return _wrap(s, ctx > prec)
+    if t is BinOp:
+        op = OPS[e.op]
+        # A comparison does not associate; arithmetic associates to the left.
+        left = op.prec + 1 if op.result == BOOL else op.prec
+        s = f"{_show(e.lhs, left)} {e.op} {_show(e.rhs, op.prec + 1)}"
+        return _wrap(s, ctx > op.prec)
     if t is BoolLit:
         return "true" if e.value else "false"
     if t is Lam:
@@ -341,9 +331,6 @@ def _show(e: Expr, ctx: int) -> str:
         s = (f"case {_show(e.scrutinee, 0)} of ({_show(e.nil_branch, 0)}, "
              f"[{e.head}, {e.tail}] {_show(e.cons_branch, 0)})")
         return _wrap(s, ctx > _PREC_OPEN)
-    if t is Rel:
-        s = f"{_show(e.lhs, _PREC_REL + 1)} {e.op} {_show(e.rhs, _PREC_REL + 1)}"
-        return _wrap(s, ctx > _PREC_REL)
     raise TypeError(f"not an expression: {e!r}")
 
 

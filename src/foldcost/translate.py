@@ -56,8 +56,8 @@ from .complexity import (
 )
 from .syntax import (
     App,
-    Arith,
     ArrowTy,
+    BinOp,
     BoolLit,
     Case,
     Cons,
@@ -67,7 +67,6 @@ from .syntax import (
     IntLit,
     Lam,
     Nil,
-    Rel,
     Ty,
     Var,
     fresh_name,
@@ -182,7 +181,7 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         return CVar(e.name) if bound is None else bound
     if t is Nil:
         return _NIL
-    if t is Arith or t is Rel:
+    if t is BinOp:
         tl, tr = _translate(e.lhs, env, names), _translate(e.rhs, env, names)
         return CPair(CPlus(_TWO, CPlus(CostOf(tl), CostOf(tr))), _ONE)
     if t is Lam:

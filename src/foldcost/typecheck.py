@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Mapping
 
 from .syntax import (
-    ARITH_OPS,
     BOOL,
     INT,
     INT_LIST,
+    OPS,
     ArrowTy,
     App,
-    Arith,
+    BinOp,
     BoolLit,
     Case,
     Cons,
@@ -27,7 +27,6 @@ from .syntax import (
     IntLit,
     Lam,
     Nil,
-    Rel,
     Ty,
     Var,
     to_source,
@@ -79,12 +78,17 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
     #  Γ ⊢ r : int   Γ ⊢ s : int
     # ---------------------------       op ∈ {+, -, *}
     #  Γ ⊢ r op s : int
-    if t is Arith:
-        if e.op not in ARITH_OPS:
+    #
+    #  Γ ⊢ r : int   Γ ⊢ s : int
+    # ---------------------------       R ∈ {<, <=, =}
+    #  Γ ⊢ r R s : bool
+    if t is BinOp:
+        op = OPS.get(e.op)
+        if op is None:
             raise TypeCheckError(f"unknown operator: {e.op}")
         check(ctx, e.lhs, INT, e)
         check(ctx, e.rhs, INT, e)
-        return INT
+        return op.result
 
     # Γ ⊢ true/false : bool
     if t is BoolLit:
@@ -134,13 +138,5 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
         branch_ctx = {**ctx, e.head: INT, e.tail: INT_LIST}
         check(branch_ctx, e.cons_branch, nil_ty, e)
         return nil_ty
-
-    #  Γ ⊢ r : int   Γ ⊢ s : int
-    # ---------------------------       R ∈ {<, <=, =}
-    #  Γ ⊢ r R s : bool
-    if t is Rel:
-        check(ctx, e.lhs, INT, e)
-        check(ctx, e.rhs, INT, e)
-        return BOOL
 
     raise TypeCheckError(f"not an expression: {e!r}")

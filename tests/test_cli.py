@@ -244,14 +244,20 @@ def test_comparison_operators(capsys, tmp_path, text, code, out):
     assert err.startswith("parse error:") == (code == EXIT_ERROR)
 
 
-@pytest.mark.parametrize("command, text", [
-    ("check", "[" + ", ".join(["1"] * 600) + "]"),
-    ("eval", "(" * 400 + "1" + ")" * 400),
-], ids=["list-600", "parens-400"])
-def test_deep_input_exits_2(tmp_path, command, text):
+@pytest.mark.parametrize("command, text, code, out, err", [
+    ("check", "[" + ", ".join(["1"] * 600) + "]", EXIT_OK,
+     "cost=1201 bound=1201 size=600 pot=600 verdict=pass\n", ""),
+    ("check", "[" + ", ".join(["1"] * 10_000) + "]", EXIT_OK,
+     "cost=20001 bound=20001 size=10000 pot=10000 verdict=pass\n", ""),
+    ("eval", "(" * 400 + "1" + ")" * 400, EXIT_OK, "value = 1, cost = 1\n", ""),
+    ("eval", "(" * 100_000 + "1" + ")" * 100_000, EXIT_ERROR, "",
+     "error: input nests too deeply\n"),
+], ids=["list-600", "list-10000", "parens-400", "parens-100000"])
+def test_deep_input_exits_2(tmp_path, command, text, code, out, err):
+    # Deep input gets an answer; only nesting far deeper than a program's
+    # still exits 2, with a diagnostic and no traceback.
     proc = run_module(command, write_program(tmp_path, text))
-    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
-    assert proc.stderr == "error: input nests too deeply\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("text", [

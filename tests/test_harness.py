@@ -40,7 +40,7 @@ from foldcost.harness import (
     trial_seed,
 )
 from foldcost.harness import _probes_per_level
-from foldcost.interp import EvalError, eval_expr
+from foldcost.interp import EvalError, eval_expr, value_size
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, to_source
 from foldcost.translate import csubst, translate
@@ -417,6 +417,38 @@ def test_measured_runs_stay_under_tabulated_bounds():
             assert len(got.value) <= row.pot
 
 
+def test_corpus_bounds_equal_the_worst_measured_runs():
+    """Each corpus plan's bound is attained, not just respected: at every n
+    in 0..64 its row equals the measured cost and size on the ascending
+    list `tuple(range(n))`, and for n <= 8 the largest over every 0/1 list
+    (for `ins`, over inserting 0 and 1).  The witness family is ascending
+    lists because on them every `x <= y` in `ins` holds, so each step takes
+    the costlier branch, the one the bound's join keeps.  A charge raised by
+    one unit on the worst run breaks the equality, which a one-sided check
+    cannot see."""
+    ins, double = corpus_expr("ins"), parse("\\x:int. x + x")
+    ins_clo, double_clo = eval_expr(ins).value, eval_expr(double).value
+    # Per plan: the argument specs and the measured arguments for a list xs.
+    plans = {
+        "ins": ([FixedArg(1, 1), SweepArg()], lambda xs: [[0, xs], [1, xs]]),
+        "ins_sort": ([SweepArg()], lambda xs: [[xs]]),
+        "map": ([TermArg(double), SweepArg()], lambda xs: [[double_clo, xs]]),
+        "list_fold": ([TermArg(ins), SweepArg(), FixedArg(1, 0)],
+                      lambda xs: [[ins_clo, xs, ()]]),
+    }
+    for name, (specs, argvs) in plans.items():
+        e = corpus_expr(name)
+
+        def worst(lists):
+            runs = [measure_application(e, argv) for xs in lists for argv in argvs(xs)]
+            return max(r.cost for r in runs), max(value_size(r.value) for r in runs)
+
+        for row in tabulate(e, specs, range(65)).rows:
+            assert (row.cost, row.pot) == worst([tuple(range(row.n))]), (name, row.n)
+            if row.n <= 8:
+                assert (row.cost, row.pot) == worst(binary_lists(row.n)), (name, row.n)
+
+
 def test_input_builders():
     assert (type(descending_list(5)), descending_list(5)) == (tuple, (5, 4, 3, 2, 1))
     assert (type(descending_list(0)), descending_list(0)) == (tuple, ())
@@ -478,6 +510,20 @@ def test_fold_recurrence_dominates_its_base():
             fold = PFold(CNum(k), zero, "p", "ps", "w", succ)
             assert ctypecheck({}, fold) == NAT_PAIR
             assert denote(zero).cost <= denote(fold).cost
+
+
+def test_denotation_is_monotone_in_a_free_variable():
+    # The weakening lemma: raising a free variable's cost or potential never
+    # lowers the denotation, so a probe at an argument's exact size stands
+    # for every looser potential.
+    ctys = (NAT, NAT_PAIR, ProdTy(ArrowPotTy(NAT, NAT_PAIR)))
+    for seed in range(1000):
+        cty = ctys[seed % 3]
+        t = gen_cplx_term(seed, 3, cty, {"x": NAT_PAIR})
+        c, p = seed % 4, seed % 5
+        low = denote(t, {"x": SPair(c, p)})
+        for raised in (SPair(c + 1, p), SPair(c, p + 1), SPair(c + 3, p + 2)):
+            assert semval_le(low, denote(t, {"x": raised}), cty), (seed, raised)
 
 
 def test_substitution_commutes_with_denotation():

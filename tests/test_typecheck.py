@@ -4,7 +4,7 @@ import pytest
 
 from conftest import corpus_expr
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy
+from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, BinOp, IntLit
 from foldcost.typecheck import TypeCheckError, typecheck
 
 # ---------------------------------------------------------------- corpus
@@ -76,6 +76,14 @@ def test_mismatch_messages_show_source():
         typecheck({}, parse("nil < 1"))
     with pytest.raises(TypeCheckError, match=r"expected int\*, got int"):
         typecheck({}, parse("1 :: 2"))
+
+
+def test_unknown_operator():
+    # The parser builds no such node, but a library caller can; it must not
+    # typecheck, or evaluation fails on a bare KeyError.
+    for op in ("!=", "/"):
+        with pytest.raises(TypeCheckError, match=f"unknown operator: {op}"):
+            typecheck({}, BinOp(op, IntLit(1), IntLit(2)))
 
 
 def test_if_branch_disagreement():
