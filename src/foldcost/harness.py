@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -60,6 +61,7 @@ from .interp import (
     VClosure,
     Value,
     eval_expr,
+    evaluate,
     render_value,
     value_size,
 )
@@ -105,6 +107,17 @@ DEFAULT_CONFIG = ProbeConfig()
 
 class _Violation(Exception):
     """A measured run exceeded its bound; carries the counterexample."""
+
+
+# A curried function of k arguments gets at least 2 probes per argument, so
+# at least 2^k probe vectors.  When that floor alone is over this many (or
+# over `trials`, if more) the plan is refused: the check is inconclusive.
+# A plan whose size comes from `trials` itself is never refused.
+MAX_PROBE_VECTORS = 4096
+
+
+class _TooManyProbes(Exception):
+    """The smallest probe plan for a function type exceeds MAX_PROBE_VECTORS."""
 
 
 # ---------------------------------------------------------------- term generation
@@ -177,18 +190,35 @@ def _gen_arg_ty(rng: random.Random, depth: int) -> Ty:
     return rng.choice(_BASE_TYPES)
 
 
+# Generated programs share their leaves: one node for nil, true and false
+# each, one per literal in the default range and one per variable of the
+# first 64 binder names; binder names are interned.
+_NIL = Nil()
+_BOOLS = {True: BoolLit(True), False: BoolLit(False)}
+_SMALL_INTS = {n: IntLit(n) for n in range(DEFAULT_CONFIG.int_lo, DEFAULT_CONFIG.int_hi + 1)}
+_VARS = {name: Var(name) for name in (sys.intern(f"v{n}") for n in range(64))}
+
+
+def _int_leaf(rng: random.Random, cfg: ProbeConfig) -> IntLit:
+    n = rng.randrange(cfg.int_lo, cfg.int_hi + 1)
+    leaf = _SMALL_INTS.get(n)
+    return IntLit(n) if leaf is None else leaf
+
+
 def _gen_leaf(rng: random.Random, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
     # Prefer a variable of the right type when one is in scope.
     candidates = sorted(name for name, t in ctx.items() if t == ty)
     if candidates and rng.random() < 0.5:
-        return Var(rng.choice(candidates))
+        name = rng.choice(candidates)
+        leaf = _VARS.get(name)
+        return Var(name) if leaf is None else leaf
     if ty == INT:
-        return IntLit(rng.randint(cfg.int_lo, cfg.int_hi))
+        return _int_leaf(rng, cfg)
     if ty == BOOL:
-        return BoolLit(rng.random() < 0.5)
+        return _BOOLS[rng.random() < 0.5]
     if ty == INT_LIST:
-        items = [IntLit(rng.randint(cfg.int_lo, cfg.int_hi)) for _ in range(rng.randint(0, 2))]
-        out: Expr = Nil()
+        items = [_int_leaf(rng, cfg) for _ in range(rng.randrange(3))]
+        out: Expr = _NIL
         for item in reversed(items):
             out = Cons(item, out)
         return out
@@ -202,7 +232,7 @@ def _fresh_var(ctx: Mapping[str, Ty]) -> str:
     n = len(ctx)
     while f"v{n}" in ctx:
         n += 1
-    return f"v{n}"
+    return sys.intern(f"v{n}")
 
 
 # ---------------------------------------------------------------- bounding checks
@@ -234,6 +264,9 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
             checked, skipped = _check_value(result.value, chi.pot, ty, cfg)
         except _Violation as v:
             return Report(source, "fail", result.cost, chi.cost, size, pot, detail=str(v))
+        except _TooManyProbes as exc:
+            return Report(source, "inconclusive", result.cost, chi.cost, None, None,
+                          detail=str(exc), probes_checked=0, probes_skipped=0)
         if not isinstance(ty, ArrowTy):
             return Report(source, "pass", result.cost, chi.cost, size, pot)
         if checked == 0:
@@ -272,12 +305,15 @@ def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAUL
     lists).  For functions it probes: sampled bounded arguments, with the
     body's cost and result checked against the potential applied to the
     argument's potential.  Exact when it answers False.  None means that
-    every probe hit an evaluation limit, so nothing could be checked.
+    every probe hit an evaluation limit, or that the function takes too many
+    curried arguments to probe, so nothing could be checked.
     """
     try:
         checked, _ = _check_value(v, pot, ty, cfg)
     except _Violation:
         return False
+    except _TooManyProbes:
+        return None
     return True if checked else None
 
 
@@ -305,22 +341,25 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
     if rng is None:
         rng = random.Random(cfg.seed)
     if per_level is None:
-        per_level = _probes_per_level(cfg.trials, _arrow_depth(ty))
+        levels = _arrow_depth(ty)
+        per_level = _probes_per_level(cfg.trials, levels)
+        cap = max(cfg.trials, MAX_PROBE_VECTORS)
+        if 2 ** levels > cap:
+            raise _TooManyProbes(f"too many probe vectors: 2^{levels} > {cap}")
     checked = skipped = 0
     for z, q in _probe_args(ty.dom, per_level, cfg, rng):
         try:
-            result = eval_expr(v.body, {**v.env, v.param: z}, budget=cfg.budget)
+            value, cost = evaluate(v.body, {**v.env, v.param: z}, cfg.budget)
         except (BudgetExceededError, ArithOverflowError):
             skipped += 1
             continue
         out = pot(q)
         if not isinstance(out, SPair):
             raise _Violation(f"potential application returned a non-pair: {out!r}")
-        if result.cost > out.cost:
+        if cost > out.cost:
             raise _Violation(
-                f"at argument {render_value(z)}: body cost {result.cost} > bound {out.cost}")
-        sub_checked, sub_skipped = _check_value(
-            result.value, out.pot, ty.cod, cfg, rng, per_level, z)
+                f"at argument {render_value(z)}: body cost {cost} > bound {out.cost}")
+        sub_checked, sub_skipped = _check_value(value, out.pot, ty.cod, cfg, rng, per_level, z)
         checked += sub_checked
         skipped += sub_skipped
     return checked, skipped
@@ -354,14 +393,16 @@ def _probe_args(
     lists by their length).  Function arguments are generated as closed
     terms and paired with their own translated potentials.
     """
+    # randrange(lo, hi + 1) draws exactly what randint(lo, hi) would, and
+    # faster.
+    lo, hi = cfg.int_lo, cfg.int_hi + 1
     for _ in range(count):
         if dom == INT:
-            yield rng.randint(cfg.int_lo, cfg.int_hi), 1
+            yield rng.randrange(lo, hi), 1
         elif dom == BOOL:
             yield rng.random() < 0.5, 1
         elif dom == INT_LIST:
-            items = tuple(
-                rng.randint(cfg.int_lo, cfg.int_hi) for _ in range(rng.randint(0, cfg.max_list)))
+            items = tuple(rng.randrange(lo, hi) for _ in range(rng.randrange(cfg.max_list + 1)))
             yield items, len(items)
         elif isinstance(dom, ArrowTy):
             term = _gen(rng, min(cfg.depth, 3), dom, {}, cfg)

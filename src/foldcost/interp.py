@@ -13,6 +13,14 @@ ints for a list, or a `VClosure` for a function.
 
 Evaluation is total on well-typed terms except for two checked limits, both
 reported as distinct errors: 64-bit integer overflow and the cost budget.
+
+`_eval` dispatches on the exact node type, most frequent first, and adds to
+the cost counter in place, testing the budget after each addition.  Where
+the ticks fall decides which limit a run hits first, so they stay fixed: one
+on entering each node; an operator's side condition after both operands and
+before the checked operation; a fold's 2k unrollings after its scrutinee and
+before its nil branch.  `_derive`, the oracle, follows the rules by
+structural `match` instead and is written separately on purpose.
 """
 
 from __future__ import annotations
@@ -114,11 +122,6 @@ class _Counter:
         self.cost = 0
         self.budget = budget
 
-    def tick(self, n: int = 1) -> None:
-        self.cost += n
-        if self.cost > self.budget:
-            raise BudgetExceededError(self.budget)
-
 
 def _checked(op: str, a: int, b: int) -> int | bool:
     n = OPS[op].fn(a, b)
@@ -129,85 +132,115 @@ def _checked(op: str, a: int, b: int) -> int | bool:
 
 def eval_expr(e: Expr, env: ValueEnv | None = None, budget: int = DEFAULT_BUDGET) -> EvalResult:
     """Evaluate e under env, returning its value and evaluation cost."""
+    return EvalResult(*evaluate(e, dict(env or {}), budget))
+
+
+def evaluate(e: Expr, env: ValueEnv, budget: int) -> tuple[Value, int]:
+    """Evaluate e under env, returning (value, cost).
+
+    Unlike `eval_expr`, env is used as given, not copied, so the caller must
+    not change it afterwards: closures made by the run keep it.
+    """
     counter = _Counter(budget)
-    value = _eval(e, dict(env or {}), counter)
-    return EvalResult(value, counter.cost)
+    return _eval(e, env, counter), counter.cost
 
 
 def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
-    counter.tick()  # this rule instance
-    match e:
-        case Var(name):
-            v = env.get(name)
-            if v is None:
-                raise EvalError(f"unbound variable at runtime: {name}")
-            return v
-        case IntLit(n):
-            return n
-        case BoolLit(b):
-            return b
-        case Nil():
-            return ()
-        case Lam(param, _, body):
-            return VClosure(param, body, env)
-        case Cons(head, tail):
-            h = _as_int(_eval(head, env, counter))
-            t = _as_list(_eval(tail, env, counter))
-            return (h, *t)
-        case BinOp(op, lhs, rhs):
-            a = _as_int(_eval(lhs, env, counter))
-            b = _as_int(_eval(rhs, env, counter))
-            counter.tick()  # operator side condition
-            return _checked(op, a, b)
-        case If(test, then, orelse):
-            t = _eval(test, env, counter)
-            taken = then if _as_bool(t) else orelse
-            return _eval(taken, env, counter)
-        case App(fn, arg):
-            f = _eval(fn, env, counter)
-            a = _eval(arg, env, counter)
-            if type(f) is not VClosure:
-                raise EvalError(f"applied a non-function: {render_value(f)}")
-            return _eval(f.body, {**f.env, f.param: a}, counter)
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            items = _as_list(_eval(scrutinee, env, counter))
-            if not items:
-                return _eval(nil_branch, env, counter)
-            env1 = {**env, head: items[0], tail: items[1:]}
-            return _eval(cons_branch, env1, counter)
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            items = _as_list(_eval(scrutinee, env, counter))
-            # Unrolling the recursion: each level below the first re-reads the
-            # remaining tail through a fresh variable, so it costs one rule
-            # instance plus one lookup.  Iterating (rather than recursing via
-            # that fresh variable, as the derivation oracle does) keeps long
-            # lists off the Python stack; the cost and the evaluation order
-            # (k unrolling instances, then the nil branch, then the steps from
-            # the last element back to the first) are identical.
-            counter.tick(2 * len(items))
-            v = _eval(nil_branch, env, counter)
-            for j in reversed(range(len(items))):
-                env1 = {**env, head: items[j], tail: items[j + 1:], acc: v}
-                v = _eval(step, env1, counter)
-            return v
+    counter.cost += 1  # this rule instance
+    if counter.cost > counter.budget:
+        raise BudgetExceededError(counter.budget)
+    t = type(e)
+    if t is IntLit:
+        return e.value
+    if t is Cons:
+        h = _eval(e.head, env, counter)
+        if type(h) is not int:
+            raise _expected("an integer", h)
+        tail = _eval(e.tail, env, counter)
+        if type(tail) is not tuple:
+            raise _expected("a list", tail)
+        return (h,) + tail
+    if t is Var:
+        v = env.get(e.name)
+        if v is None:
+            raise EvalError(f"unbound variable at runtime: {e.name}")
+        return v
+    if t is Nil:
+        return ()
+    if t is Lam:
+        return VClosure(e.param, e.body, env)
+    if t is BoolLit:
+        return e.value
+    if t is BinOp:
+        a = _eval(e.lhs, env, counter)
+        if type(a) is not int:
+            raise _expected("an integer", a)
+        b = _eval(e.rhs, env, counter)
+        if type(b) is not int:
+            raise _expected("an integer", b)
+        counter.cost += 1  # operator side condition
+        if counter.cost > counter.budget:
+            raise BudgetExceededError(counter.budget)
+        return _checked(e.op, a, b)
+    if t is App:
+        f = _eval(e.fn, env, counter)
+        a = _eval(e.arg, env, counter)
+        if type(f) is not VClosure:
+            raise EvalError(f"applied a non-function: {render_value(f)}")
+        return _eval(f.body, {**f.env, f.param: a}, counter)
+    if t is Fold:
+        items = _eval(e.scrutinee, env, counter)
+        if type(items) is not tuple:
+            raise _expected("a list", items)
+        # Unrolling the recursion: each level below the first re-reads the
+        # remaining tail through a fresh variable, so it costs one rule
+        # instance plus one lookup.  Iterating (rather than recursing via
+        # that fresh variable, as the derivation oracle does) keeps long
+        # lists off the Python stack; the cost and the evaluation order
+        # (k unrolling instances, then the nil branch, then the steps from
+        # the last element back to the first) are identical.
+        counter.cost += 2 * len(items)
+        if counter.cost > counter.budget:
+            raise BudgetExceededError(counter.budget)
+        v = _eval(e.nil_branch, env, counter)
+        head, tail, acc, step = e.head, e.tail, e.acc, e.step
+        for j in reversed(range(len(items))):
+            v = _eval(step, {**env, head: items[j], tail: items[j + 1:], acc: v}, counter)
+        return v
+    if t is Case:
+        items = _eval(e.scrutinee, env, counter)
+        if type(items) is not tuple:
+            raise _expected("a list", items)
+        if not items:
+            return _eval(e.nil_branch, env, counter)
+        return _eval(e.cons_branch, {**env, e.head: items[0], e.tail: items[1:]}, counter)
+    if t is If:
+        test = _eval(e.test, env, counter)
+        if type(test) is not bool:
+            raise _expected("a boolean", test)
+        return _eval(e.then if test else e.orelse, env, counter)
     raise EvalError(f"not an expression: {e!r}")
+
+
+def _expected(kind: str, v: Value) -> EvalError:
+    return EvalError(f"expected {kind}, got: {render_value(v)}")
 
 
 def _as_int(v: Value) -> int:
     if type(v) is not int:
-        raise EvalError(f"expected an integer, got: {render_value(v)}")
+        raise _expected("an integer", v)
     return v
 
 
 def _as_bool(v: Value) -> bool:
     if type(v) is not bool:
-        raise EvalError(f"expected a boolean, got: {render_value(v)}")
+        raise _expected("a boolean", v)
     return v
 
 
 def _as_list(v: Value) -> tuple[int, ...]:
     if type(v) is not tuple:
-        raise EvalError(f"expected a list, got: {render_value(v)}")
+        raise _expected("a list", v)
     return v
 
 

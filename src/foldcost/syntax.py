@@ -8,13 +8,17 @@ general recursion, so every well-typed program terminates.
 Invariants:
   - Expression and type nodes are immutable and slotted: no node keeps a
     per-instance dict (an expression's `vars()` is built from its fields).
-    Sharing is safe.
+    Sharing is safe, and generated programs rely on it: the harness's
+    generator hands out one shared node for `nil`, `true`, `false`, each
+    small integer literal and each of its first 64 variables, and interned
+    binder names.
   - Comparisons and arithmetic are one node, `BinOp`, whose operator every
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - `subst` is capture-avoiding and renames binders only when necessary.
-  - `free_vars`, `to_source`, `typecheck` and `translate` dispatch on the
-    exact node type, most frequent first, not on `match` patterns, which
-    test isinstance case by case; so node classes are never subclassed.
+  - `free_vars`, `to_source`, `typecheck`, `translate` and the evaluator's
+    `_eval` dispatch on the exact node type, most frequent first, not on
+    `match` patterns, which test isinstance case by case; so node classes
+    are never subclassed.
   - `to_source` prints minimal parentheses and round-trips through the parser:
     parse(to_source(e)) == e for every well-formed expression e.
 """

@@ -12,6 +12,7 @@ import pytest
 from foldcost import complexity
 from foldcost.harness import ProbeConfig, fuzz_campaign
 from foldcost.parser import parse
+from foldcost.syntax import INT, INT_LIST, ArrowTy
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -21,6 +22,16 @@ CORPUS_NAMES = ["case_if", "ins", "ins_sort", "map", "list_fold"]
 # base-type programs, depth at most 6, literal ints in [-9, 9], fixed seed.
 CAMPAIGN_CONFIG = ProbeConfig(
     trials=10_000, depth=6, max_list=8, int_lo=-9, int_hi=9, seed=0)
+
+
+# The benchmark's four function types, whose generated programs the probe
+# tests check.
+PROBE_TYPES = (
+    ArrowTy(INT_LIST, INT_LIST),
+    ArrowTy(INT, ArrowTy(INT_LIST, INT_LIST)),
+    ArrowTy(INT_LIST, INT),
+    ArrowTy(ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST)),
+)
 
 
 def corpus_source(name: str) -> str:

@@ -178,6 +178,18 @@ def test_check_function_argument_fold(tmp_path):
         EXIT_OK, "cost=451 bound=451 probes=100 verdict=pass\n", "")
 
 
+def test_check_many_curried_arguments_is_inconclusive(tmp_path):
+    # 40 curried arguments would need 2^40 probe vectors; the check refuses
+    # at once instead of running for ever.
+    source = "".join(f"\\x{i}:int. " for i in range(40)) + "1"
+    start = time.perf_counter()
+    proc = run_module("check", write_program(tmp_path, source), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, "cost=1 bound=1 probes=0 verdict=inconclusive "
+        "detail='too many probe vectors: 2^40 > 4096'\n", "")
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("failing, code", [(False, EXIT_ERROR), (True, EXIT_VIOLATION)],
                          ids=["error-only", "error-and-violation"])
 def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code):

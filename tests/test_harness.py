@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import CORPUS_NAMES, corpus_expr, count_sem_max
+from conftest import CORPUS_NAMES, PROBE_TYPES, corpus_expr, count_sem_max
 from foldcost import harness
 from foldcost.complexity import (
     NAT,
@@ -39,10 +41,12 @@ from foldcost.harness import (
     tabulate,
     trial_seed,
 )
-from foldcost.harness import _probes_per_level
+from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
 from foldcost.interp import EvalError, eval_expr, value_size
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, to_source
+from foldcost.syntax import (
+    BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
+    to_source)
 from foldcost.translate import csubst, translate
 from foldcost.typecheck import typecheck
 
@@ -71,6 +75,54 @@ def test_generation_is_deterministic_and_diverse():
     again = [to_source(gen_typed_term(s, 4, INT)) for s in range(150)]
     assert once == again
     assert len(set(once)) >= 100
+
+
+_NAME_FIELDS = {Var: ("name",), Lam: ("param",), Case: ("head", "tail"),
+                Fold: ("head", "tail", "acc")}
+
+
+def _leaves(e, out):
+    """Collect e's nil, boolean and integer literals, its variables, and its
+    binder and variable names, keyed by kind and value."""
+    t = type(e)
+    if t is Nil or t is BoolLit or t is IntLit:
+        out.setdefault((t.__name__, getattr(e, "value", None)), []).append(e)
+    if t is Var:
+        out.setdefault(("Var", e.name), []).append(e)
+    for field in _NAME_FIELDS.get(t, ()):
+        out.setdefault(("name", getattr(e, field)), []).append(getattr(e, field))
+    for child in vars(e).values():
+        if isinstance(child, Expr):
+            _leaves(child, out)
+    return out
+
+
+def test_generated_programs_share_their_leaves():
+    first, second = {}, {}
+    for seed in range(30):
+        for ty in GEN_TYPES:
+            _leaves(gen_typed_term(seed, 4, ty), first)
+            _leaves(gen_typed_term(seed + 1000, 4, ty), second)
+    common = first.keys() & second.keys()
+    for key in common:
+        assert all(x is first[key][0] for x in first[key] + second[key]), key
+    assert {("Nil", None), ("BoolLit", True), ("BoolLit", False)} <= common
+    assert {("IntLit", n) for n in range(-9, 10)} <= common
+    assert sum(kind == "name" for kind, _ in common) >= 5
+    assert sum(kind == "Var" for kind, _ in common) >= 5
+    # Shared leaves stay immutable.  A fieldless slotted frozen dataclass
+    # raises TypeError rather than FrozenInstanceError on Python 3.11.
+    for key in [("BoolLit", True), ("IntLit", 3)]:
+        with pytest.raises(FrozenInstanceError):
+            first[key][0].value = 0
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        first[("Nil", None)][0].value = 0
+    with pytest.raises(FrozenInstanceError):
+        next(v for (kind, _), v in first.items() if kind == "Var")[0].name = "w"
+    # A literal outside the default range gets a node of its own.
+    wide = harness._gen(random.Random(0), 0, INT, {}, ProbeConfig(int_lo=100, int_hi=100))
+    assert wide == IntLit(100) and wide is not harness._gen(
+        random.Random(0), 0, INT, {}, ProbeConfig(int_lo=100, int_hi=100))
 
 
 # ---------------------------------------------------------------- value bounding
@@ -122,16 +174,10 @@ def test_function_program_reports_probe_counts():
         assert (r.probes_checked, r.probes_skipped) == (probes, 0), name
 
 
-# The benchmark's four probe types, and the sha256 of check_program's report
-# fields (status, cost, bound, size, pot, probes checked and skipped, detail;
-# tab-separated, one line per program) on 25 generated programs of each at
-# depth 4, recorded before the tree walkers dispatched on exact node types.
-PROBE_TYPES = (
-    ArrowTy(INT_LIST, INT_LIST),
-    ArrowTy(INT, ArrowTy(INT_LIST, INT_LIST)),
-    ArrowTy(INT_LIST, INT),
-    ArrowTy(ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST)),
-)
+# The sha256 of check_program's report fields (status, cost, bound, size,
+# pot, probes checked and skipped, detail; tab-separated, one line per
+# program) on 25 generated programs of each probe type at depth 4, recorded
+# before the tree walkers dispatched on exact node types.
 PROBE_REPORTS_SHA256 = "8206680c31a61bd706f5315ee7adfb50814e3d561bae44212c3746adc673556d"
 
 
@@ -144,6 +190,44 @@ def test_probe_reports_are_frozen():
                       r.probes_checked, r.probes_skipped, r.detail)
             text += "\t".join("" if v is None else str(v) for v in fields) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PROBE_REPORTS_SHA256
+
+
+def test_function_typed_roots_pass_or_are_inconclusive():
+    # 1,000 function-typed roots, 250 of each probe type: probing finds no
+    # counterexample and nothing raises.
+    for ty in PROBE_TYPES:
+        for seed in range(1000, 1250):
+            e = gen_typed_term(seed, 4, ty)
+            r = check_program(e)
+            assert r.status in ("pass", "inconclusive"), (to_source(e), r.detail)
+
+
+def _curried(k):
+    return parse("".join(f"\\x{i}:int. " for i in range(k)) + "1")
+
+
+def test_probe_vector_cap():
+    # Two probes per argument at least: 2^12 vectors fit the cap, 2^13 do not.
+    assert MAX_PROBE_VECTORS == 2**12
+    r = check_program(_curried(12))
+    assert (r.status, r.probes_checked, r.probes_skipped) == ("pass", 2**12, 0)
+    for k, detail in [(13, "too many probe vectors: 2^13 > 4096"),
+                      (40, "too many probe vectors: 2^40 > 4096")]:
+        e = _curried(k)
+        r = check_program(e)
+        assert (r.status, r.detail, r.cost, r.bound_cost) == ("inconclusive", detail, 1, 1)
+        assert (r.probes_checked, r.probes_skipped) == (0, 0)
+        pot = denote(translate(e)).pot
+        assert check_value_bounded(eval_expr(e).value, pot, typecheck({}, e)) is None
+    # A plan asked for by `trials` is never refused, even where rounding
+    # the per-level count puts it above `trials`: round(5000 ** 0.5) = 71
+    # and 71^2 = 5041; round(2000 ** 0.125) = 3 and 3^8 = 6561.
+    for e, trials, probes in [(parse("\\x:int. x"), 5000, 5000),
+                              (_curried(2), 5000, 71**2),
+                              (parse("\\x:int. \\l:int*. x :: l"), 5000, 71**2),
+                              (_curried(8), 2000, 3**8)]:
+        r = check_program(e, ProbeConfig(trials=trials))
+        assert (r.status, r.probes_checked) == ("pass", probes), to_source(e)
 
 
 def test_probe_budget_split():

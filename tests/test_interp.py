@@ -1,12 +1,16 @@
 """Evaluation: values, derivation-size costs, limits, and the oracle."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_NAMES, corpus_expr
-from foldcost.harness import gen_typed_term
+from conftest import CORPUS_NAMES, PROBE_TYPES, corpus_expr
+from foldcost.harness import ProbeConfig, _gen, _probe_args, gen_typed_term
 from foldcost.interp import (
+    DEFAULT_BUDGET,
     ArithOverflowError,
     BudgetExceededError,
     EvalError,
@@ -18,7 +22,7 @@ from foldcost.interp import (
     value_size,
 )
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, Var
+from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, Var
 
 # ---------------------------------------------------------------- frozen costs
 
@@ -111,6 +115,63 @@ def test_arithmetic_overflow_checked():
     with pytest.raises(ArithOverflowError):
         eval_expr(parse(f"{INT_MAX} * 2"))
     assert eval_expr(parse(f"{INT_MAX} - 1")).value == INT_MAX - 1
+
+
+def _outcome(e, env, budget):
+    try:
+        result = eval_expr(e, env, budget=budget)
+    except EvalError as exc:
+        return type(exc).__name__
+    return f"{render_value(result.value)}:{result.cost}"
+
+
+def _budget_outcomes(e, env):
+    """The outcome at budgets cost, cost - 1 and cost // 2, where cost is the
+    least budget the run does not exceed (an overflowing run's cost counts
+    the ticks up to the overflowing operator's side condition)."""
+    try:
+        cost = eval_expr(e, env).cost
+    except ArithOverflowError:
+        lo, hi = 0, DEFAULT_BUDGET  # exceeded at lo, overflows at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _outcome(e, env, mid) == "BudgetExceededError":
+                lo = mid
+            else:
+                hi = mid
+        cost = hi
+    return [_outcome(e, env, b) for b in (cost, cost - 1, cost // 2)]
+
+
+# Literals and probes this wide make most arithmetic overflow.
+_WIDE_INTS = ProbeConfig(int_lo=-2**62, int_hi=2**62)
+
+# sha256 of the outcomes below, recorded before `_eval` dispatched on exact
+# node types: it pins where every tick falls, which decides whether a run
+# stops with budget-exceeded or int-overflow.
+BUDGET_OUTCOMES_SHA256 = "41bfedaf1bd3c363fe24469a3122b38de0a8b528a9ca8f2e66b7ec51aaa5f82b"
+
+
+def test_budget_outcomes_are_frozen():
+    lines = []
+    for seed in range(150):
+        ty = (INT, BOOL, INT_LIST)[seed % 3]
+        if seed % 2:
+            e = _gen(random.Random(seed), 6, ty, {}, _WIDE_INTS)
+        else:
+            e = gen_typed_term(seed, 6, ty)
+        lines.append(_budget_outcomes(e, {}))
+    # Function-typed programs, each body run on one sampled probe argument.
+    for seed in range(150):
+        ty = PROBE_TYPES[seed % 4]
+        clo = eval_expr(gen_typed_term(seed, 4, ty)).value
+        cfg = _WIDE_INTS if seed % 2 and type(ty.dom) is not ArrowTy else ProbeConfig()
+        (arg, _), = _probe_args(ty.dom, 1, cfg, random.Random(seed))
+        lines.append(_budget_outcomes(clo.body, {**clo.env, clo.param: arg}))
+    outcomes = [o for line in lines for o in line]
+    assert sum(o == "ArithOverflowError" for o in outcomes) >= 30
+    text = "\n".join("\t".join(line) for line in lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUDGET_OUTCOMES_SHA256
 
 
 def test_unbound_variable_at_runtime():
