@@ -106,7 +106,7 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=_count, default=DEFAULT_CONFIG.depth,
                    help="generated term depth (default %(default)s)")
     p.add_argument("--max-list", type=_count, default=DEFAULT_CONFIG.max_list,
-                   help="longest generated list (default %(default)s)")
+                   help="longest probe-argument list; fuzz never probes (default %(default)s)")
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="evaluation cost budget (default %(default)s)")
 

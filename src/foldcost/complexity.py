@@ -101,12 +101,22 @@ def is_potential(ty: CTy) -> bool:
 # ---------------------------------------------------------------- expressions
 
 class CplxExpr:
-    """Base class for complexity-language expressions."""
+    """Base class for complexity-language expressions.
+
+    Binder nodes declare what they bind as `syntax.Expr`'s do, so
+    `syntax.free_vars` and `syntax.subst` serve this language too.
+    """
+
+    binds: tuple[str, ...] = ()
+    scope: str | None = None
 
 
 @dataclass(frozen=True)
 class CVar(CplxExpr):
     name: str
+
+
+CplxExpr.var_class = CVar
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,7 @@ class CLet(CplxExpr):
     name: str
     bound: CplxExpr
     body: CplxExpr
+    binds, scope = ("name",), "body"
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,7 @@ class CLam(CplxExpr):
     param: str
     param_ty: CTy  # the argument's potential type
     body: CplxExpr
+    binds, scope = ("param",), "body"
 
 
 @dataclass(frozen=True)
@@ -186,6 +198,7 @@ class PCase(CplxExpr):
     p: str
     ps: str
     succ: CplxExpr
+    binds, scope = ("p", "ps"), "succ"
 
 
 @dataclass(frozen=True)
@@ -203,35 +216,7 @@ class PFold(CplxExpr):
     ps: str
     w: str
     succ: CplxExpr
-
-
-def cplx_free_vars(e: CplxExpr) -> frozenset[str]:
-    t = type(e)
-    if t is CVar:
-        return frozenset((e.name,))
-    if t is CNum:
-        return frozenset()
-    if t is CostOf or t is PotOf:
-        return cplx_free_vars(e.pair)
-    if t is CPlus or t is CMax:
-        return cplx_free_vars(e.lhs) | cplx_free_vars(e.rhs)
-    if t is CPair:
-        return cplx_free_vars(e.cost) | cplx_free_vars(e.pot)
-    if t is StarApp:
-        return cplx_free_vars(e.fn) | cplx_free_vars(e.arg)
-    if t is Charge:
-        return cplx_free_vars(e.extra) | cplx_free_vars(e.pair)
-    if t is CLet:
-        return cplx_free_vars(e.bound) | (cplx_free_vars(e.body) - {e.name})
-    if t is CLam:
-        return cplx_free_vars(e.body) - {e.param}
-    if t is PCase:
-        branch = cplx_free_vars(e.succ) - {e.p, e.ps}
-        return cplx_free_vars(e.scrut) | cplx_free_vars(e.zero) | branch
-    if t is PFold:
-        branch = cplx_free_vars(e.succ) - {e.p, e.ps, e.w}
-        return cplx_free_vars(e.scrut) | cplx_free_vars(e.zero) | branch
-    raise TypeError(f"not a complexity expression: {e!r}")
+    binds, scope = ("p", "ps", "w"), "succ"
 
 
 # ---------------------------------------------------------------- typechecking

@@ -14,8 +14,12 @@ Invariants:
     binder names.
   - Comparisons and arithmetic are one node, `BinOp`, whose operator every
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
+  - Binder nodes (`Lam`, `Case`, `Fold`, and the complexity language's
+    `CLet`, `CLam`, `PCase`, `PFold`) declare the names they bind and the
+    one field those scope over (see `Expr`).  `free_vars` and `subst`, the
+    only capture-avoiding substitution, read that and serve both languages.
   - `subst` is capture-avoiding and renames binders only when necessary.
-  - `free_vars`, `to_source`, `typecheck`, `translate` and the evaluator's
+  - `to_source`, `typecheck`, `translate`, `ctypecheck` and the evaluator's
     `_eval` dispatch on the exact node type, most frequent first, not on
     `match` patterns, which test isinstance case by case; so node classes
     are never subclassed.
@@ -26,8 +30,11 @@ Invariants:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .complexity import CplxExpr
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -80,9 +87,16 @@ INT_LIST = ListTy()
 # ---------------------------------------------------------------- expressions
 
 class Expr:
-    """Base class for target-language expressions."""
+    """Base class for target-language expressions.
+
+    A binder node's class attributes, not fields, name the fields holding
+    the names it binds (`binds`) and the one subterm field they scope over
+    (`scope`); `var_class`, set below, is the variable node.
+    """
 
     __slots__ = ()
+    binds: tuple[str, ...] = ()
+    scope: str | None = None
 
     @property
     def __dict__(self) -> dict[str, object]:
@@ -93,6 +107,9 @@ class Expr:
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
+
+
+Expr.var_class = Var
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,6 +154,7 @@ class Lam(Expr):
     param: str
     param_ty: Ty  # annotation is mandatory; typechecking never infers it
     body: Expr
+    binds, scope = ("param",), "body"
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +172,7 @@ class Case(Expr):
     head: str
     tail: str
     cons_branch: Expr
+    binds, scope = ("head", "tail"), "cons_branch"
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +189,7 @@ class Fold(Expr):
     tail: str
     acc: str
     step: Expr
+    binds, scope = ("head", "tail", "acc"), "step"
 
 
 class Op(NamedTuple):
@@ -188,31 +208,47 @@ OPS: Mapping[str, Op] = {
 }
 
 
-# ---------------------------------------------------------------- free variables
+# ---------------------------------------------------------------- binding structure
 
-def free_vars(e: Expr) -> frozenset[str]:
+class _Shape(NamedTuple):
+    """What `free_vars` and `subst` need of a node class of either language."""
+
+    is_var: bool
+    kids: tuple[str, ...]  # the subterm fields: those annotated with the base class
+    binds: tuple[str, ...]  # the fields holding the names bound in `scope`
+    scope: str | None  # the subterm the binders scope over
+
+
+_SHAPES: dict[type, _Shape] = {}
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _shape(t: type) -> _Shape:
+    var = getattr(t, "var_class", None)
+    if var is None:
+        raise TypeError(f"not an expression type: {t!r}")
+    base = var.__base__.__name__  # both modules' annotations are strings
+    kids = tuple(f.name for f in fields(t) if f.type == base)
+    shape = _SHAPES[t] = _Shape(t is var, kids, t.binds, t.scope)
+    return shape
+
+
+def free_vars(e: Expr | CplxExpr) -> frozenset[str]:
+    """The free variables of a term of either language."""
     t = type(e)
-    if t is IntLit or t is Nil or t is BoolLit:
-        return frozenset()
-    if t is Cons:
-        return free_vars(e.head) | free_vars(e.tail)
-    if t is Var:
+    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
+    if is_var:
         return frozenset((e.name,))
-    if t is BinOp:
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if t is Lam:
-        return free_vars(e.body) - {e.param}
-    if t is If:
-        return free_vars(e.test) | free_vars(e.then) | free_vars(e.orelse)
-    if t is Fold:
-        branch = free_vars(e.step) - {e.head, e.tail, e.acc}
-        return free_vars(e.scrutinee) | free_vars(e.nil_branch) | branch
-    if t is App:
-        return free_vars(e.fn) | free_vars(e.arg)
-    if t is Case:
-        branch = free_vars(e.cons_branch) - {e.head, e.tail}
-        return free_vars(e.scrutinee) | free_vars(e.nil_branch) | branch
-    raise TypeError(f"not an expression: {e!r}")
+    if scope is None:  # the common cases first: a leaf, or two subterms
+        if not kids:
+            return _NO_VARS
+        if len(kids) == 2:
+            return free_vars(getattr(e, kids[0])) | free_vars(getattr(e, kids[1]))
+    out = _NO_VARS
+    for k in kids:
+        fv = free_vars(getattr(e, k))
+        out |= fv.difference([getattr(e, b) for b in binds]) if k == scope else fv
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -243,45 +279,35 @@ def rename_apart(binders: list[str], danger: frozenset[str], taken: Iterable[str
     return out
 
 
-def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Simultaneous capture-avoiding substitution of bindings into e."""
+def subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr]) -> Expr | CplxExpr:
+    """Simultaneous capture-avoiding substitution of bindings into a term of
+    either language.
+
+    A binder is renamed only when it is free in a substituted term, and then
+    apart from the body's free variables and the keys of the bindings.
+    """
     if not bindings:
         return e
-
-    # Names that must not capture anything we substitute in.
-    danger = frozenset().union(*(free_vars(v) for v in bindings.values()))
-
-    def go_under(binders: list[str], body: Expr) -> tuple[list[str], Expr]:
+    t = type(e)
+    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
+    if is_var:
+        return bindings.get(e.name, e)
+    if not kids:
+        return e
+    changes = {k: subst(getattr(e, k), bindings) for k in kids if k != scope}
+    if scope is not None:
+        binders = [getattr(e, b) for b in binds]
+        body = getattr(e, scope)
+        # Names that must not capture anything substituted in.
+        danger = frozenset().union(*map(free_vars, bindings.values()))
         new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
-        renaming = {b: Var(nb) for b, nb in zip(binders, new_binders) if b != nb}
+        renaming = {b: t.var_class(nb) for b, nb in zip(binders, new_binders) if b != nb}
         if renaming:
             body = subst(body, renaming)
         inner = {k: v for k, v in bindings.items() if k not in binders}
-        return new_binders, subst(body, inner)
-
-    match e:
-        case Var(name):
-            return bindings.get(name, e)
-        case IntLit() | BoolLit() | Nil():
-            return e
-        case Cons(head, tail):
-            return Cons(subst(head, bindings), subst(tail, bindings))
-        case BinOp(op, lhs, rhs):
-            return BinOp(op, subst(lhs, bindings), subst(rhs, bindings))
-        case If(test, then, orelse):
-            return If(subst(test, bindings), subst(then, bindings), subst(orelse, bindings))
-        case Lam(param, param_ty, body):
-            (new_param,), new_body = go_under([param], body)
-            return Lam(new_param, param_ty, new_body)
-        case App(fn, arg):
-            return App(subst(fn, bindings), subst(arg, bindings))
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            (nh, nt), nb = go_under([head, tail], cons_branch)
-            return Case(subst(scrutinee, bindings), subst(nil_branch, bindings), nh, nt, nb)
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            (nh, nt, na), ns = go_under([head, tail, acc], step)
-            return Fold(subst(scrutinee, bindings), subst(nil_branch, bindings), nh, nt, na, ns)
-    raise TypeError(f"not an expression: {e!r}")
+        changes[scope] = subst(body, inner)
+        changes.update(zip(binds, new_binders))
+    return replace(e, **changes)
 
 
 # ---------------------------------------------------------------- printing

@@ -19,8 +19,8 @@ A cons branch is translated with its head and tail bound, in an
 environment, to the pairs (1, p) and (1, ps) over the fresh potential
 variables the pcase/pfold binds, as in the paper's translation.  So the
 recurrence is built with its branch variables in place and never needs a
-substitution pass.  `csubst`, a plain capture-avoiding substitution, is kept
-for the substitution lemma.
+substitution pass.  The substitution lemma's capture-avoiding substitution
+is `syntax.subst`, which serves both languages.
 
 The constant leaves 0, 1 and 2 and the pairs (1, 1) of a literal and (1, 0)
 of nil are module-level nodes shared by every translation.  Nodes are frozen
@@ -52,7 +52,6 @@ from .complexity import (
     PotOf,
     ProdTy,
     StarApp,
-    cplx_free_vars,
 )
 from .syntax import (
     App,
@@ -70,7 +69,6 @@ from .syntax import (
     Ty,
     Var,
     fresh_name,
-    rename_apart,
 )
 
 
@@ -91,58 +89,6 @@ def translate_ty(ty: Ty) -> ProdTy:
 
 def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
     return {name: translate_ty(ty) for name, ty in ctx.items()}
-
-
-# ---------------------------------------------------------------- substitution
-
-def csubst(e: CplxExpr, bindings: Mapping[str, CplxExpr]) -> CplxExpr:
-    """Simultaneous capture-avoiding substitution of bindings into e.
-
-    Shaped like `syntax.subst`: a binder named like a free variable of a
-    substituted term is renamed apart, to a name that also avoids the body's
-    free variables and the keys of the bindings.  Translation never calls
-    it; it is the substitution of the substitution lemma.
-    """
-    if not bindings:
-        return e
-    danger = frozenset().union(*map(cplx_free_vars, bindings.values()))
-
-    def go_under(binders: list[str], body: CplxExpr) -> tuple[list[str], CplxExpr]:
-        new_binders = rename_apart(binders, danger, cplx_free_vars(body) | bindings.keys())
-        renaming = {b: CVar(nb) for b, nb in zip(binders, new_binders) if b != nb}
-        if renaming:
-            body = csubst(body, renaming)
-        inner = {k: v for k, v in bindings.items() if k not in binders}
-        return new_binders, csubst(body, inner)
-
-    t = type(e)
-    if t is CVar:
-        return bindings.get(e.name, e)
-    if t is CNum:
-        return e
-    if t is CPlus or t is CMax:
-        return t(csubst(e.lhs, bindings), csubst(e.rhs, bindings))
-    if t is CostOf or t is PotOf:
-        return t(csubst(e.pair, bindings))
-    if t is CPair:
-        return CPair(csubst(e.cost, bindings), csubst(e.pot, bindings))
-    if t is StarApp:
-        return StarApp(csubst(e.fn, bindings), csubst(e.arg, bindings))
-    if t is Charge:
-        return Charge(csubst(e.extra, bindings), csubst(e.pair, bindings))
-    if t is CLet:
-        (name,), body = go_under([e.name], e.body)
-        return CLet(name, csubst(e.bound, bindings), body)
-    if t is CLam:
-        (param,), body = go_under([e.param], e.body)
-        return CLam(param, e.param_ty, body)
-    if t is PCase:
-        (p, ps), succ = go_under([e.p, e.ps], e.succ)
-        return PCase(csubst(e.scrut, bindings), csubst(e.zero, bindings), p, ps, succ)
-    if t is PFold:
-        (p, ps, w), succ = go_under([e.p, e.ps, e.w], e.succ)
-        return PFold(csubst(e.scrut, bindings), csubst(e.zero, bindings), p, ps, w, succ)
-    raise TypeError(f"not a complexity expression: {e!r}")
 
 
 # ---------------------------------------------------------------- translation

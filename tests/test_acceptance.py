@@ -42,8 +42,8 @@ from foldcost.harness import (
 )
 from foldcost.interp import ArithOverflowError, derive, eval_expr, value_size
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, App, ArrowTy
-from foldcost.translate import csubst, translate, translate_ctx, translate_ty
+from foldcost.syntax import BOOL, INT, INT_LIST, App, ArrowTy, subst
+from foldcost.translate import translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
 
 
@@ -319,7 +319,7 @@ def test_criterion_09_substitution_commutes(verdict):
             # substituting a pair of a numeral and a fresh potential variable
             t = gen_cplx_term(seed, 3, cty, {"x": NAT_PAIR})
             a, q = seed % 7, seed % 5
-            subbed = denote(csubst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
+            subbed = denote(subst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
             direct = denote(t, {"x": SPair(a, q)})
             if not agree(subbed, direct, cty):
                 problems.append(f"seed {seed}: pair substitution at {cty} disagrees")
@@ -327,7 +327,7 @@ def test_criterion_09_substitution_commutes(verdict):
             # substituting a closed complexity term
             s = gen_cplx_term(seed + 9000, 2, NAT_PAIR)
             t2 = gen_cplx_term(seed + 3000, 3, cty, {"x": NAT_PAIR})
-            if not agree(denote(csubst(t2, {"x": s})),
+            if not agree(denote(subst(t2, {"x": s})),
                          denote(t2, {"x": denote(s)}), cty):
                 problems.append(f"seed {seed}: closed substitution at {cty} disagrees")
             checked += 1

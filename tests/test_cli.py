@@ -14,7 +14,7 @@ from conftest import CORPUS, fun_acc_fold
 import foldcost
 from foldcost import harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
-from foldcost.complexity import DenoteError
+from foldcost.complexity import DenoteError, SPair
 
 
 def corpus_path(name):
@@ -121,6 +121,30 @@ def test_check_function_program_reports_probes(capsys):
     assert (code, out) == (EXIT_OK, "cost=1 bound=1 probes=100 verdict=pass\n")
 
 
+def test_check_function_program_json(capsys):
+    code, out, _ = run(capsys, "check", "--json", corpus_path("ins_sort"))
+    assert (code, out) == (EXIT_OK, '{"cost": 1, "bound": 1, "size": null, "pot": null, '
+                           '"verdict": "pass", "probes": 100, "skipped": 0}\n')
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), "cost=5 bound=4 size=None pot=None verdict=fail detail='cost 5 > bound 4'\n"),
+    (("--json",), '{"cost": 5, "bound": 4, "size": null, "pot": null, '
+                  '"verdict": "fail", "detail": "cost 5 > bound 4"}\n'),
+], ids=["plain", "json"])
+def test_check_root_cost_violation_exits_1(capsys, monkeypatch, tmp_path, flags, expected):
+    # The root's bound is charged one unit less than the run costs.
+    real = harness.denote
+
+    def weakened(e, env=None):
+        chi = real(e, env)
+        return SPair(chi.cost - 1, chi.pot)
+
+    monkeypatch.setattr(harness, "denote", weakened)
+    code, out, err = run(capsys, "check", write_program(tmp_path, "1 :: 2 :: nil"), *flags)
+    assert (code, out, err) == (EXIT_VIOLATION, expected, "")
+
+
 @pytest.mark.parametrize("source, expected", [
     ("case [1] of (0, [p', w] case w of (0, [a, b] a))",
      "cost=7 bound=7 size=1 pot=1 verdict=pass\n"),
@@ -218,6 +242,27 @@ def test_fuzz_json_summary(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[-1]["trials"] == 10
     assert rows[-1]["failed"] == 0
+
+
+def test_fuzz_budget_exceeded_trials(capsys):
+    # A trial that runs out of budget is inconclusive, with no cost or
+    # bound; its --json record carries the reason and the program.
+    code, out, err = run(capsys, "fuzz", "--trials", "3", "--budget", "3")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "trial=0 seed=0 error=budget-exceeded verdict=inconclusive",
+        "trial=1 seed=1 cost=1 bound=1 size=1 pot=1 verdict=pass",
+        "trial=2 seed=2 error=budget-exceeded verdict=inconclusive",
+        "passed=1 failed=0 inconclusive=2 trials=3",
+    ]
+    code, out, err = run(capsys, "fuzz", "--trials", "3", "--budget", "3", "--json")
+    assert (code, err) == (EXIT_OK, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row.get("detail") for row in rows[:3]] == ["budget-exceeded", None, "budget-exceeded"]
+    assert rows[0]["program"] == "(-1) + 8 + (-5) - 1 <= (if (-1) * (-8) < (-7) + 3 then (-9) else 1)"
+    assert rows[0]["cost"] is None and rows[0]["verdict"] == "inconclusive"
+    assert "program" not in rows[1]
+    assert rows[3] == {"passed": 1, "failed": 0, "inconclusive": 2, "trials": 3}
 
 
 def test_module_entry_point():

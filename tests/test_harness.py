@@ -46,8 +46,8 @@ from foldcost.interp import EvalError, eval_expr, value_size
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
-    to_source)
-from foldcost.translate import csubst, translate
+    subst, to_source)
+from foldcost.translate import translate
 from foldcost.typecheck import typecheck
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
@@ -202,6 +202,34 @@ def test_function_typed_roots_pass_or_are_inconclusive():
             assert r.status in ("pass", "inconclusive"), (to_source(e), r.detail)
 
 
+def test_function_typed_roots_pass_with_loose_probe_potentials(monkeypatch):
+    # The bounding relation quantifies over every potential at least an
+    # argument's size, not only the exact one: the same 1,000 roots pass
+    # when each base probe's potential is raised by a seeded 0..2.  The
+    # extra is drawn from its own generator, so the probe values stay the
+    # same.
+    real = harness._probe_args
+    extra = random.Random(0)
+    raised = 0
+
+    def loose(dom, count, cfg, rng):
+        nonlocal raised
+        for value, pot in real(dom, count, cfg, rng):
+            if type(pot) is int:
+                k = extra.randrange(3)
+                raised += k > 0
+                pot += k
+            yield value, pot
+
+    monkeypatch.setattr(harness, "_probe_args", loose)
+    for ty in PROBE_TYPES:
+        for seed in range(1000, 1250):
+            e = gen_typed_term(seed, 4, ty)
+            r = check_program(e)
+            assert r.status in ("pass", "inconclusive"), (to_source(e), r.detail)
+    assert raised > 10_000
+
+
 def _curried(k):
     return parse("".join(f"\\x{i}:int. " for i in range(k)) + "1")
 
@@ -261,6 +289,10 @@ def _inner_charge_one_less(pot):
     return lambda q: (lambda out: SPair(out.cost, _charge_one_less(out.pot)))(pot(q))
 
 
+def _cost_one_less(chi):
+    return SPair(chi.cost - 1, chi.pot)
+
+
 @pytest.mark.parametrize("source, shrink, budget, expected", [
     ("1 :: 2 :: nil", lambda p: p - 1, None,
      ("fail", "size 2 > potential 1", 5, 5, 2, 1, None, None)),
@@ -276,6 +308,10 @@ def _inner_charge_one_less(pot):
      ("inconclusive", "all probes hit evaluation limits", 1, 1, None, None, 0, 100)),
     ("\\f:int -> int. f 1", _charge_one_less, None,
      ("fail", "at argument <fun>: body cost 7 > bound 6", 1, 1, None, None, None, None)),
+    ("1 :: 2 :: nil", _cost_one_less, None,
+     ("fail", "cost 5 > bound 4", 5, 4, None, None, None, None)),
+    ("\\b:bool. if b then 1 else 2 + 3", _charge_one_less, None,
+     ("fail", "at argument false: body cost 6 > bound 5", 1, 1, None, None, None, None)),
 ])
 def test_violation_reports_are_frozen(monkeypatch, source, shrink, budget, expected):
     # Only the checked program's bound is weakened; probe arguments that are
@@ -286,13 +322,21 @@ def test_violation_reports_are_frozen(monkeypatch, source, shrink, budget, expec
 
     def weakened(e, env=None):
         chi = real(e, env)
-        return SPair(chi.cost, shrink(chi.pot)) if e == target else chi
+        if e != target:
+            return chi
+        # _cost_one_less lowers the root's cost; every other shrink, its potential.
+        return shrink(chi) if shrink is _cost_one_less else SPair(chi.cost, shrink(chi.pot))
 
     monkeypatch.setattr(harness, "denote", weakened)
     cfg = ProbeConfig() if budget is None else ProbeConfig(budget=budget)
     r = check_program(program, cfg)
     assert (r.status, r.detail, r.cost, r.bound_cost, r.size, r.pot,
             r.probes_checked, r.probes_skipped) == expected
+
+
+def test_bool_argument_is_probed():
+    r = check_program(parse("\\b:bool. if b then 1 else 2 + 3"))
+    assert (r.status, r.probes_checked, r.probes_skipped) == ("pass", 100, 0)
 
 
 # ---------------------------------------------------------------- campaigns
@@ -614,4 +658,4 @@ def test_substitution_commutes_with_denotation():
     for seed in range(40):
         s = gen_cplx_term(seed + 2000, 2, NAT_PAIR)
         t = gen_cplx_term(seed, 3, NAT_PAIR, {"x": NAT_PAIR})
-        assert denote(csubst(t, {"x": s})) == denote(t, {"x": denote(s)})
+        assert denote(subst(t, {"x": s})) == denote(t, {"x": denote(s)})

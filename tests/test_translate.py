@@ -27,15 +27,16 @@ from foldcost.complexity import (
     ProdTy,
     SPair,
     StarApp,
+    _stage,
     cplx_to_source,
     ctypecheck,
     denote,
 )
 from foldcost import harness
-from foldcost.harness import ProbeConfig, check_program, gen_typed_term, trial_seed
+from foldcost.harness import ProbeConfig, check_program, gen_cplx_term, gen_typed_term, trial_seed
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, to_source
-from foldcost.translate import csubst, pot_ty, translate, translate_ctx, translate_ty
+from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, free_vars, subst, to_source
+from foldcost.translate import pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
 
 # ---------------------------------------------------------------- types
@@ -198,20 +199,20 @@ def test_csubst_capture_avoiding():
     # Substituting a term that mentions y under a y-binder renames the binder.
     body = CPlus(CostOf(CVar("x")), CostOf(CVar("y")))
     lam = CLam("y", NAT, CPair(body, CNum(0)))
-    out = csubst(lam, {"x": CVar("y")})
+    out = subst(lam, {"x": CVar("y")})
     assert out.param == "y'"
     assert out.body == CPair(CPlus(CostOf(CVar("y")), CostOf(CVar("y'"))), CNum(0))
 
 
 def test_csubst_binders_shadow():
     lam = CLam("x", NAT, CostOf(CVar("x")))
-    assert csubst(lam, {"x": CNum(9)}) == lam
+    assert subst(lam, {"x": CNum(9)}) == lam
 
 
 def test_csubst_renamed_binder_avoids_binding_keys():
     # Renaming y to y' would let the y' binding be substituted into it.
     lam = CLam("y", NAT, CPlus(CostOf(CVar("x")), CostOf(CVar("y"))))
-    out = csubst(lam, {"x": CVar("y"), "y'": CPair(CNum(5), CNum(5))})
+    out = subst(lam, {"x": CVar("y"), "y'": CPair(CNum(5), CNum(5))})
     assert out == CLam("y''", NAT, CPlus(CostOf(CVar("y")), CostOf(CVar("y''"))))
 
 
@@ -220,9 +221,68 @@ def test_csubst_renames_let_binder():
     # read by x_p would mean the let's (2, 5).
     t = CLet("y", CPair(CNum(2), CNum(5)),
              CPair(CPlus(CostOf(CVar("y")), PotOf(CVar("x"))), PotOf(CVar("y"))))
-    out = csubst(t, {"x": CPair(CNum(4), CVar("y"))})
+    out = subst(t, {"x": CPair(CNum(4), CVar("y"))})
     assert out.name == "y'"
     assert denote(out, {"y": 7}) == denote(t, {"x": SPair(4, 7)}) == SPair(9, 5)
+
+
+def test_substitution_lemma_where_binders_would_capture():
+    # gen_cplx_term names its binders u1, u2, ... under a context of one
+    # name, so substituting a pair over u1, u2 or u3 for x must rename the
+    # binders it meets; else the lemma fails.
+    ctys = (NAT, NAT_PAIR, ProdTy(ArrowPotTy(NAT, NAT_PAIR)))
+    renamed = 0
+    for seed in range(300):
+        t = gen_cplx_term(seed, 3, ctys[seed % 3], {"x": NAT_PAIR})
+        y = f"u{seed % 3 + 1}"
+        out = subst(t, {"x": CPair(CNum(2), CVar(y))})
+        renamed += f"{y}'" in repr(out)
+        for q in (0, 3):
+            got, want = denote(out, {y: q}), denote(t, {"x": SPair(2, q)})
+            if seed % 3 == 2:  # compare potential functions at a few arguments
+                got, want = [(v.cost, [v.pot(n) for n in range(4)]) for v in (got, want)]
+            assert got == want, cplx_to_source(t)
+    assert renamed > 100
+
+
+def test_subst_renames_every_clashing_binder():
+    # Both languages go through one substitution: each binder free in the
+    # substituted term is renamed, and only those.
+    fold = PFold(CVar("n"), CVar("z"), "p", "ps", "w",
+                 CPair(CPlus(CostOf(CVar("w")), CVar("ps")), CVar("p")))
+    out = subst(fold, {"z": CPair(CVar("p"), CVar("w")), "n": CNum(3)})
+    assert out == PFold(CNum(3), CPair(CVar("p"), CVar("w")), "p'", "ps", "w'",
+                        CPair(CPlus(CostOf(CVar("w'")), CVar("ps")), CVar("p'")))
+    e = parse("fold xs of (y, [h, t, w] h :: w)")
+    assert to_source(subst(e, {"y": parse("h :: t"), "xs": parse("nil")})) == \
+        "fold nil of (h :: t, [h', t', w] h' :: w)"
+
+
+@pytest.mark.parametrize("term", [5, "x", None, INT, NAT, SPair(1, 1)], ids=repr)
+def test_free_vars_and_subst_reject_non_terms(term):
+    with pytest.raises(TypeError):
+        free_vars(term)
+    with pytest.raises(TypeError):
+        subst(term, {"x": CNum(1)})
+
+
+def test_free_variables_agree_across_layers():
+    # The binder declarations that free_vars reads, translate's binding of
+    # branch variables, and the free-variable sets _stage collects (which
+    # decide the lambdas it hoists) must all agree.
+    ctx = {"x": INT, "xs": INT_LIST, "f": ArrowTy(INT, INT), "p": INT}
+    for seed in range(2000):
+        e = gen_typed_term(seed, 4, (INT, BOOL, INT_LIST, ArrowTy(INT, INT))[seed % 4], ctx)
+        t = translate(e)
+        staged: set[str] = set()
+        _stage(t, staged)
+        assert free_vars(t) == free_vars(e) == staged, to_source(e)
+    ctys = (NAT, NAT_PAIR, ProdTy(ArrowPotTy(NAT, NAT_PAIR)))
+    for seed in range(1000):
+        t = gen_cplx_term(seed, 3, ctys[seed % 3], {"x": NAT_PAIR, "y": NAT})
+        staged = set()
+        _stage(t, staged)
+        assert free_vars(t) == staged, cplx_to_source(t)
 
 
 def test_substitution_lemma_on_translations():
@@ -237,7 +297,7 @@ def test_substitution_lemma_on_translations():
         lets += text.count("CLet(")
         charges += text.count("Charge(")
         for a, q in ((1, 0), (3, 4)):
-            lhs = denote(csubst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
+            lhs = denote(subst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
             assert lhs == denote(t, {"x": SPair(a, q)}), to_source(e)
     assert lets > 50 and charges > 50
 
