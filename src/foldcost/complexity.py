@@ -23,16 +23,29 @@ potential function, like every `max` of two, remembers its result at every
 argument (a natural by value, a function by identity), and a closed lambda,
 the root included, is built once per denotation.
 
-Nodes and types are frozen and compare structurally, so a shared one equals
-a fresh one: translation shares its constant leaves, `ctypecheck` and
-`translate_ty` give every pair of potential N the one `NAT_PAIR`, and
-`ctypecheck` tests identity before equality.
+Nodes and types are made by `syntax.node`, as the target language's are:
+frozen, slotted (a translation has a few hundred nodes) and built by an
+`__init__` that stores through the slot descriptors.  They compare
+structurally, so a shared one equals a fresh one: translation shares its
+constant leaves, `ctypecheck` and `translate_ty` give every pair of
+potential N the one `NAT_PAIR`, and `ctypecheck` tests identity before
+equality.
+
+`denote` stages each node into a closure, and a few common shapes into one
+closure where a walk node by node would make two or three: a numeral, a
+pair of numerals and a projection of such a pair stage to a constant (the
+ones translations use are staged once, in a fixed table, and shared by
+every denotation); `x_c` and `x_p` of a variable read the environment
+directly; `k + e` with a numeral k, and `a_c + b_c`, add in one closure.
+Each fused closure makes the same checks in the same order, so an error
+keeps its class and its message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Union
+
+from .syntax import fields_dict, node
 
 NAT_MAX = 2**63 - 1
 
@@ -49,13 +62,18 @@ class NatOverflowError(DenoteError):
     pass
 
 
+_OVERFLOW = "cost/potential arithmetic overflowed 64 bits"
+
+
 # ---------------------------------------------------------------- types
 
 class CTy:
     """Base class for complexity-language types."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class NatTy(CTy):
     """Naturals: costs, and the potentials of ints, booleans, and lists."""
 
@@ -63,7 +81,7 @@ class NatTy(CTy):
         return "N"
 
 
-@dataclass(frozen=True)
+@node
 class ArrowPotTy(CTy):
     """Potential of a function: argument potential to result pair."""
 
@@ -77,7 +95,7 @@ class ArrowPotTy(CTy):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass(frozen=True)
+@node
 class ProdTy(CTy):
     """A cost paired with a potential; the cost side is always N."""
 
@@ -107,11 +125,13 @@ class CplxExpr:
     `syntax.free_vars` and `syntax.subst` serve this language too.
     """
 
+    __slots__ = ()
+    __dict__ = fields_dict
     binds: tuple[str, ...] = ()
     scope: str | None = None
 
 
-@dataclass(frozen=True)
+@node
 class CVar(CplxExpr):
     name: str
 
@@ -119,40 +139,40 @@ class CVar(CplxExpr):
 CplxExpr.var_class = CVar
 
 
-@dataclass(frozen=True)
+@node
 class CNum(CplxExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@node
 class CPlus(CplxExpr):
     lhs: CplxExpr
     rhs: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class CMax(CplxExpr):
     lhs: CplxExpr
     rhs: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class CPair(CplxExpr):
     cost: CplxExpr
     pot: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class CostOf(CplxExpr):
     pair: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class PotOf(CplxExpr):
     pair: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class Charge(CplxExpr):
     """The paper's `extra +_c pair`: (extra + pair_c, pair_p)."""
 
@@ -160,7 +180,7 @@ class Charge(CplxExpr):
     pair: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class CLet(CplxExpr):
     """`let name = bound in body`: bound is computed once and named."""
 
@@ -170,7 +190,7 @@ class CLet(CplxExpr):
     binds, scope = ("name",), "body"
 
 
-@dataclass(frozen=True)
+@node
 class CLam(CplxExpr):
     """Costed lambda: a pair of cost 1 and a potential function."""
 
@@ -180,7 +200,7 @@ class CLam(CplxExpr):
     binds, scope = ("param",), "body"
 
 
-@dataclass(frozen=True)
+@node
 class StarApp(CplxExpr):
     """Costed application: one unit plus both sides' costs plus the body."""
 
@@ -188,7 +208,7 @@ class StarApp(CplxExpr):
     arg: CplxExpr
 
 
-@dataclass(frozen=True)
+@node
 class PCase(CplxExpr):
     """One-step match on a natural: at q+1 the branches are max-ed, with the
     head potential fixed at 1 and ps bound to q."""
@@ -201,7 +221,7 @@ class PCase(CplxExpr):
     binds, scope = ("p", "ps"), "succ"
 
 
-@dataclass(frozen=True)
+@node
 class PFold(CplxExpr):
     """Primitive recursion on a natural.
 
@@ -314,7 +334,7 @@ SemVal = Union[int, SPair, Callable[["SemVal"], "SemVal"]]
 def nat_add(*ns: int) -> int:
     total = sum(ns)
     if total > NAT_MAX:
-        raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
+        raise NatOverflowError(_OVERFLOW)
     return total
 
 
@@ -377,12 +397,25 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     fn: Staged
     t = type(e)
     if t is CostOf or t is PotOf:
-        def fn(env, pf=_stage(e.pair, fv), cost=t is CostOf) -> SemVal:
-            v = _as_pair(pf(env))
-            return v.cost if cost else v.pot
+        pair, i = e.pair, 0 if t is CostOf else 1
+        if type(pair) is CVar:  # x_c or x_p: read env directly
+            fv.add(pair.name)
+
+            def fn(env, name=pair.name, i=i) -> SemVal:
+                try:
+                    v = env[name]
+                except KeyError:
+                    raise DenoteError(f"unbound variable at denotation time: {name}") from None
+                if type(v) is not SPair:
+                    raise DenoteError(f"expected a cost/potential pair, got: {v!r}")
+                return v[i]
+        elif type(pair) is CPair and type(pair.cost) is CNum and type(pair.pot) is CNum:
+            return _constant((pair.cost.value, pair.pot.value)[i])
+        else:
+            def fn(env, pf=_stage(pair, fv), i=i) -> SemVal:
+                return _as_pair(pf(env))[i]
     elif t is CNum:
-        def fn(env, value=e.value) -> SemVal:
-            return value
+        return _constant(e.value)
     elif t is CVar:
         fv.add(e.name)
 
@@ -392,15 +425,38 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             except KeyError:
                 raise DenoteError(f"unbound variable at denotation time: {name}") from None
     elif t is CPlus:
-        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
-            a, b = lf(env), rf(env)
-            if not isinstance(a, int) or not isinstance(b, int):
-                raise DenoteError("operands of + must be naturals")
-            n = a + b
-            if n > NAT_MAX:
-                raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
-            return n
+        lhs, rhs = e.lhs, e.rhs
+        if type(lhs) is CNum and type(lhs.value) is int:  # k + e
+            def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
+                b = rf(env)
+                if not isinstance(b, int):
+                    raise DenoteError("operands of + must be naturals")
+                n = k + b
+                if n > NAT_MAX:
+                    raise NatOverflowError(_OVERFLOW)
+                return n
+        elif type(lhs) is CostOf and type(rhs) is CostOf:  # a_c + b_c
+            def fn(env, af=_stage(lhs.pair, fv), bf=_stage(rhs.pair, fv)) -> SemVal:
+                a, b = _as_pair(af(env)).cost, _as_pair(bf(env)).cost
+                if not isinstance(a, int) or not isinstance(b, int):
+                    raise DenoteError("operands of + must be naturals")
+                n = a + b
+                if n > NAT_MAX:
+                    raise NatOverflowError(_OVERFLOW)
+                return n
+        else:
+            def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
+                a, b = lf(env), rf(env)
+                if not isinstance(a, int) or not isinstance(b, int):
+                    raise DenoteError("operands of + must be naturals")
+                n = a + b
+                if n > NAT_MAX:
+                    raise NatOverflowError(_OVERFLOW)
+                return n
     elif t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
+        if type(e.pot) is CNum:
+            return _constant(SPair(e.cost.value, e.pot.value))
+
         def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
             return SPair(cost, pf(env))
     elif t is CPair:
@@ -411,7 +467,7 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             pair = _as_pair(pf(env))
             n = _as_nat(xf(env)) + pair.cost
             if n > NAT_MAX:
-                raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
+                raise NatOverflowError(_OVERFLOW)
             return SPair(n, pair.pot)
     elif t is CLet:
         def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
@@ -455,12 +511,34 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                 step = _as_pair(tf({**env, p: 1, ps: q, w: SPair(1, acc.pot)}))
                 cost = 2 + acc.cost + step.cost
                 if cost > NAT_MAX:
-                    raise NatOverflowError("cost/potential arithmetic overflowed 64 bits")
+                    raise NatOverflowError(_OVERFLOW)
                 acc = SPair(cost, sem_max(zero_pot, step.pot))
             return acc
     else:
         raise DenoteError(f"not a complexity expression: {e!r}")
     return fn
+
+
+def _constant(value: SemVal) -> Staged:
+    """A staged constant: the shared closure in `_CONSTANTS`, if there is
+    one, else a new one.  The exact-type tests keep True, which equals 1 as
+    a key, from staging to 1."""
+    if type(value) is SPair:
+        exact = type(value.cost) is int and type(value.pot) is int
+    else:
+        exact = type(value) is int
+    fn = _CONSTANTS.get(value) if exact else None
+    if fn is None:
+        def fn(env, value=value) -> SemVal:
+            return value
+    return fn
+
+
+# The constants that translations make (the numerals 0, 1 and 2, and the
+# pairs of a literal and of nil), staged once for every denotation; the
+# table is filled here and never grows.
+_CONSTANTS: dict[SemVal, Staged] = {}
+_CONSTANTS.update((v, _constant(v)) for v in (0, 1, 2, SPair(1, 1), SPair(1, 0)))
 
 
 def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged, set[str]]:

@@ -207,9 +207,9 @@ def _int_leaf(rng: random.Random, cfg: ProbeConfig) -> IntLit:
 
 def _gen_leaf(rng: random.Random, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
     # Prefer a variable of the right type when one is in scope.
-    candidates = sorted(name for name, t in ctx.items() if t == ty)
+    candidates = [name for name, t in ctx.items() if t is ty or t == ty]
     if candidates and rng.random() < 0.5:
-        name = rng.choice(candidates)
+        name = rng.choice(sorted(candidates))
         leaf = _VARS.get(name)
         return Var(name) if leaf is None else leaf
     if ty == INT:

@@ -6,8 +6,9 @@ step of pattern matching) and `fold` (structural recursion); there is no
 general recursion, so every well-typed program terminates.
 
 Invariants:
-  - Expression and type nodes are immutable and slotted: no node keeps a
-    per-instance dict (an expression's `vars()` is built from its fields).
+  - Expression and type nodes of both languages are made by `node`:
+    immutable and slotted, so no node keeps a per-instance dict (an
+    expression's `vars()` is built from its fields by `fields_dict`).
     Sharing is safe, and generated programs rely on it: the harness's
     generator hands out one shared node for `nil`, `true`, `false`, each
     small integer literal and each of its first 64 variables, and interned
@@ -30,7 +31,7 @@ Invariants:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
@@ -38,6 +39,53 @@ if TYPE_CHECKING:
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+
+
+# ---------------------------------------------------------------- nodes
+
+def node(cls: type) -> type:
+    """Make cls a frozen, slotted dataclass, as every node and type class of
+    both languages is.
+
+    Its `__init__`, generated at the first construction, stores each field
+    through the field's slot descriptor, which takes about two thirds of the
+    time of the dataclass one's `object.__setattr__`; keyword construction,
+    which `dataclasses.replace` uses, still works.  Assignment and deletion
+    raise FrozenInstanceError, also on a class with no fields.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__init__ = _first_init
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _first_init(self: object, *args: object, **kwargs: object) -> None:
+    """Generate the class's `__init__` at its first construction, then run
+    it, so that import compiles none: compiling all of them would add about
+    a millisecond to `import foldcost` (Python 3.11)."""
+    cls = type(self)
+    names = [f.name for f in fields(cls)]
+    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    body = "".join(f" _set_{n}(self, {n});" for n in names) or " pass"
+    namespace: dict[str, Callable] = {}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__(self, *args, **kwargs)
+
+
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@property
+def fields_dict(self) -> dict[str, object]:
+    """A slotted node's fields by name, so that `vars(node)` still works."""
+    return {name: getattr(self, name) for name in self.__slots__}
 
 
 # ---------------------------------------------------------------- types
@@ -48,19 +96,19 @@ class Ty:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IntTy(Ty):
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BoolTy(Ty):
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ListTy(Ty):
     """Lists of integers; the only compound data type."""
 
@@ -68,7 +116,7 @@ class ListTy(Ty):
         return "int*"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ArrowTy(Ty):
     dom: Ty
     cod: Ty
@@ -98,13 +146,10 @@ class Expr:
     binds: tuple[str, ...] = ()
     scope: str | None = None
 
-    @property
-    def __dict__(self) -> dict[str, object]:
-        """The node's fields by name, so that `vars(node)` still works."""
-        return {name: getattr(self, name) for name in self.__slots__}
+    __dict__ = fields_dict
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var(Expr):
     name: str
 
@@ -112,28 +157,28 @@ class Var(Expr):
 Expr.var_class = Var
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Nil(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Cons(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BinOp(Expr):
     """A binary operator on two integers: a comparison or arithmetic."""
 
@@ -142,14 +187,14 @@ class BinOp(Expr):
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class If(Expr):
     test: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Lam(Expr):
     param: str
     param_ty: Ty  # annotation is mandatory; typechecking never infers it
@@ -157,13 +202,13 @@ class Lam(Expr):
     binds, scope = ("param",), "body"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Case(Expr):
     """One-step list match: case r of (s, [x, xs] t)."""
 
@@ -175,7 +220,7 @@ class Case(Expr):
     binds, scope = ("head", "tail"), "cons_branch"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Fold(Expr):
     """Structural list recursion: fold r of (s, [x, xs, w] t).
 

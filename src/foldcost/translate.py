@@ -13,7 +13,11 @@ potential, which dominates the actual recursion on the list because the
 potential bounds the length.  Extra cost charged onto a pair (for the rule
 instances the original program will execute) is written with the paper's
 `+_c`; a cons tail or case/fold scrutinee, read by both projections, is
-named by a `let`, so the recurrence grows linearly with the program.
+named by a `let`, so the recurrence grows linearly with the program.  A
+tail or scrutinee that is a variable, or the shared pair of a literal or of
+nil, has constant size and is read in place, with no `let`: `[1]`, `case
+xs of ...` and `case nil of ...` bind nothing, and `[1, 2]` binds only its
+outer tail.
 
 A cons branch is translated with its head and tail bound, in an
 environment, to the pairs (1, p) and (1, ps) over the fresh potential
@@ -161,8 +165,11 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
 
 
 def _let(name: str, bound: CplxExpr, body: Callable[[CplxExpr], CplxExpr]) -> CplxExpr:
-    """body(bound), naming a non-variable bound by a `let` of name, which no program uses."""
-    return body(bound) if type(bound) is CVar else CLet(name, bound, body(CVar(name)))
+    """body(bound), naming bound by a `let` of name, which no program uses,
+    unless it is a variable or a shared constant pair."""
+    if type(bound) is CVar or bound is _VALUE or bound is _NIL:
+        return body(bound)
+    return CLet(name, bound, body(CVar(name)))
 
 
 def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]

@@ -1,10 +1,13 @@
 """Complexity language: typing, denotation, maxima, and checked naturals."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_sem_max, fun_acc_fold
+from foldcost import complexity
 from foldcost.complexity import (
     NAT,
     NAT_MAX,
@@ -19,6 +22,8 @@ from foldcost.complexity import (
     CPair,
     CPlus,
     CostOf,
+    CplxExpr,
+    CTy,
     CVar,
     CplxTypeError,
     DenoteError,
@@ -41,6 +46,29 @@ from foldcost.translate import translate
 
 def PAIR(c: int, p: int) -> CPair:
     return CPair(CNum(c), CNum(p))
+
+# ---------------------------------------------------------------- nodes
+
+NODE_CLASSES = [c for c in vars(complexity).values() if isinstance(c, type)
+                and issubclass(c, (CplxExpr, CTy)) and c not in (CplxExpr, CTy)]
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_nodes_are_slotted_and_frozen(cls):
+    # A translation has a few hundred nodes, so none keeps a per-instance
+    # dict; `vars(node)` still lists an expression's fields, and keyword
+    # construction, which `syntax.subst` uses through `dataclasses.replace`,
+    # still works.
+    names = [field.name for field in fields(cls)]
+    node = cls(*[None] * len(names))
+    assert cls.__dictoffset__ == 0
+    if isinstance(node, CplxExpr):
+        assert vars(node) == dict.fromkeys(names)
+    assert cls(**dict.fromkeys(names)) == node
+    for name in names or ["value"]:  # a class with no fields is frozen too
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, 0)
+
 
 # ---------------------------------------------------------------- typing
 
@@ -196,6 +224,50 @@ def test_denote_env_and_errors():
         denote(CPlus(PAIR(1, 1), CNum(1)))
     with pytest.raises(DenoteError, match="non-function"):
         denote(StarApp(PAIR(1, 1), PAIR(1, 1)))
+
+
+_OVERFLOW = "cost/potential arithmetic overflowed 64 bits"
+_NOT_A_PAIR = "expected a cost/potential pair, got: 3"
+
+# Staging fuses projections of variables, `k + e` and `a_c + b_c` into one
+# closure each; every error keeps its class and its text, recorded before
+# any of them was fused.
+FUSED_ERRORS = [
+    pytest.param(CostOf(CVar("x")), {}, DenoteError,
+                 "unbound variable at denotation time: x", id="cost-of-unbound"),
+    pytest.param(PotOf(CVar("x")), {}, DenoteError,
+                 "unbound variable at denotation time: x", id="pot-of-unbound"),
+    pytest.param(CostOf(CVar("x")), {"x": 3}, DenoteError, _NOT_A_PAIR, id="cost-of-natural"),
+    pytest.param(PotOf(CVar("x")), {"x": 3}, DenoteError, _NOT_A_PAIR, id="pot-of-natural"),
+    pytest.param(CostOf(CNum(3)), {}, DenoteError, _NOT_A_PAIR, id="cost-of-numeral"),
+    pytest.param(CPlus(CNum(1), PAIR(1, 1)), {}, DenoteError,
+                 "operands of + must be naturals", id="one-plus-pair"),
+    pytest.param(CPlus(CNum(1), CVar("x")), {}, DenoteError,
+                 "unbound variable at denotation time: x", id="k-plus-unbound"),
+    pytest.param(CPlus(CNum(1), CVar("x")), {"x": NAT_MAX}, NatOverflowError, _OVERFLOW,
+                 id="k-plus-overflow"),
+    pytest.param(CPlus(CNum(NAT_MAX), CNum(1)), {}, NatOverflowError, _OVERFLOW,
+                 id="numerals-overflow"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))),
+                 {"a": SPair(NAT_MAX, 0), "b": SPair(1, 0)}, NatOverflowError, _OVERFLOW,
+                 id="costs-overflow"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": 3}, DenoteError,
+                 _NOT_A_PAIR, id="costs-left-natural"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": SPair(1, 0), "b": 3},
+                 DenoteError, _NOT_A_PAIR, id="costs-right-natural"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"b": 3}, DenoteError,
+                 "unbound variable at denotation time: a", id="costs-left-unbound"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": SPair(SPair(1, 1), 0),
+                 "b": SPair(1, 0)}, DenoteError, "operands of + must be naturals",
+                 id="costs-not-naturals"),
+]
+
+
+@pytest.mark.parametrize("e, env, cls, message", FUSED_ERRORS)
+def test_fused_staging_keeps_error_text(e, env, cls, message):
+    with pytest.raises(DenoteError) as info:
+        denote(e, env)
+    assert (type(info.value), str(info.value)) == (cls, message)
 
 
 # ---------------------------------------------------------------- maxima and naturals

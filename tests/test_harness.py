@@ -21,6 +21,7 @@ from foldcost.complexity import (
     SPair,
     ctypecheck,
     denote,
+    sem_apply,
     sem_max,
 )
 from foldcost.harness import (
@@ -47,7 +48,7 @@ from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
     subst, to_source)
-from foldcost.translate import translate
+from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import typecheck
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
@@ -110,13 +111,10 @@ def test_generated_programs_share_their_leaves():
     assert {("IntLit", n) for n in range(-9, 10)} <= common
     assert sum(kind == "name" for kind, _ in common) >= 5
     assert sum(kind == "Var" for kind, _ in common) >= 5
-    # Shared leaves stay immutable.  A fieldless slotted frozen dataclass
-    # raises TypeError rather than FrozenInstanceError on Python 3.11.
-    for key in [("BoolLit", True), ("IntLit", 3)]:
+    # Shared leaves stay immutable, the fieldless `nil` included.
+    for key in [("BoolLit", True), ("IntLit", 3), ("Nil", None)]:
         with pytest.raises(FrozenInstanceError):
             first[key][0].value = 0
-    with pytest.raises((FrozenInstanceError, TypeError)):
-        first[("Nil", None)][0].value = 0
     with pytest.raises(FrozenInstanceError):
         next(v for (kind, _), v in first.items() if kind == "Var")[0].name = "w"
     # A literal outside the default range gets a node of its own.
@@ -200,6 +198,36 @@ def test_function_typed_roots_pass_or_are_inconclusive():
             e = gen_typed_term(seed, 4, ty)
             r = check_program(e)
             assert r.status in ("pass", "inconclusive"), (to_source(e), r.detail)
+
+
+# sha256 of the function-typed denotations of those 1,000 roots: each
+# root's potential applied at 0..8 through `sem_apply`, every curried
+# argument at the same q, one "cost pot" line (or the error) per
+# application; recorded before constants and projections were fused in
+# staging.
+FUNCTION_DENOTATIONS_SHA256 = "1006ec4103955f83066da05d42dace4220d82bbc41c262b6177789c0483f2742"
+
+
+def _saturate(v, cty, q):
+    while isinstance(cty, ArrowPotTy):
+        v = sem_apply(v, canonical_semval(ProdTy(cty.dom), q))
+        cty = cty.cod.pot
+    return v
+
+
+def test_function_typed_denotations_are_frozen():
+    h = hashlib.sha256()
+    for ty in PROBE_TYPES:
+        for seed in range(1000, 1250):
+            root = denote(translate(gen_typed_term(seed, 4, ty)))
+            for q in range(9):
+                try:
+                    v = _saturate(root, pot_ty(ty), q)
+                    line = f"{v.cost} {v.pot}\n"
+                except DenoteError as err:
+                    line = f"{type(err).__name__}: {err}\n"
+                h.update(line.encode("utf-8"))
+    assert h.hexdigest() == FUNCTION_DENOTATIONS_SHA256
 
 
 def test_function_typed_roots_pass_with_loose_probe_potentials(monkeypatch):
