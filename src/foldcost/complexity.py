@@ -26,10 +26,11 @@ the root included, is built once per denotation.
 Nodes and types are made by `syntax.node`, as the target language's are:
 frozen, slotted (a translation has a few hundred nodes) and built by an
 `__init__` that stores through the slot descriptors.  They compare
-structurally, so a shared one equals a fresh one: translation shares its
-constant leaves, `ctypecheck` and `translate_ty` give every pair of
-potential N the one `NAT_PAIR`, and `ctypecheck` tests identity before
-equality.
+structurally, so a shared one equals a fresh one: `ctypecheck` and
+`translate_ty` give every pair of potential N the one `NAT_PAIR`, and
+`ctypecheck` tests identity before equality.  The constant leaves every
+translation shares are defined here (`NUM_0` to `NUM_2`, `LIT_PAIR` (1, 1),
+`NIL_PAIR` (1, 0)); `ctypecheck` and `_stage` answer the pairs by identity.
 
 `denote` stages each node into a closure, and a few common shapes into one
 closure where a walk node by node would make two or three: a numeral, a
@@ -239,12 +240,19 @@ class PFold(CplxExpr):
     binds, scope = ("p", "ps", "w"), "succ"
 
 
+# The shared constant leaves (see the module docstring).
+NUM_0, NUM_1, NUM_2 = CNum(0), CNum(1), CNum(2)
+LIT_PAIR, NIL_PAIR = CPair(NUM_1, NUM_1), CPair(NUM_1, NUM_0)
+
+
 # ---------------------------------------------------------------- typechecking
 
 def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
     """Return the type of e under ctx, or raise CplxTypeError."""
     t = type(e)
     if t is CostOf or t is PotOf:
+        if e.pair is LIT_PAIR or e.pair is NIL_PAIR:
+            return NAT
         ty = _pair_ty(ctypecheck(ctx, e.pair))
         return NAT if t is CostOf else ty.pot
     if t is CVar:
@@ -261,6 +269,8 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         _expect(ctypecheck(ctx, e.rhs), NAT, "right operand of +")
         return NAT
     if t is CPair:
+        if e is LIT_PAIR or e is NIL_PAIR:
+            return NAT_PAIR
         _expect(ctypecheck(ctx, e.cost), NAT, "cost component")
         pt = ctypecheck(ctx, e.pot)
         if not is_potential(pt):
@@ -329,6 +339,9 @@ class SPair(NamedTuple):
 
 
 SemVal = Union[int, SPair, Callable[["SemVal"], "SemVal"]]
+# `_new_pair(SPair, (cost, pot))` is `SPair(cost, pot)` without the Python
+# frame of NamedTuple's `__new__`; the staged hot paths build pairs by it.
+_new_pair = tuple.__new__
 
 
 def nat_add(*ns: int) -> int:
@@ -353,7 +366,7 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
     if isinstance(a, int) and isinstance(b, int):
         return max(a, b)
     if isinstance(a, SPair) and isinstance(b, SPair):
-        return SPair(max(a.cost, b.cost), sem_max(a.pot, b.pot))
+        return _new_pair(SPair, (max(a.cost, b.cost), sem_max(a.pot, b.pot)))
     if callable(a) and callable(b):
         return _memoised(lambda q: sem_max(a(q), b(q)))
     raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
@@ -366,7 +379,7 @@ def sem_apply(f: SemVal, a: SemVal) -> SPair:
     if not callable(f.pot):
         raise DenoteError("applied a value with non-function potential")
     out = _as_pair(f.pot(a.pot))
-    return SPair(nat_add(1, f.cost, a.cost, out.cost), out.pot)
+    return _new_pair(SPair, (nat_add(1, f.cost, a.cost, out.cost), out.pot))
 
 
 # ---------------------------------------------------------------- denotation
@@ -454,21 +467,23 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                     raise NatOverflowError(_OVERFLOW)
                 return n
     elif t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
+        if e is LIT_PAIR or e is NIL_PAIR:
+            return _STAGED_LIT if e is LIT_PAIR else _STAGED_NIL
         if type(e.pot) is CNum:
             return _constant(SPair(e.cost.value, e.pot.value))
 
         def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
-            return SPair(cost, pf(env))
+            return _new_pair(SPair, (cost, pf(env)))
     elif t is CPair:
         def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
-            return SPair(_as_nat(cf(env)), pf(env))
+            return _new_pair(SPair, (_as_nat(cf(env)), pf(env)))
     elif t is Charge:
         def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
             pair = _as_pair(pf(env))
             n = _as_nat(xf(env)) + pair.cost
             if n > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
-            return SPair(n, pair.pot)
+            return _new_pair(SPair, (n, pair.pot))
     elif t is CLet:
         def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
                name=e.name) -> SemVal:
@@ -508,11 +523,11 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             acc = _as_pair(zf(env))
             zero_pot = acc.pot
             for q in range(n):
-                step = _as_pair(tf({**env, p: 1, ps: q, w: SPair(1, acc.pot)}))
+                step = _as_pair(tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc.pot))}))
                 cost = 2 + acc.cost + step.cost
                 if cost > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
-                acc = SPair(cost, sem_max(zero_pot, step.pot))
+                acc = _new_pair(SPair, (cost, sem_max(zero_pot, step.pot)))
             return acc
     else:
         raise DenoteError(f"not a complexity expression: {e!r}")
@@ -534,11 +549,11 @@ def _constant(value: SemVal) -> Staged:
     return fn
 
 
-# The constants that translations make (the numerals 0, 1 and 2, and the
-# pairs of a literal and of nil), staged once for every denotation; the
-# table is filled here and never grows.
+# The constants translations make, `NUM_0` to `NUM_2`, `LIT_PAIR` and
+# `NIL_PAIR`, staged once for every denotation; the table never grows.
 _CONSTANTS: dict[SemVal, Staged] = {}
 _CONSTANTS.update((v, _constant(v)) for v in (0, 1, 2, SPair(1, 1), SPair(1, 0)))
+_STAGED_LIT, _STAGED_NIL = _CONSTANTS[SPair(1, 1)], _CONSTANTS[SPair(1, 0)]
 
 
 def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged, set[str]]:

@@ -24,6 +24,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
 
 from .complexity import (
@@ -101,6 +102,10 @@ class ProbeConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self) -> None:
+        if self.int_lo > self.int_hi or self.max_list < 0:  # `_below` would never return
+            raise ValueError(f"empty literal or list-length range: {self}")
+
 
 DEFAULT_CONFIG = ProbeConfig()
 
@@ -123,6 +128,11 @@ class _TooManyProbes(Exception):
 # ---------------------------------------------------------------- term generation
 
 _BASE_TYPES: tuple[Ty, ...] = (INT, BOOL, INT_LIST)
+# Draws call `Random._randbelow` as `choice` and `randrange` do on CPython
+# 3.10 and 3.11, but without their frames: the same values, pinned by the
+# `*_draws_are_frozen` tests.  Base types are tested by identity, since the
+# parser, the type checker and the generators use only INT, BOOL, INT_LIST.
+_below = random.Random._randbelow
 
 
 def gen_typed_term(seed: int, depth: int, ty: Ty, ctx: Mapping[str, Ty] | None = None) -> Expr:
@@ -132,7 +142,7 @@ def gen_typed_term(seed: int, depth: int, ty: Ty, ctx: Mapping[str, Ty] | None =
     the interesting cost rules; falls back to canonical leaves at depth 0.
     """
     rng = random.Random(seed)
-    return _gen(rng, depth, ty, dict(ctx or {}), ProbeConfig())
+    return _gen(rng, depth, ty, dict(ctx or {}), DEFAULT_CONFIG)
 
 
 def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
@@ -141,7 +151,7 @@ def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeC
 
     # Bias toward the constructs whose cost rules matter most.
     if rng.random() < 0.30:
-        pick = rng.choice(("case", "fold", "app"))
+        pick = ("case", "fold", "app")[_below(rng, 3)]
         if pick == "app":
             arg_ty = _gen_arg_ty(rng, depth)
             fn = _gen(rng, depth - 1, ArrowTy(arg_ty, ty), ctx, cfg)
@@ -176,18 +186,18 @@ def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeC
         return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
     if roll >= 0.70:
         return _gen_leaf(rng, ty, ctx, cfg)
-    if ty == INT or ty == BOOL:
-        op = rng.choice(("+", "-", "*") if ty == INT else ("<", "<=", "="))
+    if ty is INT or ty is BOOL:
+        op = (("+", "-", "*") if ty is INT else ("<", "<=", "="))[_below(rng, 3)]
         return BinOp(op, _gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT, ctx, cfg))
-    if ty == INT_LIST:
+    if ty is INT_LIST:
         return Cons(_gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT_LIST, ctx, cfg))
     raise TypeError(f"not a type: {ty!r}")
 
 
 def _gen_arg_ty(rng: random.Random, depth: int) -> Ty:
     if depth >= 3 and rng.random() < 0.15:
-        return ArrowTy(rng.choice(_BASE_TYPES), rng.choice(_BASE_TYPES))
-    return rng.choice(_BASE_TYPES)
+        return ArrowTy(_BASE_TYPES[_below(rng, 3)], _BASE_TYPES[_below(rng, 3)])
+    return _BASE_TYPES[_below(rng, 3)]
 
 
 # Generated programs share their leaves: one node for nil, true and false
@@ -200,7 +210,7 @@ _VARS = {name: Var(name) for name in (sys.intern(f"v{n}") for n in range(64))}
 
 
 def _int_leaf(rng: random.Random, cfg: ProbeConfig) -> IntLit:
-    n = rng.randrange(cfg.int_lo, cfg.int_hi + 1)
+    n = cfg.int_lo + _below(rng, cfg.int_hi + 1 - cfg.int_lo)
     leaf = _SMALL_INTS.get(n)
     return IntLit(n) if leaf is None else leaf
 
@@ -209,15 +219,15 @@ def _gen_leaf(rng: random.Random, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) 
     # Prefer a variable of the right type when one is in scope.
     candidates = [name for name, t in ctx.items() if t is ty or t == ty]
     if candidates and rng.random() < 0.5:
-        name = rng.choice(sorted(candidates))
+        name = sorted(candidates)[_below(rng, len(candidates))]
         leaf = _VARS.get(name)
         return Var(name) if leaf is None else leaf
-    if ty == INT:
+    if ty is INT:
         return _int_leaf(rng, cfg)
-    if ty == BOOL:
+    if ty is BOOL:
         return _BOOLS[rng.random() < 0.5]
-    if ty == INT_LIST:
-        items = [_int_leaf(rng, cfg) for _ in range(rng.randrange(3))]
+    if ty is INT_LIST:
+        items = [_int_leaf(rng, cfg) for _ in range(_below(rng, 3))]
         out: Expr = _NIL
         for item in reversed(items):
             out = Cons(item, out)
@@ -250,44 +260,44 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     if cty != translate_ty(ty):
         raise AssertionError(f"translation changed the type: {cty} vs {translate_ty(ty)}")
 
-    source = to_source(e)
     try:
         chi = denote(cplx)
         result = eval_expr(e, budget=cfg.budget)
         if not isinstance(chi, SPair):
             raise AssertionError("translated program denoted a non-pair")
         if result.cost > chi.cost:
-            return Report(source, "fail", result.cost, chi.cost, None, None,
+            return Report(e, "fail", result.cost, chi.cost, None, None,
                           detail=f"cost {result.cost} > bound {chi.cost}")
         size, pot = (None, None) if isinstance(ty, ArrowTy) else (value_size(result.value), chi.pot)
         try:
             checked, skipped = _check_value(result.value, chi.pot, ty, cfg)
         except _Violation as v:
-            return Report(source, "fail", result.cost, chi.cost, size, pot, detail=str(v))
+            return Report(e, "fail", result.cost, chi.cost, size, pot, detail=str(v))
         except _TooManyProbes as exc:
-            return Report(source, "inconclusive", result.cost, chi.cost, None, None,
+            return Report(e, "inconclusive", result.cost, chi.cost, None, None,
                           detail=str(exc), probes_checked=0, probes_skipped=0)
         if not isinstance(ty, ArrowTy):
-            return Report(source, "pass", result.cost, chi.cost, size, pot)
+            return Report(e, "pass", result.cost, chi.cost, size, pot)
         if checked == 0:
-            return Report(source, "inconclusive", result.cost, chi.cost, None, None,
+            return Report(e, "inconclusive", result.cost, chi.cost, None, None,
                           detail="all probes hit evaluation limits",
                           probes_checked=checked, probes_skipped=skipped)
-        return Report(source, "pass", result.cost, chi.cost, None, None,
+        return Report(e, "pass", result.cost, chi.cost, None, None,
                       probes_checked=checked, probes_skipped=skipped)
     except BudgetExceededError:
-        return Report(source, "inconclusive", None, None, None, None, detail="budget-exceeded")
+        return Report(e, "inconclusive", None, None, None, None, detail="budget-exceeded")
     except ArithOverflowError:
-        return Report(source, "inconclusive", None, None, None, None, detail="int-overflow")
+        return Report(e, "inconclusive", None, None, None, None, detail="int-overflow")
     except NatOverflowError:
-        return Report(source, "inconclusive", None, None, None, None, detail="nat-overflow")
+        return Report(e, "inconclusive", None, None, None, None, detail="nat-overflow")
 
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of checking one program against its translated bound."""
+    """Outcome of checking one program, `expr`, against its translated
+    bound; its text, `program`, is printed on first read."""
 
-    program: str
+    expr: Expr
     status: str  # "pass" | "fail" | "inconclusive" | "error"
     cost: int | None
     bound_cost: int | None
@@ -296,6 +306,10 @@ class Report:
     detail: str = ""
     probes_checked: int | None = None
     probes_skipped: int | None = None
+
+    @cached_property
+    def program(self) -> str:
+        return to_source(self.expr)
 
 
 def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAULT_CONFIG) -> bool | None:
@@ -393,16 +407,14 @@ def _probe_args(
     lists by their length).  Function arguments are generated as closed
     terms and paired with their own translated potentials.
     """
-    # randrange(lo, hi + 1) draws exactly what randint(lo, hi) would, and
-    # faster.
-    lo, hi = cfg.int_lo, cfg.int_hi + 1
+    lo, width = cfg.int_lo, cfg.int_hi + 1 - cfg.int_lo
     for _ in range(count):
-        if dom == INT:
-            yield rng.randrange(lo, hi), 1
-        elif dom == BOOL:
+        if dom is INT:
+            yield lo + _below(rng, width), 1
+        elif dom is BOOL:
             yield rng.random() < 0.5, 1
-        elif dom == INT_LIST:
-            items = tuple(rng.randrange(lo, hi) for _ in range(rng.randrange(cfg.max_list + 1)))
+        elif dom is INT_LIST:
+            items = tuple(lo + _below(rng, width) for _ in range(_below(rng, cfg.max_list + 1)))
             yield items, len(items)
         elif isinstance(dom, ArrowTy):
             term = _gen(rng, min(cfg.depth, 3), dom, {}, cfg)
@@ -502,12 +514,12 @@ def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
     for k in range(cfg.trials):
         s = trial_seed(cfg.seed, k)
         rng = random.Random(s)
-        ty = rng.choice(_BASE_TYPES)
+        ty = _BASE_TYPES[_below(rng, 3)]
         program = _gen(rng, cfg.depth, ty, {}, cfg)
         try:
             report = check_program(program, cfg)
         except (DenoteError, EvalError, RecursionError, AssertionError) as exc:
-            report = Report(to_source(program), "error", None, None, None, None,
+            report = Report(program, "error", None, None, None, None,
                             detail=f"{type(exc).__name__}: {exc}")
         counts[report.status] += 1
         trials.append(Trial(k, s, report))

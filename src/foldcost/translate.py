@@ -27,24 +27,28 @@ substitution pass.  The substitution lemma's capture-avoiding substitution
 is `syntax.subst`, which serves both languages.
 
 The constant leaves 0, 1 and 2 and the pairs (1, 1) of a literal and (1, 0)
-of nil are module-level nodes shared by every translation.  Nodes are frozen
-and compare structurally, so a shared leaf equals, and prints as, a fresh one.
+of nil are nodes that `complexity` defines and every translation shares.
+Nodes are frozen and compare structurally, so a shared leaf equals, and
+prints as, a fresh one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from . import syntax
 from .complexity import (
+    LIT_PAIR,
     NAT,
     NAT_PAIR,
+    NIL_PAIR,
+    NUM_1,
+    NUM_2,
     ArrowPotTy,
     Charge,
     CLam,
     CLet,
     CMax,
-    CNum,
     CPair,
     CPlus,
     CplxExpr,
@@ -97,11 +101,6 @@ def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
 
 # ---------------------------------------------------------------- translation
 
-# Constant leaves shared by every translation (see the module docstring).
-_ZERO, _ONE, _TWO = CNum(0), CNum(1), CNum(2)
-_VALUE = CPair(_ONE, _ONE)  # an int or bool literal: cost 1, potential 1
-_NIL = CPair(_ONE, _ZERO)
-
 # Translation environments map the target variables bound by enclosing
 # branches (and renamed binders) to what they translate to.
 _Env = Mapping[str, CplxExpr]
@@ -121,26 +120,27 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
     translations; names holds every complexity variable those mention."""
     t = type(e)
     if t is IntLit or t is BoolLit:
-        return _VALUE
+        return LIT_PAIR
     if t is Cons:
-        th = _translate(e.head, env, names)
-        return _let("$t", _translate(e.tail, env, names), lambda tt: CPair(
-            CPlus(_ONE, CPlus(CostOf(th), CostOf(tt))), CPlus(_ONE, PotOf(tt))))
+        th, tt = _translate(e.head, env, names), _translate(e.tail, env, names)
+        r = _reader(tt, "$t")
+        body = CPair(CPlus(NUM_1, CPlus(CostOf(th), CostOf(r))), CPlus(NUM_1, PotOf(r)))
+        return body if r is tt else CLet("$t", tt, body)
     if t is Var:
         bound = env.get(e.name)
         return CVar(e.name) if bound is None else bound
     if t is Nil:
-        return _NIL
+        return NIL_PAIR
     if t is BinOp:
         tl, tr = _translate(e.lhs, env, names), _translate(e.rhs, env, names)
-        return CPair(CPlus(_TWO, CPlus(CostOf(tl), CostOf(tr))), _ONE)
+        return CPair(CPlus(NUM_2, CPlus(CostOf(tl), CostOf(tr))), NUM_1)
     if t is Lam:
         env, names, param = _bind(e.param, e.body, env, names)
         return CLam(param, pot_ty(e.param_ty), _translate(e.body, env, names))
     if t is If:
         tt = _translate(e.test, env, names)
         joined = CMax(_translate(e.then, env, names), _translate(e.orelse, env, names))
-        return Charge(CPlus(_ONE, CostOf(tt)), joined)
+        return Charge(CPlus(NUM_1, CostOf(tt)), joined)
     if t is Fold:
         ts = _translate(e.scrutinee, env, names)
         tz = _translate(e.nil_branch, env, names)
@@ -149,8 +149,9 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         # The accumulator shadows the head and tail.
         env, names, w = _bind(e.acc, e.step, env, names)
         tb = _translate(e.step, env, names)
-        return _let("$s", ts, lambda s: Charge(
-            CPlus(_ONE, CostOf(s)), PFold(PotOf(s), tz, p, ps, w, tb)))
+        r = _reader(ts, "$s")
+        body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, w, tb))
+        return body if r is ts else CLet("$s", ts, body)
     if t is App:
         return StarApp(_translate(e.fn, env, names), _translate(e.arg, env, names))
     if t is Case:
@@ -159,17 +160,18 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         taken = syntax.free_vars(e.cons_branch) | {e.head, e.tail} | names
         env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
         tb = _translate(e.cons_branch, env, names)
-        return _let("$s", ts, lambda s: Charge(
-            CPlus(_ONE, CostOf(s)), PCase(PotOf(s), tz, p, ps, tb)))
+        r = _reader(ts, "$s")
+        body = Charge(CPlus(NUM_1, CostOf(r)), PCase(PotOf(r), tz, p, ps, tb))
+        return body if r is ts else CLet("$s", ts, body)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _let(name: str, bound: CplxExpr, body: Callable[[CplxExpr], CplxExpr]) -> CplxExpr:
-    """body(bound), naming bound by a `let` of name, which no program uses,
-    unless it is a variable or a shared constant pair."""
-    if type(bound) is CVar or bound is _VALUE or bound is _NIL:
-        return body(bound)
-    return CLet(name, bound, body(CVar(name)))
+def _reader(bound: CplxExpr, name: str) -> CplxExpr:
+    """What a body reads `bound` through: bound itself, if it is a variable or
+    a shared constant pair, else the variable `name`, which no program uses,
+    for a `let` around the body to bind."""
+    shared = type(bound) is CVar or bound is LIT_PAIR or bound is NIL_PAIR
+    return bound if shared else CVar(name)
 
 
 def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]
@@ -185,7 +187,7 @@ def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: 
     """
     p = fresh_name("p", taken)
     ps = fresh_name("ps", taken | {p})
-    inner = {**env, head: CPair(_ONE, CVar(p)), tail: CPair(_ONE, CVar(ps))}
+    inner = {**env, head: CPair(NUM_1, CVar(p)), tail: CPair(NUM_1, CVar(ps))}
     return inner, names | {p, ps}, p, ps
 
 

@@ -15,6 +15,8 @@ import foldcost
 from foldcost import harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from foldcost.complexity import DenoteError, SPair
+from foldcost.parser import parse
+from foldcost.syntax import to_source
 
 
 def corpus_path(name):
@@ -212,6 +214,21 @@ def test_check_many_curried_arguments_is_inconclusive(tmp_path):
         EXIT_OK, "cost=1 bound=1 probes=0 verdict=inconclusive "
         "detail='too many probe vectors: 2^40 > 4096'\n", "")
     assert time.perf_counter() - start < 5
+
+
+def test_check_bound_past_64_bits_is_inconclusive(capsys, tmp_path):
+    # Each fold step doubles the cost of the accumulated function, so its
+    # potential overflows 64 bits at 64 steps; the memo keeps the
+    # denotation linear.  The run is never made, so no cost is reported.
+    source = ("if true then 0 else (fold [" + ", ".join(["1"] * 64) +
+              "] of (\\x:int. x, [y, ys, w] \\x:int. w (w x))) 0")
+    code, out, err = run(capsys, "check", write_program(tmp_path, source))
+    assert (code, out, err) == (EXIT_OK, "cost=None bound=None size=None pot=None "
+                                "verdict=inconclusive detail='nat-overflow'\n", "")
+    e = parse(source)
+    report = harness.check_program(e)
+    assert (report.status, report.detail) == ("inconclusive", "nat-overflow")
+    assert report.program == to_source(e)
 
 
 @pytest.mark.parametrize("failing, code", [(False, EXIT_ERROR), (True, EXIT_VIOLATION)],

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from conftest import count_sem_max, fun_acc_fold
 from foldcost import complexity
 from foldcost.complexity import (
+    LIT_PAIR,
     NAT,
     NAT_MAX,
     NAT_PAIR,
+    NIL_PAIR,
     MAX_PRINTED,
     ArrowPotTy,
     Charge,
@@ -106,6 +108,19 @@ def test_pair_and_projection_typing():
         ctypecheck({}, CPair(CNum(1), PAIR(1, 1)))
     with pytest.raises(CplxTypeError, match="pair"):
         ctypecheck({}, CostOf(CNum(1)))
+
+
+@pytest.mark.parametrize("shared, pot", [(LIT_PAIR, 1), (NIL_PAIR, 0)], ids=["literal", "nil"])
+def test_shared_pairs_answer_as_fresh_ones(shared, pot):
+    # ctypecheck and denote answer the shared pairs by identity; a fresh
+    # pair of the same numerals, walked node by node, gives the same answers.
+    fresh = CPair(CNum(1), CNum(pot))
+    assert fresh == shared and fresh is not shared
+    for make in (lambda e: e, CostOf, PotOf,
+                 lambda e: CPlus(CostOf(e), CostOf(e)), lambda e: Charge(CNum(2), e)):
+        assert ctypecheck({}, make(fresh)) is ctypecheck({}, make(shared))
+        assert denote(make(fresh)) == denote(make(shared))
+    assert denote(shared) == SPair(1, pot)
 
 
 def test_lambda_and_application_typing():

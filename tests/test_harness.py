@@ -1,14 +1,16 @@
 """Property harness: generators, probing, campaigns, bound tables."""
 
+import ast
 import hashlib
 import json
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from conftest import CORPUS_NAMES, PROBE_TYPES, corpus_expr, count_sem_max
+from conftest import (
+    CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, corpus_expr, count_sem_max)
 from foldcost import harness
 from foldcost.complexity import (
     NAT,
@@ -43,7 +45,7 @@ from foldcost.harness import (
     trial_seed,
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
-from foldcost.interp import EvalError, eval_expr, value_size
+from foldcost.interp import EvalError, eval_expr, render_value, value_size
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
@@ -96,6 +98,65 @@ def _leaves(e, out):
         if isinstance(child, Expr):
             _leaves(child, out)
     return out
+
+
+# sha256 of `to_source` of criterion 2's first 2,000 programs (one per
+# line), drawn as `fuzz_campaign` draws them, recorded before the draws
+# stopped going through `random.choice` and `random.randrange`.
+CAMPAIGN_DRAWS_SHA256 = "65d8a64a07f235a3c4f9c731875ed69925e030f3f6d4fd20f40728ef7af0aeb2"
+
+
+def test_campaign_draws_are_frozen(monkeypatch):
+    # Every check raises, so each trial is an error verdict that keeps its
+    # program and nothing is checked.
+    def refuse(e, cfg):
+        raise AssertionError("not checked")
+
+    monkeypatch.setattr(harness, "check_program", refuse)
+    summary = fuzz_campaign(replace(CAMPAIGN_CONFIG, trials=2_000))
+    text = "".join(t.report.program + "\n" for t in summary.trials)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CAMPAIGN_DRAWS_SHA256
+
+
+# sha256 of the (value, potential) stream `_probe_args` yields for each
+# `PROBE_TYPES` domain, 100 draws at seed 0, recorded with the same rule as
+# the campaign draws above.  A closure is written as its parameter, body and
+# environment, and its potential by its results at 0..4.
+PROBE_DRAWS_SHA256 = "c39cbae500eaf3036b11f86eebbd2979279e3357fa7583d9af5a1e92f6090ba3"
+
+
+def _draw_line(value, pot) -> str:
+    if callable(pot):
+        env = ",".join(f"{k}={render_value(v)}" for k, v in sorted(value.env.items()))
+        results = " ".join(f"{r.cost},{r.pot}" for r in map(pot, range(5)))
+        return f"\\{value.param}. {to_source(value.body)} [{env}] {results}\n"
+    return f"{type(value).__name__} {render_value(value)} {pot}\n"
+
+
+def test_probe_draws_are_frozen():
+    h = hashlib.sha256()
+    for ty in PROBE_TYPES:
+        draws = harness._probe_args(ty.dom, 100, ProbeConfig(), random.Random(0))
+        for value, pot in draws:
+            h.update(_draw_line(value, pot).encode("utf-8"))
+    assert h.hexdigest() == PROBE_DRAWS_SHA256
+
+
+@pytest.mark.parametrize("knobs", [{"int_lo": 1, "int_hi": 0}, {"max_list": -1}])
+def test_empty_draw_ranges_are_refused(knobs):
+    with pytest.raises(ValueError, match="empty literal or list-length range"):
+        ProbeConfig(**knobs)
+
+
+def test_sources_parse_as_python_3_10():
+    # The nearest check of Python 3.10 support that a newer interpreter
+    # allows, and the one private method of `random` that the draws use.
+    root = CORPUS.parent
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    assert callable(random.Random._randbelow)
 
 
 def test_generated_programs_share_their_leaves():
@@ -154,6 +215,22 @@ def test_closure_bounding_probes_the_body():
 
 
 # ---------------------------------------------------------------- program reports
+
+
+def test_report_prints_its_program_on_first_read(monkeypatch):
+    calls = []
+    real = harness.to_source
+
+    def counting(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(harness, "to_source", counting)
+    e = corpus_expr("case_if")
+    r = check_program(e)
+    assert r.status == "pass" and calls == []
+    assert r.program == real(e) and r.program == real(e)
+    assert calls == [e]
 
 
 def test_base_program_report_is_frozen():

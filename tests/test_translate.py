@@ -8,8 +8,10 @@ import pytest
 
 from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr
 from foldcost.complexity import (
+    LIT_PAIR,
     NAT,
     NAT_PAIR,
+    NIL_PAIR,
     ArrowPotTy,
     Charge,
     CLam,
@@ -179,6 +181,12 @@ def test_translation_shares_constant_leaves():
     assert all(pair is literal_pairs[0] for pair in literal_pairs)
     assert len({id(n) for n in numerals}) == 2  # 0, in the nil pair, and 1
     assert ctypecheck({}, cplx) is NAT_PAIR
+
+
+def test_literals_and_nil_translate_to_the_shared_pairs():
+    assert translate(parse("1")) is LIT_PAIR
+    assert translate(parse("true")) is LIT_PAIR
+    assert translate(parse("nil")) is NIL_PAIR
 
 
 def test_branch_translation_keeps_sharing():
