@@ -3,11 +3,13 @@
 Three layers: an instrumented interpreter whose cost is the size of the
 evaluation derivation (interp), a translation of programs into recurrences
 over costs and potentials (translate, complexity), and a differential
-harness that checks measured runs against the denoted bounds (harness).
+harness that checks measured runs against the denoted bounds (harness), on
+programs from the random program generator (gen).
 """
 
 from .complexity import ctypecheck, denote
-from .harness import ProbeConfig, check_program, fuzz_campaign, gen_typed_term, tabulate
+from .gen import ProbeConfig, gen_typed_term
+from .harness import check_program, fuzz_campaign, tabulate
 from .interp import derive, eval_expr
 from .parser import parse
 from .syntax import to_source

@@ -29,11 +29,10 @@ from dataclasses import replace
 from typing import Sequence
 
 from .complexity import CplxTypeError, DenoteError, NatOverflowError, ctypecheck, cplx_to_source
+from .gen import DEFAULT_CONFIG, ProbeConfig
 from .harness import (
     ArgSpec,
-    DEFAULT_CONFIG,
     FixedArg,
-    ProbeConfig,
     SweepArg,
     TermArg,
     check_program,

@@ -10,8 +10,8 @@ says and the result is recursively bounded.  That quantifier is approximated
 here by probing: finitely many sampled arguments, each paired with a
 potential that bounds it by construction.  A probe failure is a real
 counterexample; probe success is evidence, not proof.  The whole relation
-is one recursive check over the type, which `check_program` and
-`check_value_bounded` share.
+is one recursive check over the type, `_check_value`.  Programs come from
+`gen`; tables of bounds over a swept argument size come from `tabulate`.
 
 Everything is deterministic given the config seed.  Trials that hit the cost
 budget or 64-bit overflow prove nothing either way and are reported as
@@ -22,43 +22,17 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .complexity import (
-    NAT,
-    ArrowPotTy,
-    CLam,
-    CMax,
-    CNum,
-    CPair,
-    CPlus,
-    CplxExpr,
-    CostOf,
-    CTy,
-    CVar,
-    DenoteError,
-    NatOverflowError,
-    NatTy,
-    PCase,
-    PFold,
-    PotOf,
-    ProdTy,
-    SPair,
-    SemVal,
-    StarApp,
-    ctypecheck,
-    denote,
-    sem_apply,
-)
+from .complexity import DenoteError, NatOverflowError, SPair, SemVal, ctypecheck, denote, sem_apply
+# `gen_typed_term` is re-exported for callers that import it from here.
+from .gen import DEFAULT_CONFIG, ProbeConfig, _BASE_TYPES, _below, _gen, gen_typed_term
 from .interp import (
     ArithOverflowError,
     BudgetExceededError,
-    DEFAULT_BUDGET,
     EvalError,
-    EvalResult,
     VClosure,
     Value,
     eval_expr,
@@ -66,48 +40,9 @@ from .interp import (
     render_value,
     value_size,
 )
-from .syntax import (
-    BOOL,
-    INT,
-    INT_LIST,
-    App,
-    ArrowTy,
-    BinOp,
-    BoolLit,
-    Case,
-    Cons,
-    Expr,
-    Fold,
-    If,
-    IntLit,
-    Lam,
-    Nil,
-    Ty,
-    Var,
-    to_source,
-)
+from .syntax import BOOL, INT, INT_LIST, ArrowTy, Expr, Ty, to_source
 from .translate import translate, translate_ty
 from .typecheck import typecheck
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Knobs for generation, probing, and campaign size."""
-
-    trials: int = 100
-    depth: int = 4
-    max_list: int = 8
-    int_lo: int = -9
-    int_hi: int = 9
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.int_lo > self.int_hi or self.max_list < 0:  # `_below` would never return
-            raise ValueError(f"empty literal or list-length range: {self}")
-
-
-DEFAULT_CONFIG = ProbeConfig()
 
 
 class _Violation(Exception):
@@ -123,126 +58,6 @@ MAX_PROBE_VECTORS = 4096
 
 class _TooManyProbes(Exception):
     """The smallest probe plan for a function type exceeds MAX_PROBE_VECTORS."""
-
-
-# ---------------------------------------------------------------- term generation
-
-_BASE_TYPES: tuple[Ty, ...] = (INT, BOOL, INT_LIST)
-# Draws call `Random._randbelow` as `choice` and `randrange` do on CPython
-# 3.10 and 3.11, but without their frames: the same values, pinned by the
-# `*_draws_are_frozen` tests.  Base types are tested by identity, since the
-# parser, the type checker and the generators use only INT, BOOL, INT_LIST.
-_below = random.Random._randbelow
-
-
-def gen_typed_term(seed: int, depth: int, ty: Ty, ctx: Mapping[str, Ty] | None = None) -> Expr:
-    """Generate a well-typed term of the given type, deterministically.
-
-    Biased toward case/fold/application nodes so generated programs exercise
-    the interesting cost rules; falls back to canonical leaves at depth 0.
-    """
-    rng = random.Random(seed)
-    return _gen(rng, depth, ty, dict(ctx or {}), DEFAULT_CONFIG)
-
-
-def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
-    if depth <= 0:
-        return _gen_leaf(rng, ty, ctx, cfg)
-
-    # Bias toward the constructs whose cost rules matter most.
-    if rng.random() < 0.30:
-        pick = ("case", "fold", "app")[_below(rng, 3)]
-        if pick == "app":
-            arg_ty = _gen_arg_ty(rng, depth)
-            fn = _gen(rng, depth - 1, ArrowTy(arg_ty, ty), ctx, cfg)
-            arg = _gen(rng, depth - 1, arg_ty, ctx, cfg)
-            return App(fn, arg)
-        scrut = _gen(rng, depth - 1, INT_LIST, ctx, cfg)
-        nil_branch = _gen(rng, depth - 1, ty, ctx, cfg)
-        ctx1 = dict(ctx)
-        head = _fresh_var(ctx1)
-        ctx1[head] = INT
-        tail = _fresh_var(ctx1)
-        ctx1[tail] = INT_LIST
-        if pick == "case":
-            branch = _gen(rng, depth - 1, ty, ctx1, cfg)
-            return Case(scrut, nil_branch, head, tail, branch)
-        acc = _fresh_var(ctx1)
-        ctx1[acc] = ty
-        step = _gen(rng, depth - 1, ty, ctx1, cfg)
-        return Fold(scrut, nil_branch, head, tail, acc, step)
-
-    if isinstance(ty, ArrowTy):
-        if rng.random() < 0.15:
-            test = _gen(rng, depth - 1, BOOL, ctx, cfg)
-            return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
-        param = _fresh_var(ctx)
-        body = _gen(rng, depth - 1, ty.cod, {**ctx, param: ty.dom}, cfg)
-        return Lam(param, ty.dom, body)
-
-    roll = rng.random()
-    if roll < 0.15:
-        test = _gen(rng, depth - 1, BOOL, ctx, cfg)
-        return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
-    if roll >= 0.70:
-        return _gen_leaf(rng, ty, ctx, cfg)
-    if ty is INT or ty is BOOL:
-        op = (("+", "-", "*") if ty is INT else ("<", "<=", "="))[_below(rng, 3)]
-        return BinOp(op, _gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT, ctx, cfg))
-    if ty is INT_LIST:
-        return Cons(_gen(rng, depth - 1, INT, ctx, cfg), _gen(rng, depth - 1, INT_LIST, ctx, cfg))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _gen_arg_ty(rng: random.Random, depth: int) -> Ty:
-    if depth >= 3 and rng.random() < 0.15:
-        return ArrowTy(_BASE_TYPES[_below(rng, 3)], _BASE_TYPES[_below(rng, 3)])
-    return _BASE_TYPES[_below(rng, 3)]
-
-
-# Generated programs share their leaves: one node for nil, true and false
-# each, one per literal in the default range and one per variable of the
-# first 64 binder names; binder names are interned.
-_NIL = Nil()
-_BOOLS = {True: BoolLit(True), False: BoolLit(False)}
-_SMALL_INTS = {n: IntLit(n) for n in range(DEFAULT_CONFIG.int_lo, DEFAULT_CONFIG.int_hi + 1)}
-_VARS = {name: Var(name) for name in (sys.intern(f"v{n}") for n in range(64))}
-
-
-def _int_leaf(rng: random.Random, cfg: ProbeConfig) -> IntLit:
-    n = cfg.int_lo + _below(rng, cfg.int_hi + 1 - cfg.int_lo)
-    leaf = _SMALL_INTS.get(n)
-    return IntLit(n) if leaf is None else leaf
-
-
-def _gen_leaf(rng: random.Random, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
-    # Prefer a variable of the right type when one is in scope.
-    candidates = [name for name, t in ctx.items() if t is ty or t == ty]
-    if candidates and rng.random() < 0.5:
-        name = sorted(candidates)[_below(rng, len(candidates))]
-        leaf = _VARS.get(name)
-        return Var(name) if leaf is None else leaf
-    if ty is INT:
-        return _int_leaf(rng, cfg)
-    if ty is BOOL:
-        return _BOOLS[rng.random() < 0.5]
-    if ty is INT_LIST:
-        items = [_int_leaf(rng, cfg) for _ in range(_below(rng, 3))]
-        out: Expr = _NIL
-        for item in reversed(items):
-            out = Cons(item, out)
-        return out
-    if isinstance(ty, ArrowTy):
-        param = _fresh_var(ctx)
-        return Lam(param, ty.dom, _gen_leaf(rng, ty.cod, {**ctx, param: ty.dom}, cfg))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _fresh_var(ctx: Mapping[str, Ty]) -> str:
-    n = len(ctx)
-    while f"v{n}" in ctx:
-        n += 1
-    return sys.intern(f"v{n}")
 
 
 # ---------------------------------------------------------------- bounding checks
@@ -310,25 +125,6 @@ class Report:
     @cached_property
     def program(self) -> str:
         return to_source(self.expr)
-
-
-def check_value_bounded(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig = DEFAULT_CONFIG) -> bool | None:
-    """Does potential `pot` bound value `v` at type `ty`?
-
-    For base types this is exact (1 for ints and booleans, length for
-    lists).  For functions it probes: sampled bounded arguments, with the
-    body's cost and result checked against the potential applied to the
-    argument's potential.  Exact when it answers False.  None means that
-    every probe hit an evaluation limit, or that the function takes too many
-    curried arguments to probe, so nothing could be checked.
-    """
-    try:
-        checked, _ = _check_value(v, pot, ty, cfg)
-    except _Violation:
-        return False
-    except _TooManyProbes:
-        return None
-    return True if checked else None
 
 
 def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Random | None = None,
@@ -615,158 +411,3 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
             val = sem_apply(val, SPair(1, n) if arg is None else arg)
         rows.append(BoundRow(n, val.cost, val.pot))
     return BoundTable(tuple(rows))
-
-
-# ---------------------------------------------------------------- measured runs
-
-def measure_application(
-    e: Expr, arg_values: Sequence[Value], budget: int = DEFAULT_BUDGET
-) -> EvalResult:
-    """Cost of applying e to already-evaluated argument values.
-
-    The function and each argument are bound to variables, so each costs one
-    lookup, mirroring how `tabulate` charges arguments: the returned cost is
-    directly comparable to the tabulated bound at the arguments' potentials.
-    """
-    clo = eval_expr(e, budget=budget).value
-    env: dict[str, Value] = {"$f": clo}
-    expr: Expr = Var("$f")
-    for i, v in enumerate(arg_values):
-        env[f"$a{i}"] = v
-        expr = App(expr, Var(f"$a{i}"))
-    return eval_expr(expr, env, budget=budget)
-
-
-def descending_list(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
-
-
-def binary_lists(n: int) -> Iterator[tuple[int, ...]]:
-    """All 0/1 lists of length n; adversarial inputs for small n."""
-    for bits in range(2**n):
-        yield tuple((bits >> i) & 1 for i in range(n))
-
-
-# ---------------------------------------------------------------- lemma probes
-
-def canonical_semval(cty: CTy, k: int) -> SemVal:
-    """A deterministic inhabitant of a complexity type, scaled by k."""
-    if isinstance(cty, NatTy):
-        return k
-    if isinstance(cty, ProdTy):
-        return SPair(k, canonical_semval(cty.pot, k))
-    if isinstance(cty, ArrowPotTy):
-        dom, cod = cty.dom, cty.cod
-        def fn(q: SemVal, cod=cod, k=k) -> SemVal:
-            bump = q if isinstance(q, int) else 1
-            return canonical_semval(cod, min(k + bump, 64))
-        return fn
-    raise TypeError(f"not a complexity type: {cty!r}")
-
-
-def semval_le(a: SemVal, b: SemVal, cty: CTy, probes: Sequence[int] = range(6)) -> bool:
-    """Pointwise order on semantic values, probing function types."""
-    if isinstance(cty, NatTy):
-        return a <= b
-    if isinstance(cty, ProdTy):
-        return a.cost <= b.cost and semval_le(a.pot, b.pot, cty.pot, probes)
-    if isinstance(cty, ArrowPotTy):
-        return all(
-            semval_le(a(_probe_pot(cty.dom, i)), b(_probe_pot(cty.dom, i)), cty.cod, probes)
-            for i in probes)
-    raise TypeError(f"not a complexity type: {cty!r}")
-
-
-def _probe_pot(cty: CTy, i: int) -> SemVal:
-    return i if isinstance(cty, NatTy) else canonical_semval(cty, i)
-
-
-# ---------------------------------------------------------------- complexity-term generation
-
-def gen_cplx_term(seed: int, depth: int, cty: CTy, ctx: Mapping[str, CTy] | None = None) -> CplxExpr:
-    """Generate a well-typed complexity expression, deterministically.
-
-    Used by the property tests for the semantic lemmas (max as upper bound,
-    substitution commuting with denotation, pfold dominating its base)."""
-    rng = random.Random(seed)
-
-    def vars_of(t: CTy, c: Mapping[str, CTy]) -> list[str]:
-        return sorted(name for name, ty in c.items() if ty == t)
-
-    def leaf(t: CTy, c: dict[str, CTy]) -> CplxExpr:
-        names = vars_of(t, c)
-        if names and rng.random() < 0.5:
-            return CVar(rng.choice(names))
-        if isinstance(t, NatTy):
-            return CNum(rng.randint(0, 5))
-        if isinstance(t, ProdTy):
-            return CPair(CNum(rng.randint(0, 5)), leaf(t.pot, c))
-        if isinstance(t, ArrowPotTy):
-            param = _fresh_cplx_var(c)
-            inner = CLam(param, t.dom, leaf(t.cod, {**c, param: ProdTy(t.dom)}))
-            return PotOf(inner)
-        raise TypeError(f"not a complexity type: {t!r}")
-
-    def go(d: int, t: CTy, c: dict[str, CTy]) -> CplxExpr:
-        if d <= 0:
-            return leaf(t, c)
-        if isinstance(t, NatTy):
-            roll = rng.random()
-            if roll < 0.30:
-                return CPlus(go(d - 1, t, c), go(d - 1, t, c))
-            if roll < 0.50:
-                return CMax(go(d - 1, t, c), go(d - 1, t, c))
-            if roll < 0.70:
-                return CostOf(go(d - 1, ProdTy(NAT), c))
-            if roll < 0.85:
-                return PotOf(go(d - 1, ProdTy(NAT), c))
-            return leaf(t, c)
-        if isinstance(t, ProdTy):
-            roll = rng.random()
-            if roll < 0.30:
-                return CPair(go(d - 1, NAT, c), go_pot(d - 1, t.pot, c))
-            if roll < 0.45:
-                return CMax(go(d - 1, t, c), go(d - 1, t, c))
-            if roll < 0.60:
-                c1 = dict(c)
-                p = _fresh_cplx_var(c1)
-                c1[p] = NAT
-                ps = _fresh_cplx_var(c1)
-                c1[ps] = NAT
-                return PCase(go(d - 1, NAT, c), go(d - 1, t, c), p, ps, go(d - 1, t, c1))
-            if roll < 0.75:
-                c1 = dict(c)
-                p = _fresh_cplx_var(c1)
-                c1[p] = NAT
-                ps = _fresh_cplx_var(c1)
-                c1[ps] = NAT
-                w = _fresh_cplx_var(c1)
-                c1[w] = t
-                return PFold(go(d - 1, NAT, c), go(d - 1, t, c), p, ps, w, go(d - 1, t, c1))
-            if roll < 0.85:
-                fn = go(d - 1, ProdTy(ArrowPotTy(NAT, t)), c)
-                return StarApp(fn, go(d - 1, ProdTy(NAT), c))
-            if isinstance(t.pot, ArrowPotTy):
-                param = _fresh_cplx_var(c)
-                body = go(d - 1, t.pot.cod, {**c, param: ProdTy(t.pot.dom)})
-                return CLam(param, t.pot.dom, body)
-            return leaf(t, c)
-        if isinstance(t, ArrowPotTy):
-            return go_pot(d, t, c)
-        raise TypeError(f"not a complexity type: {t!r}")
-
-    def go_pot(d: int, t: CTy, c: dict[str, CTy]) -> CplxExpr:
-        # Potential position: naturals are ordinary terms; arrows come from
-        # projecting a generated pair.
-        if isinstance(t, NatTy):
-            return go(d, t, c)
-        return PotOf(go(d, ProdTy(t), c))
-
-    return go(depth, cty, dict(ctx or {}))
-
-
-def _fresh_cplx_var(ctx: Mapping[str, CTy]) -> str:
-    n = len(ctx)
-    while f"u{n}" in ctx:
-        n += 1
-    return f"u{n}"

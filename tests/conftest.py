@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from foldcost import complexity
-from foldcost.harness import ProbeConfig, fuzz_campaign
+from foldcost.gen import ProbeConfig
+from foldcost.harness import fuzz_campaign
 from foldcost.parser import parse
 from foldcost.syntax import INT, INT_LIST, ArrowTy
 

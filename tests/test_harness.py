@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import (
     CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, corpus_expr, count_sem_max)
-from foldcost import harness
+from foldcost import gen, harness
 from foldcost.complexity import (
     NAT,
     NAT_PAIR,
@@ -26,32 +27,28 @@ from foldcost.complexity import (
     sem_apply,
     sem_max,
 )
+from foldcost.gen import ProbeConfig, gen_typed_term
 from foldcost.harness import (
     FixedArg,
-    ProbeConfig,
     SweepArg,
     TermArg,
-    binary_lists,
-    canonical_semval,
     check_program,
-    check_value_bounded,
-    descending_list,
     fuzz_campaign,
-    gen_cplx_term,
-    gen_typed_term,
-    measure_application,
-    semval_le,
     tabulate,
     trial_seed,
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
-from foldcost.interp import EvalError, eval_expr, render_value, value_size
+from foldcost.interp import (
+    DEFAULT_BUDGET, ArithOverflowError, BudgetExceededError, EvalError, eval_expr, evaluate,
+    render_value, value_size)
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
-    subst, to_source)
+    free_vars, subst, to_source)
 from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import typecheck
+from oracles import (
+    canonical_semval, check_value_bounded, gen_cplx_term, measure_application, semval_le)
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
 
@@ -159,6 +156,35 @@ def test_sources_parse_as_python_3_10():
     assert callable(random.Random._randbelow)
 
 
+def _imported_names(path) -> set[str]:
+    """Dotted names a source file imports, with each `from` import also
+    giving module.name and a relative import read inside `foldcost`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"foldcost.{module}" if module else "foldcost"
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_modules_import_by_layer():
+    # The generator sits below the checker, only the front ends import the
+    # checker, and the library imports nothing from its tests.
+    root = CORPUS.parent
+    imports = {p.stem: _imported_names(p) for p in sorted((root / "src").rglob("*.py"))}
+    assert "foldcost.gen" in imports["harness"]
+    assert not {"foldcost.harness", "foldcost.cli"} & imports["gen"]
+    assert sorted(m for m, names in imports.items() if "foldcost.harness" in names) == [
+        "__init__", "cli"]
+    for module, names in imports.items():
+        assert not {n.split(".")[0] for n in names} & {"tests", "conftest", "oracles"}, module
+
+
 def test_generated_programs_share_their_leaves():
     first, second = {}, {}
     for seed in range(30):
@@ -179,8 +205,8 @@ def test_generated_programs_share_their_leaves():
     with pytest.raises(FrozenInstanceError):
         next(v for (kind, _), v in first.items() if kind == "Var")[0].name = "w"
     # A literal outside the default range gets a node of its own.
-    wide = harness._gen(random.Random(0), 0, INT, {}, ProbeConfig(int_lo=100, int_hi=100))
-    assert wide == IntLit(100) and wide is not harness._gen(
+    wide = gen._gen(random.Random(0), 0, INT, {}, ProbeConfig(int_lo=100, int_hi=100))
+    assert wide == IntLit(100) and wide is not gen._gen(
         random.Random(0), 0, INT, {}, ProbeConfig(int_lo=100, int_hi=100))
 
 
@@ -643,7 +669,7 @@ def test_measured_cost_matches_identity_bound():
 def test_measured_runs_stay_under_tabulated_bounds():
     table = tabulate(corpus_expr("ins"), [FixedArg(), SweepArg()], range(9))
     for n in range(9):
-        for xs in binary_lists(n):
+        for xs in itertools.product((0, 1), repeat=n):
             got = measure_application(corpus_expr("ins"), [1, xs])
             row = table.rows[n]
             assert got.cost <= row.cost
@@ -679,19 +705,50 @@ def test_corpus_bounds_equal_the_worst_measured_runs():
         for row in tabulate(e, specs, range(65)).rows:
             assert (row.cost, row.pot) == worst([tuple(range(row.n))]), (name, row.n)
             if row.n <= 8:
-                assert (row.cost, row.pot) == worst(binary_lists(row.n)), (name, row.n)
+                assert (row.cost, row.pot) == worst(
+                    itertools.product((0, 1), repeat=row.n)), (name, row.n)
 
 
-def test_input_builders():
-    assert (type(descending_list(5)), descending_list(5)) == (tuple, (5, 4, 3, 2, 1))
-    assert (type(descending_list(0)), descending_list(0)) == (tuple, ())
-    lists = list(binary_lists(3))
-    assert len(lists) == 8
-    assert len(set(lists)) == 8
-    assert all(type(v) is tuple and len(v) == 3 for v in lists)
-    assert all(type(b) is int for v in lists for b in v)
-    assert all(set(v) <= {0, 1} for v in lists)
-    assert [(type(v), v) for v in binary_lists(0)] == [(tuple, ())]
+# ---------------------------------------------------------------- rule-local checks
+
+
+def _rule_template(kind: str, rng: random.Random, ty) -> Expr:
+    """`fold a of (z, [y, ys, w] s)` or `case a of (z, [y, ys] s)`, with z
+    and s generated over a free `a : int*`, a free `c : int` and the branch
+    binders."""
+    ctx = {"a": INT_LIST, "c": INT}
+    zero = gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG)
+    ctx.update(y=INT, ys=INT_LIST)
+    if kind == "case":
+        return Case(Var("a"), zero, "y", "ys", gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG))
+    ctx["w"] = ty
+    return Fold(Var("a"), zero, "y", "ys", "w", gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG))
+
+
+@pytest.mark.parametrize("kind", ["case", "fold"])
+def test_rule_bounds_hold_under_loose_hypotheses(kind):
+    """The Soundness Theorem's induction grants a construct's subterms any
+    bounding pair, not only the tightest one a closed program produces.  So
+    the scrutinee `a`, a list of length n in 0..3, is bounded by (1, n + k)
+    for every k in 0..3, and each of these 16 hypotheses must bound the run.
+    A `pfold` or `pcase` that drops its join with the zero branch fails here
+    on 31 and 158 of the 300 bodies; the campaign's root check catches
+    them in 0 and 1 of 300 programs."""
+    skipped = 0
+    for seed in range(20000, 20300):
+        e = _rule_template(kind, random.Random(seed), gen._BASE_TYPES[seed % 3])
+        bound = translate(e)
+        for n in range(4):
+            try:
+                value, cost = evaluate(e, {"a": tuple(range(n)), "c": 3}, DEFAULT_BUDGET)
+            except (ArithOverflowError, BudgetExceededError):
+                skipped += 1
+                continue
+            for k in range(4):
+                chi = denote(bound, {"a": SPair(1, n + k), "c": SPair(1, 1)})
+                assert cost <= chi.cost and value_size(value) <= chi.pot, (
+                    to_source(e), n, k, cost, chi)
+    assert skipped <= 4  # one run overflows
 
 
 # ---------------------------------------------------------------- lemma probes
@@ -757,6 +814,29 @@ def test_denotation_is_monotone_in_a_free_variable():
         low = denote(t, {"x": SPair(c, p)})
         for raised in (SPair(c + 1, p), SPair(c, p + 1), SPair(c + 3, p + 2)):
             assert semval_le(low, denote(t, {"x": raised}), cty), (seed, raised)
+
+
+def test_denotation_is_monotone_in_a_free_function():
+    """The weakening lemma at function type: raising a free `f : N x (N ->
+    N x N)`'s cost, or its results pointwise, never lowers the denotation.
+    The lemma holds only for monotone potentials, so the base `q |-> (1, 2q)`
+    is monotone; with `q |-> (q % 3, q + 1)` two of these comparisons fail."""
+    fty = ProdTy(ArrowPotTy(NAT, NAT_PAIR))
+    ctys = (NAT, NAT_PAIR, fty)
+    base = lambda q: SPair(1, 2 * q)
+    mentions = 0
+    for seed in range(1000):
+        cty = ctys[seed % 3]
+        t = gen_cplx_term(seed, 3, cty, {"f": fty})
+        mentions += "f" in free_vars(t)
+        c = seed % 4
+        low = denote(t, {"f": SPair(c, base)})
+        raisings = [SPair(c + 1, base)] + [
+            SPair(c, lambda q, dc=dc, dp=dp: SPair(1 + dc, 2 * q + dp))
+            for dc, dp in ((1, 0), (0, 1), (2, 3))]
+        for i, raised in enumerate(raisings):
+            assert semval_le(low, denote(t, {"f": raised}), cty), (seed, i)
+    assert mentions >= 250  # 270 of the 1,000 terms use f
 
 
 def test_substitution_commutes_with_denotation():

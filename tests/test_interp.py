@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES, PROBE_TYPES, corpus_expr
-from foldcost.harness import ProbeConfig, _gen, _probe_args, gen_typed_term
+from foldcost.gen import ProbeConfig, _gen, gen_typed_term
+from foldcost.harness import _probe_args
 from foldcost.interp import (
     DEFAULT_BUDGET,
     ArithOverflowError,

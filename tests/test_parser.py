@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr, corpus_source
 from foldcost import syntax
-from foldcost.harness import _gen, gen_typed_term, trial_seed
+from foldcost.gen import _gen, gen_typed_term
+from foldcost.harness import trial_seed
 from foldcost.parser import ParseError, parse, tokenize
 from foldcost.syntax import (
     BOOL,

@@ -34,12 +34,14 @@ from foldcost.complexity import (
     ctypecheck,
     denote,
 )
-from foldcost import harness
-from foldcost.harness import ProbeConfig, check_program, gen_cplx_term, gen_typed_term, trial_seed
+from foldcost import gen
+from foldcost.gen import ProbeConfig, gen_typed_term
+from foldcost.harness import check_program, trial_seed
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, free_vars, subst, to_source
+from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, Expr, free_vars, subst, to_source
 from foldcost.translate import pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
+from oracles import gen_cplx_term
 
 # ---------------------------------------------------------------- types
 
@@ -325,11 +327,20 @@ def test_inner_binders_do_not_capture_branch_pairs():
 ADVERSARIAL_NAMES = ("p", "ps", "p'", "ps'", "p''", "w")
 
 
+def _binders(e) -> set[str]:
+    names = {getattr(e, field) for field in type(e).binds}
+    for child in vars(e).values():
+        if isinstance(child, Expr):
+            names |= _binders(child)
+    return names
+
+
 def test_adversarial_binder_names(monkeypatch):
     # Generated programs whose binders all take names the translation also
     # picks for its potential variables.
     names = random.Random(0)
-    monkeypatch.setattr(harness, "_fresh_var", lambda ctx: names.choice(ADVERSARIAL_NAMES))
+    monkeypatch.setattr(gen, "_fresh_var", lambda ctx: names.choice(ADVERSARIAL_NAMES))
+    adversarial = 0
     for seed in range(300):
         ty = (INT, BOOL, INT_LIST)[seed % 3]
         e = gen_typed_term(seed, 5, ty)
@@ -337,6 +348,9 @@ def test_adversarial_binder_names(monkeypatch):
         assert ctypecheck({}, translate(e)) == translate_ty(ty), to_source(e)
         report = check_program(e)
         assert report.status != "fail", (to_source(e), report.detail)
+        adversarial += not _binders(e).isdisjoint(ADVERSARIAL_NAMES)
+    # The patched names reach the programs: 229 of the 300 bind one.
+    assert adversarial >= 200
 
 
 # ---------------------------------------------------------------- preservation
@@ -367,8 +381,8 @@ def test_campaign_translations_are_frozen():
     lines = []
     for k in range(300):
         rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = rng.choice(harness._BASE_TYPES)
-        e = harness._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG)
+        ty = rng.choice(gen._BASE_TYPES)
+        e = gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG)
         try:
             lines.append(cplx_to_source(translate(e)) + "\n")
         except ValueError:  # over MAX_PRINTED
