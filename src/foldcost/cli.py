@@ -24,6 +24,7 @@ import json
 import re
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 from typing import Sequence
@@ -35,9 +36,11 @@ from .harness import (
     FixedArg,
     SweepArg,
     TermArg,
+    campaign_trials,
     check_program,
-    fuzz_campaign,
     tabulate,
+    totals_line,
+    trial_line,
 )
 from .interp import ArithOverflowError, BudgetExceededError, DEFAULT_BUDGET, EvalError, eval_expr, render_value
 from .parser import ParseError, parse
@@ -226,12 +229,15 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return _cmd_check(ns)
 
     if ns.command == "fuzz":
-        summary = fuzz_campaign(_config(ns))
-        for line in summary.lines(as_json=ns.json):
-            print(line)
-        if summary.failed:
+        # Each line is printed as its trial ends, so no trial outlives its line.
+        counts: Counter[str] = Counter()
+        for trial in campaign_trials(_config(ns)):
+            print(trial_line(trial, ns.json))
+            counts[trial.report.status] += 1
+        print(totals_line(counts, ns.json))
+        if counts["fail"]:
             return EXIT_VIOLATION
-        return EXIT_ERROR if summary.errors else EXIT_OK
+        return EXIT_ERROR if counts["error"] else EXIT_OK
 
     raise ValueError(f"unknown command {ns.command!r}")
 

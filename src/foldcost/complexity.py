@@ -40,12 +40,21 @@ every denotation); `x_c` and `x_p` of a variable read the environment
 directly; `k + e` with a numeral k, and `a_c + b_c`, add in one closure.
 Each fused closure makes the same checks in the same order, so an error
 keeps its class and its message.
+
+The hot paths of `sem_apply`, `sem_max`, the staged closures and
+`ctypecheck` test the exact type first (`type(v) is SPair`, `type(n) is
+int`, `ty is NAT`, `e is NUM_1`) and call the checking helper (`_as_pair`,
+`_as_nat`, `_expect`, `_pair_ty`) only when that test fails, so the helper
+raises the same error, with the same text, as it would have on every call.
+A bool passes `isinstance(v, int)` but no exact test, so it stays on the
+helper path and gives what it always gave.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple, Union
 
+from .interp import DEFAULT_BUDGET, BudgetExceededError
 from .syntax import fields_dict, node
 
 NAT_MAX = 2**63 - 1
@@ -253,7 +262,8 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
     if t is CostOf or t is PotOf:
         if e.pair is LIT_PAIR or e.pair is NIL_PAIR:
             return NAT
-        ty = _pair_ty(ctypecheck(ctx, e.pair))
+        ty = ctypecheck(ctx, e.pair)
+        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
         return NAT if t is CostOf else ty.pot
     if t is CVar:
         ty = ctx.get(e.name)
@@ -265,20 +275,31 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
             raise CplxTypeError(f"numeral out of natural range: {e.value}")
         return NAT
     if t is CPlus:
-        _expect(ctypecheck(ctx, e.lhs), NAT, "left operand of +")
-        _expect(ctypecheck(ctx, e.rhs), NAT, "right operand of +")
+        if e.lhs is not NUM_1 and e.lhs is not NUM_2:  # the shared leaves are naturals
+            ty = ctypecheck(ctx, e.lhs)
+            if ty is not NAT:
+                _expect(ty, NAT, "left operand of +")
+        ty = ctypecheck(ctx, e.rhs)
+        if ty is not NAT:
+            _expect(ty, NAT, "right operand of +")
         return NAT
     if t is CPair:
         if e is LIT_PAIR or e is NIL_PAIR:
             return NAT_PAIR
-        _expect(ctypecheck(ctx, e.cost), NAT, "cost component")
+        if e.cost is not NUM_1:
+            ty = ctypecheck(ctx, e.cost)
+            if ty is not NAT:
+                _expect(ty, NAT, "cost component")
         pt = ctypecheck(ctx, e.pot)
-        if not is_potential(pt):
+        if pt is not NAT and not is_potential(pt):
             raise CplxTypeError(f"pair potential has non-potential type {pt}")
         return NAT_PAIR if pt is NAT else ProdTy(pt)
     if t is Charge:
-        _expect(ctypecheck(ctx, e.extra), NAT, "charged cost")
-        return _pair_ty(ctypecheck(ctx, e.pair))
+        ty = ctypecheck(ctx, e.extra)
+        if ty is not NAT:
+            _expect(ty, NAT, "charged cost")
+        ty = ctypecheck(ctx, e.pair)
+        return ty if type(ty) is ProdTy else _pair_ty(ty)
     if t is CLet:
         return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
     if t is CMax:
@@ -288,10 +309,12 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
             raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
         return lt
     if t is StarApp:
-        fn_ty = _pair_ty(ctypecheck(ctx, e.fn))
+        fn_ty = ctypecheck(ctx, e.fn)
+        fn_ty = fn_ty if type(fn_ty) is ProdTy else _pair_ty(fn_ty)
         if not isinstance(fn_ty.pot, ArrowPotTy):
             raise CplxTypeError(f"applied a non-function of type {fn_ty}")
-        arg_ty = _pair_ty(ctypecheck(ctx, e.arg))
+        arg_ty = ctypecheck(ctx, e.arg)
+        arg_ty = arg_ty if type(arg_ty) is ProdTy else _pair_ty(arg_ty)
         if arg_ty.pot != fn_ty.pot.dom:
             raise CplxTypeError(
                 f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
@@ -302,14 +325,18 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
         return ProdTy(ArrowPotTy(e.param_ty, body_ty))
     if t is PCase:
-        _expect(ctypecheck(ctx, e.scrut), NAT, "pcase scrutinee")
+        ty = ctypecheck(ctx, e.scrut)
+        if ty is not NAT:
+            _expect(ty, NAT, "pcase scrutinee")
         zero_ty = ctypecheck(ctx, e.zero)
         succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
         if succ_ty is not zero_ty and succ_ty != zero_ty:
             raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
     if t is PFold:
-        _expect(ctypecheck(ctx, e.scrut), NAT, "pfold scrutinee")
+        ty = ctypecheck(ctx, e.scrut)
+        if ty is not NAT:
+            _expect(ty, NAT, "pfold scrutinee")
         zero_ty = ctypecheck(ctx, e.zero)
         if not isinstance(zero_ty, ProdTy):
             raise CplxTypeError(f"pfold branches must be pairs, got {zero_ty}")
@@ -344,13 +371,6 @@ SemVal = Union[int, SPair, Callable[["SemVal"], "SemVal"]]
 _new_pair = tuple.__new__
 
 
-def nat_add(*ns: int) -> int:
-    total = sum(ns)
-    if total > NAT_MAX:
-        raise NatOverflowError(_OVERFLOW)
-    return total
-
-
 def sem_max(a: SemVal, b: SemVal) -> SemVal:
     """Least upper bound of two semantic values of the same type.
 
@@ -363,10 +383,13 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
     result.  Each join applies both sides to the same argument object, so
     this holds at a function argument, keyed by identity, as at a natural.
     """
-    if isinstance(a, int) and isinstance(b, int):
+    t = type(a)
+    if t is int and type(b) is int:
+        return b if b > a else a
+    if t is SPair and type(b) is SPair:
+        return _new_pair(SPair, (b[0] if b[0] > a[0] else a[0], sem_max(a[1], b[1])))
+    if isinstance(a, int) and isinstance(b, int):  # a bool on either side
         return max(a, b)
-    if isinstance(a, SPair) and isinstance(b, SPair):
-        return _new_pair(SPair, (max(a.cost, b.cost), sem_max(a.pot, b.pot)))
     if callable(a) and callable(b):
         return _memoised(lambda q: sem_max(a(q), b(q)))
     raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
@@ -375,11 +398,17 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
 def sem_apply(f: SemVal, a: SemVal) -> SPair:
     """The costed application `f * a`: one unit plus both sides' costs plus
     the body's, paired with the body's potential."""
-    f, a = _as_pair(f), _as_pair(a)
-    if not callable(f.pot):
+    if type(f) is not SPair or type(a) is not SPair:
+        f, a = _as_pair(f), _as_pair(a)
+    if not callable(f[1]):
         raise DenoteError("applied a value with non-function potential")
-    out = _as_pair(f.pot(a.pot))
-    return _new_pair(SPair, (nat_add(1, f.cost, a.cost, out.cost), out.pot))
+    out = f[1](a[1])
+    if type(out) is not SPair:
+        out = _as_pair(out)
+    n = 1 + f[0] + a[0] + out[0]
+    if n > NAT_MAX:
+        raise NatOverflowError(_OVERFLOW)
+    return _new_pair(SPair, (n, out[1]))
 
 
 # ---------------------------------------------------------------- denotation
@@ -401,6 +430,10 @@ def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
     remember their results too (see `sem_max`), so a pfold of potential
     functions is linear, not exponential, in its length.  That reuse
     changes no value, because denotation is pure.
+
+    A pfold whose scrutinee is above `interp.DEFAULT_BUDGET` (10,000,000)
+    raises `BudgetExceededError` before its first step, as an evaluation
+    over its budget does; the test is one comparison per pfold, not per step.
     """
     return _stage(e, set())(dict(env or {}))
 
@@ -426,7 +459,8 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             return _constant((pair.cost.value, pair.pot.value)[i])
         else:
             def fn(env, pf=_stage(pair, fv), i=i) -> SemVal:
-                return _as_pair(pf(env))[i]
+                v = pf(env)
+                return v[i] if type(v) is SPair else _as_pair(v)[i]
     elif t is CNum:
         return _constant(e.value)
     elif t is CVar:
@@ -442,7 +476,7 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         if type(lhs) is CNum and type(lhs.value) is int:  # k + e
             def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
                 b = rf(env)
-                if not isinstance(b, int):
+                if type(b) is not int and not isinstance(b, int):
                     raise DenoteError("operands of + must be naturals")
                 n = k + b
                 if n > NAT_MAX:
@@ -450,9 +484,13 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                 return n
         elif type(lhs) is CostOf and type(rhs) is CostOf:  # a_c + b_c
             def fn(env, af=_stage(lhs.pair, fv), bf=_stage(rhs.pair, fv)) -> SemVal:
-                a, b = _as_pair(af(env)).cost, _as_pair(bf(env)).cost
-                if not isinstance(a, int) or not isinstance(b, int):
-                    raise DenoteError("operands of + must be naturals")
+                a = af(env)
+                a = a[0] if type(a) is SPair else _as_pair(a)[0]
+                b = bf(env)
+                b = b[0] if type(b) is SPair else _as_pair(b)[0]
+                if type(a) is not int or type(b) is not int:
+                    if not isinstance(a, int) or not isinstance(b, int):
+                        raise DenoteError("operands of + must be naturals")
                 n = a + b
                 if n > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
@@ -460,8 +498,9 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         else:
             def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
                 a, b = lf(env), rf(env)
-                if not isinstance(a, int) or not isinstance(b, int):
-                    raise DenoteError("operands of + must be naturals")
+                if type(a) is not int or type(b) is not int:
+                    if not isinstance(a, int) or not isinstance(b, int):
+                        raise DenoteError("operands of + must be naturals")
                 n = a + b
                 if n > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
@@ -476,14 +515,17 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             return _new_pair(SPair, (cost, pf(env)))
     elif t is CPair:
         def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
-            return _new_pair(SPair, (_as_nat(cf(env)), pf(env)))
+            c = cf(env)
+            return _new_pair(SPair, (c if type(c) is int else _as_nat(c), pf(env)))
     elif t is Charge:
         def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
-            pair = _as_pair(pf(env))
-            n = _as_nat(xf(env)) + pair.cost
+            pair = pf(env)
+            pair = pair if type(pair) is SPair else _as_pair(pair)
+            x = xf(env)
+            n = (x if type(x) is int else _as_nat(x)) + pair[0]
             if n > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
-            return _new_pair(SPair, (n, pair.pot))
+            return _new_pair(SPair, (n, pair[1]))
     elif t is CLet:
         def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
                name=e.name) -> SemVal:
@@ -500,7 +542,8 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         bf, own = _stage_under(e.body, fv, {e.param})
 
         def fn(env, param=e.param, bf=bf) -> SemVal:
-            return SPair(1, _memoised(lambda q: bf({**env, param: SPair(1, q)})))
+            return _new_pair(SPair, (1, _memoised(
+                lambda q: bf({**env, param: _new_pair(SPair, (1, q))}))))
 
         if not own:  # closed: one value, and so one memo, for the whole denotation
             def fn(env, value=fn({})) -> SemVal:
@@ -508,7 +551,8 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     elif t is PCase:
         def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
                tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
-            n = _as_nat(sf(env))
+            n = sf(env)
+            n = n if type(n) is int else _as_nat(n)
             if n == 0:
                 return zf(env)
             zero = zf(env)
@@ -519,15 +563,21 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
                tf=_stage_under(e.succ, fv, {e.p, e.ps, e.w})[0], p=e.p, ps=e.ps,
                w=e.w) -> SemVal:
-            n = _as_nat(sf(env))
-            acc = _as_pair(zf(env))
-            zero_pot = acc.pot
+            n = sf(env)
+            n = n if type(n) is int else _as_nat(n)
+            if n > DEFAULT_BUDGET:
+                raise BudgetExceededError(
+                    DEFAULT_BUDGET, f"pfold of {n} steps is over the budget of {DEFAULT_BUDGET}")
+            acc = zf(env)
+            acc = acc if type(acc) is SPair else _as_pair(acc)
+            zero_pot = acc[1]
             for q in range(n):
-                step = _as_pair(tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc.pot))}))
-                cost = 2 + acc.cost + step.cost
+                step = tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc[1]))})
+                step = step if type(step) is SPair else _as_pair(step)
+                cost = 2 + acc[0] + step[0]
                 if cost > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
-                acc = _new_pair(SPair, (cost, sem_max(zero_pot, step.pot)))
+                acc = _new_pair(SPair, (cost, sem_max(zero_pot, step[1])))
             return acc
     else:
         raise DenoteError(f"not a complexity expression: {e!r}")

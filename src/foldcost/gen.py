@@ -130,7 +130,8 @@ def _int_leaf(rng: random.Random, cfg: ProbeConfig) -> IntLit:
 
 def _gen_leaf(rng: random.Random, ty: Ty, ctx: dict[str, Ty], cfg: ProbeConfig) -> Expr:
     # Prefer a variable of the right type when one is in scope.
-    candidates = [name for name, t in ctx.items() if t is ty or t == ty]
+    arrow = type(ty) is ArrowTy  # a base type is one instance, tested by identity
+    candidates = [name for name, t in ctx.items() if t is ty or arrow and t == ty]
     if candidates and rng.random() < 0.5:
         name = sorted(candidates)[_below(rng, len(candidates))]
         leaf = _VARS.get(name)

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .complexity import DenoteError, NatOverflowError, SPair, SemVal, ctypecheck, denote, sem_apply
 # `gen_typed_term` is re-exported for callers that import it from here.
@@ -245,24 +246,29 @@ class CampaignSummary:
         return [t for t in self.trials if t.report.status == "fail"]
 
     def lines(self, as_json: bool = False) -> list[str]:
-        out = [_trial_line(t, as_json) for t in self.trials]
-        # The error count is printed only when nonzero, so the output of an
-        # error-free campaign keeps its frozen form.
-        if as_json:
-            totals = {"passed": self.passed, "failed": self.failed,
-                      "inconclusive": self.inconclusive}
-            if self.errors:
-                totals["errors"] = self.errors
-            out.append(json.dumps({**totals, "trials": len(self.trials)}))
-        else:
-            errors = f" errors={self.errors}" if self.errors else ""
-            out.append(
-                f"passed={self.passed} failed={self.failed} "
-                f"inconclusive={self.inconclusive}{errors} trials={len(self.trials)}")
-        return out
+        counts = {"pass": self.passed, "fail": self.failed,
+                  "inconclusive": self.inconclusive, "error": self.errors}
+        return [trial_line(t, as_json) for t in self.trials] + [totals_line(counts, as_json)]
 
 
-def _trial_line(t: Trial, as_json: bool) -> str:
+def totals_line(counts: Mapping[str, int], as_json: bool) -> str:
+    """A campaign's last line, from its count of trials per verdict."""
+    passed, failed, inconclusive, errors = (
+        counts[v] for v in ("pass", "fail", "inconclusive", "error"))
+    trials = passed + failed + inconclusive + errors
+    # The error count is printed only when nonzero, so the output of an
+    # error-free campaign keeps its frozen form.
+    if as_json:
+        totals = {"passed": passed, "failed": failed, "inconclusive": inconclusive}
+        if errors:
+            totals["errors"] = errors
+        return json.dumps({**totals, "trials": trials})
+    errors_text = f" errors={errors}" if errors else ""
+    return (f"passed={passed} failed={failed} "
+            f"inconclusive={inconclusive}{errors_text} trials={trials}")
+
+
+def trial_line(t: Trial, as_json: bool) -> str:
     r = t.report
     if as_json:
         payload = {
@@ -295,7 +301,16 @@ def trial_seed(seed: int, index: int) -> int:
 
 
 def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
-    """Generate closed base-type programs and check each against its bound.
+    """Run `campaign_trials` to the end and keep every trial."""
+    trials = tuple(campaign_trials(cfg))
+    counts = Counter(t.report.status for t in trials)
+    return CampaignSummary(cfg, trials, counts["pass"], counts["fail"],
+                           counts["inconclusive"], counts["error"])
+
+
+def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
+    """Generate closed base-type programs and check each against its bound,
+    yielding each trial as it ends.
 
     Deterministic in cfg.seed: each trial derives its own printed seed, so
     any single line can be reproduced in isolation.  Budget and overflow
@@ -305,8 +320,6 @@ def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
     verdict "error", with the exception as its detail, and the campaign
     goes on.
     """
-    trials: list[Trial] = []
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0, "error": 0}
     for k in range(cfg.trials):
         s = trial_seed(cfg.seed, k)
         rng = random.Random(s)
@@ -317,10 +330,7 @@ def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
         except (DenoteError, EvalError, RecursionError, AssertionError) as exc:
             report = Report(program, "error", None, None, None, None,
                             detail=f"{type(exc).__name__}: {exc}")
-        counts[report.status] += 1
-        trials.append(Trial(k, s, report))
-    return CampaignSummary(cfg, tuple(trials), counts["pass"], counts["fail"],
-                           counts["inconclusive"], counts["error"])
+        yield Trial(k, s, report)
 
 
 # ---------------------------------------------------------------- bound tables

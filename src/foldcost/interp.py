@@ -54,8 +54,8 @@ class EvalError(Exception):
 
 
 class BudgetExceededError(EvalError):
-    def __init__(self, budget: int):
-        super().__init__(f"evaluation exceeded the cost budget of {budget}")
+    def __init__(self, budget: int, message: str | None = None):
+        super().__init__(message or f"evaluation exceeded the cost budget of {budget}")
         self.budget = budget
 
 

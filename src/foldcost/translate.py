@@ -123,9 +123,9 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         return LIT_PAIR
     if t is Cons:
         th, tt = _translate(e.head, env, names), _translate(e.tail, env, names)
-        r = _reader(tt, "$t")
+        r = _reader(tt, _TAIL)
         body = CPair(CPlus(NUM_1, CPlus(CostOf(th), CostOf(r))), CPlus(NUM_1, PotOf(r)))
-        return body if r is tt else CLet("$t", tt, body)
+        return body if r is tt else CLet(_TAIL.name, tt, body)
     if t is Var:
         bound = env.get(e.name)
         return CVar(e.name) if bound is None else bound
@@ -149,9 +149,9 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         # The accumulator shadows the head and tail.
         env, names, w = _bind(e.acc, e.step, env, names)
         tb = _translate(e.step, env, names)
-        r = _reader(ts, "$s")
+        r = _reader(ts, _SCRUT)
         body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, w, tb))
-        return body if r is ts else CLet("$s", ts, body)
+        return body if r is ts else CLet(_SCRUT.name, ts, body)
     if t is App:
         return StarApp(_translate(e.fn, env, names), _translate(e.arg, env, names))
     if t is Case:
@@ -160,18 +160,22 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
         taken = syntax.free_vars(e.cons_branch) | {e.head, e.tail} | names
         env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
         tb = _translate(e.cons_branch, env, names)
-        r = _reader(ts, "$s")
+        r = _reader(ts, _SCRUT)
         body = Charge(CPlus(NUM_1, CostOf(r)), PCase(PotOf(r), tz, p, ps, tb))
-        return body if r is ts else CLet("$s", ts, body)
+        return body if r is ts else CLet(_SCRUT.name, ts, body)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _reader(bound: CplxExpr, name: str) -> CplxExpr:
+# The variables a `let` binds a cons tail and a case/fold scrutinee to; no
+# program uses these names, and every translation shares the two nodes.
+_TAIL, _SCRUT = CVar("$t"), CVar("$s")
+
+
+def _reader(bound: CplxExpr, var: CVar) -> CplxExpr:
     """What a body reads `bound` through: bound itself, if it is a variable or
-    a shared constant pair, else the variable `name`, which no program uses,
-    for a `let` around the body to bind."""
+    a shared constant pair, else `var`, for a `let` around the body to bind."""
     shared = type(bound) is CVar or bound is LIT_PAIR or bound is NIL_PAIR
-    return bound if shared else CVar(name)
+    return bound if shared else var
 
 
 def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]

@@ -58,8 +58,12 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
     # ----------------------------
     #  Γ ⊢ r :: s : int*
     if t is Cons:
-        check(ctx, e.head, INT, e)
-        check(ctx, e.tail, INT_LIST, e)
+        ty = typecheck(ctx, e.head)
+        if ty is not INT and ty != INT:
+            raise _mismatch(e, str(INT), ty)
+        ty = typecheck(ctx, e.tail)
+        if ty is not INT_LIST and ty != INT_LIST:
+            raise _mismatch(e, str(INT_LIST), ty)
         return INT_LIST
 
     #  x : τ ∈ Γ
@@ -86,8 +90,12 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
         op = OPS.get(e.op)
         if op is None:
             raise TypeCheckError(f"unknown operator: {e.op}")
-        check(ctx, e.lhs, INT, e)
-        check(ctx, e.rhs, INT, e)
+        ty = typecheck(ctx, e.lhs)
+        if ty is not INT and ty != INT:
+            raise _mismatch(e, str(INT), ty)
+        ty = typecheck(ctx, e.rhs)
+        if ty is not INT and ty != INT:
+            raise _mismatch(e, str(INT), ty)
         return op.result
 
     # Γ ⊢ true/false : bool

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from conftest import CORPUS, fun_acc_fold
 import foldcost
-from foldcost import harness
+from foldcost import complexity, harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from foldcost.complexity import DenoteError, SPair
 from foldcost.parser import parse
@@ -231,6 +232,27 @@ def test_check_bound_past_64_bits_is_inconclusive(capsys, tmp_path):
     assert report.program == to_source(e)
 
 
+def test_fuzz_keeps_no_earlier_trial(capsys, monkeypatch):
+    # `fuzz` prints each trial's line as the trial ends, so when a trial is
+    # checked at most the one before it is still alive, not every earlier
+    # report with its program.
+    real = harness.check_program
+    reports, alive = [], []
+
+    def check(e, cfg):
+        alive.append(sum(r() is not None for r in reports))
+        report = real(e, cfg)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(harness, "check_program", check)
+    code, out, _ = run(capsys, "fuzz", "--trials", "30", "--depth", "4", "--seed", "3")
+    monkeypatch.undo()
+    assert code == EXIT_OK and len(alive) == 30 and max(alive) <= 1
+    code, expected, _ = run(capsys, "fuzz", "--trials", "30", "--depth", "4", "--seed", "3")
+    assert out == expected and out.count("\n") == 31
+
+
 @pytest.mark.parametrize("failing, code", [(False, EXIT_ERROR), (True, EXIT_VIOLATION)],
                          ids=["error-only", "error-and-violation"])
 def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code):
@@ -379,6 +401,32 @@ def test_check_budget_exits_3(capsys):
     assert code == EXIT_BUDGET
     assert "verdict=inconclusive" in out
     assert "budget-exceeded" in out
+
+
+def test_bound_past_the_pfold_budget_exits_3():
+    # The list argument's potential is ten times the default budget, so
+    # ins's pfold stops before its first step instead of running 10^8.
+    start = time.perf_counter()
+    proc = run_module("bound", corpus_path("ins"), "--sweep", "--arg", "1,100000000",
+                      "--range", "0:0", timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_BUDGET, "", "budget error: pfold of 100000000 steps is over the budget of 10000000\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_check_past_the_pfold_budget_is_inconclusive(capsys, monkeypatch, tmp_path):
+    # No short program has a pfold of 10^7 steps, so the cap is lowered to 2:
+    # a fold over three elements stops in the denotation, before the run.
+    monkeypatch.setattr(complexity, "DEFAULT_BUDGET", 2)
+    source = "fold [1, 2, 3] of (0, [y, ys, w] w + y)"
+    e = parse(source)
+    report = harness.check_program(e)
+    assert (report.status, report.cost, report.detail) == ("inconclusive", None, "budget-exceeded")
+    code, out, err = run(capsys, "check", write_program(tmp_path, source))
+    assert (code, out, err) == (EXIT_BUDGET, "cost=None bound=None size=None pot=None "
+                                "verdict=inconclusive detail='budget-exceeded'\n", "")
+    monkeypatch.setattr(complexity, "DEFAULT_BUDGET", 3)
+    assert harness.check_program(e).status == "pass"
 
 
 def test_bound_flag_validation(capsys):

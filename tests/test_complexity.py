@@ -39,10 +39,10 @@ from foldcost.complexity import (
     cplx_to_source,
     ctypecheck,
     denote,
-    nat_add,
     sem_apply,
     sem_max,
 )
+from foldcost.interp import DEFAULT_BUDGET, BudgetExceededError
 from foldcost.parser import parse
 from foldcost.translate import translate
 
@@ -285,6 +285,170 @@ def test_fused_staging_keeps_error_text(e, env, cls, message):
     assert (type(info.value), str(info.value)) == (cls, message)
 
 
+_W = CVar("w")
+_GROW = lambda q: SPair(1, q)  # noqa: E731
+_NOT_A_NATURAL = "expected a natural, got: SPair(cost=1, pot=1)"
+_MISMATCHED = "max of mismatched values: 1 and SPair(cost=1, pot=1)"
+
+# The kernel tests exact types first and calls its checking helpers only
+# when a test fails; every error keeps its class and text, recorded before
+# the exact-type tests were added.
+KERNEL_ERRORS = [
+    pytest.param(StarApp(CNum(3), PAIR(1, 1)), {}, DenoteError, _NOT_A_PAIR, id="apply-fn-not-pair"),
+    pytest.param(StarApp(CNum(3), CNum(4)), {}, DenoteError, _NOT_A_PAIR,
+                 id="apply-both-not-pairs"),
+    pytest.param(StarApp(CLam("x", NAT, CVar("x")), CNum(4)), {}, DenoteError,
+                 "expected a cost/potential pair, got: 4", id="apply-arg-not-pair"),
+    pytest.param(StarApp(PAIR(1, 1), PAIR(1, 1)), {}, DenoteError,
+                 "applied a value with non-function potential", id="apply-non-function"),
+    pytest.param(StarApp(CLam("x", NAT, CNum(5)), PAIR(1, 1)), {}, DenoteError,
+                 "expected a cost/potential pair, got: 5", id="apply-body-not-pair"),
+    pytest.param(StarApp(CVar("f"), PAIR(1, 1)), {"f": SPair(NAT_MAX - 2, _GROW)},
+                 NatOverflowError, _OVERFLOW, id="apply-overflow"),
+    pytest.param(CMax(CNum(1), PAIR(1, 1)), {}, DenoteError, _MISMATCHED, id="max-nat-pair"),
+    pytest.param(CMax(PAIR(1, 1), CNum(1)), {}, DenoteError,
+                 "max of mismatched values: SPair(cost=1, pot=1) and 1", id="max-pair-nat"),
+    pytest.param(CMax(PAIR(1, 1), CPair(CNum(1), PAIR(1, 1))), {}, DenoteError, _MISMATCHED,
+                 id="max-pots-mismatched"),
+    pytest.param(PFold(PAIR(1, 1), PAIR(1, 0), "p", "ps", "w", _W), {}, DenoteError,
+                 _NOT_A_NATURAL, id="pfold-pair-scrutinee"),
+    pytest.param(PFold(CNum(2), CNum(0), "p", "ps", "w", _W), {}, DenoteError,
+                 "expected a cost/potential pair, got: 0", id="pfold-zero-not-pair"),
+    pytest.param(PFold(CNum(2), PAIR(1, 0), "p", "ps", "w", CNum(5)), {}, DenoteError,
+                 "expected a cost/potential pair, got: 5", id="pfold-step-not-pair"),
+    pytest.param(PFold(CNum(1), CVar("z"), "p", "ps", "w", _W), {"z": SPair(NAT_MAX - 2, 0)},
+                 NatOverflowError, _OVERFLOW, id="pfold-overflow"),
+    pytest.param(PCase(PAIR(1, 1), PAIR(2, 7), "p", "ps", PAIR(9, 9)), {}, DenoteError,
+                 _NOT_A_NATURAL, id="pcase-pair-scrutinee"),
+    pytest.param(Charge(PAIR(1, 1), PAIR(2, 7)), {}, DenoteError, _NOT_A_NATURAL,
+                 id="charge-pair-extra"),
+    pytest.param(Charge(CNum(1), CNum(2)), {}, DenoteError,
+                 "expected a cost/potential pair, got: 2", id="charge-not-pair"),
+    pytest.param(Charge(PAIR(1, 1), CNum(2)), {}, DenoteError,
+                 "expected a cost/potential pair, got: 2", id="charge-both-wrong"),
+    pytest.param(Charge(CNum(NAT_MAX), PAIR(1, 0)), {}, NatOverflowError, _OVERFLOW,
+                 id="charge-overflow"),
+    pytest.param(CPair(PAIR(1, 1), CNum(1)), {}, DenoteError, _NOT_A_NATURAL,
+                 id="pair-pair-cost"),
+    pytest.param(CPair(CVar("x"), CVar("y")), {}, DenoteError,
+                 "unbound variable at denotation time: x", id="pair-cost-first"),
+    pytest.param(CostOf(CPlus(CNum(1), CNum(2))), {}, DenoteError, _NOT_A_PAIR,
+                 id="cost-of-sum"),
+    pytest.param(PotOf(CMax(CNum(1), CNum(2))), {}, DenoteError,
+                 "expected a cost/potential pair, got: 2", id="pot-of-max"),
+]
+
+
+@pytest.mark.parametrize("e, env, cls, message", KERNEL_ERRORS)
+def test_kernel_keeps_error_text(e, env, cls, message):
+    with pytest.raises(DenoteError) as info:
+        denote(e, env)
+    assert (type(info.value), str(info.value)) == (cls, message)
+
+
+# A bool passes `isinstance(v, int)` but no exact-type test, so it takes the
+# checking path; these results, with the types of their parts, were recorded
+# before the exact-type tests were added.
+KERNEL_BOOLS = [
+    pytest.param(CMax(CNum(True), CNum(0)), {}, True, id="max-bool-nat"),
+    pytest.param(CMax(CNum(1), CNum(True)), {}, 1, id="max-nat-bool"),
+    pytest.param(CMax(CVar("a"), CVar("b")), {"a": SPair(True, False), "b": SPair(0, 1)},
+                 SPair(True, 1), id="max-bool-pairs"),
+    pytest.param(StarApp(CVar("f"), PAIR(1, 1)), {"f": SPair(True, _GROW)}, SPair(4, 1),
+                 id="apply-bool-cost"),
+    pytest.param(StarApp(CLam("x", NAT, CPair(CostOf(CVar("x")), PotOf(CVar("x")))), CVar("a")),
+                 {"a": SPair(True, True)}, SPair(4, True), id="apply-bool-pot"),
+    pytest.param(PFold(CNum(True), PAIR(3, 1), "p", "ps", "w",
+                       CPair(CVar("ps"), CPlus(CNum(1), PotOf(_W)))), {}, SPair(5, 2),
+                 id="pfold-bool-scrutinee"),
+    pytest.param(PFold(CVar("n"), PAIR(3, 1), "p", "ps", "w", _W), {"n": -1}, SPair(3, 1),
+                 id="pfold-negative-scrutinee"),
+    pytest.param(PCase(CNum(True), PAIR(2, 7), "p", "ps",
+                       CPair(CNum(9), CPlus(CVar("p"), CVar("ps")))), {}, SPair(9, 7),
+                 id="pcase-bool-scrutinee"),
+    pytest.param(Charge(CNum(True), PAIR(2, 7)), {}, SPair(3, 7), id="charge-bool-extra"),
+    pytest.param(CPair(CVar("x"), CNum(1)), {"x": True}, SPair(True, 1), id="pair-bool-cost"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))),
+                 {"a": SPair(True, 0), "b": SPair(1, 0)}, 2, id="costs-bool"),
+]
+
+
+def _typed(v):
+    return (type(v), v, *map(type, v)) if type(v) is SPair else (type(v), v)
+
+
+@pytest.mark.parametrize("e, env, want", KERNEL_BOOLS)
+def test_kernel_bools_take_the_checking_path(e, env, want):
+    assert _typed(denote(e, env)) == _typed(want)
+
+
+# The full text of each CplxTypeError, where the typing tests above match a
+# part; recorded before ctypecheck's exact-type tests were added.
+CPLX_TYPE_ERRORS = [
+    pytest.param(CNum(-1), "numeral out of natural range: -1", id="numeral-negative"),
+    pytest.param(CNum(NAT_MAX + 1), "numeral out of natural range: 9223372036854775808",
+                 id="numeral-too-large"),
+    pytest.param(CPlus(PAIR(1, 1), CNum(2)), "left operand of +: expected N, got N x N",
+                 id="plus-left"),
+    pytest.param(CPlus(CNum(2), PAIR(1, 1)), "right operand of +: expected N, got N x N",
+                 id="plus-right"),
+    pytest.param(CMax(CNum(1), PAIR(1, 1)), "max of mismatched types: N and N x N",
+                 id="max-mismatched"),
+    pytest.param(CPair(CNum(1), PAIR(1, 1)), "pair potential has non-potential type N x N",
+                 id="pair-non-potential"),
+    pytest.param(CPair(PAIR(1, 1), CNum(1)), "cost component: expected N, got N x N",
+                 id="pair-cost"),
+    pytest.param(CostOf(CNum(1)), "expected a cost/potential pair, got N", id="cost-of-natural"),
+    pytest.param(PotOf(CNum(1)), "expected a cost/potential pair, got N", id="pot-of-natural"),
+    pytest.param(StarApp(PAIR(1, 1), PAIR(1, 1)), "applied a non-function of type N x N",
+                 id="apply-non-function"),
+    pytest.param(StarApp(CLam("f", ArrowPotTy(NAT, NAT_PAIR), CVar("f")), PAIR(1, 1)),
+                 "argument potential N does not match parameter N -> N x N",
+                 id="apply-mismatched"),
+    pytest.param(StarApp(CLam("x", NAT, CVar("x")), CNum(1)),
+                 "expected a cost/potential pair, got N", id="apply-arg-not-pair"),
+    pytest.param(CLam("x", NAT_PAIR, CVar("x")), "lambda parameter has non-potential type N x N",
+                 id="lam-non-potential"),
+    pytest.param(PCase(CNum(3), CNum(1), "p", "ps", PAIR(1, 1)),
+                 "pcase branches disagree: N and N x N", id="pcase-disagree"),
+    pytest.param(PCase(PAIR(1, 1), CNum(1), "p", "ps", CNum(1)),
+                 "pcase scrutinee: expected N, got N x N", id="pcase-scrutinee"),
+    pytest.param(PFold(CNum(3), CNum(0), "p", "ps", "w", CNum(0)),
+                 "pfold branches must be pairs, got N", id="pfold-not-pairs"),
+    pytest.param(PFold(CNum(3), PAIR(1, 0), "p", "ps", "w", CNum(0)),
+                 "pfold branches disagree: N x N and N", id="pfold-disagree"),
+    pytest.param(PFold(PAIR(1, 1), PAIR(1, 0), "p", "ps", "w", _W),
+                 "pfold scrutinee: expected N, got N x N", id="pfold-scrutinee"),
+    pytest.param(Charge(PAIR(1, 1), PAIR(2, 7)), "charged cost: expected N, got N x N",
+                 id="charge-cost"),
+    pytest.param(Charge(CNum(1), CNum(2)), "expected a cost/potential pair, got N",
+                 id="charge-pair"),
+    pytest.param(CVar("q"), "unbound variable: q", id="unbound"),
+]
+
+
+@pytest.mark.parametrize("e, message", CPLX_TYPE_ERRORS)
+def test_type_errors_keep_their_text(e, message):
+    with pytest.raises(CplxTypeError) as info:
+        ctypecheck({}, e)
+    assert str(info.value) == message
+
+
+def test_pfold_over_the_budget_stops_before_its_first_step(monkeypatch):
+    # The zero and the step are unbound, so a pfold that ran either would
+    # raise DenoteError; one over the budget raises before both.
+    fold = PFold(CVar("n"), CVar("z"), "p", "ps", "w", CVar("s"))
+    with pytest.raises(BudgetExceededError) as info:
+        denote(fold, {"n": DEFAULT_BUDGET + 1})
+    assert str(info.value) == "pfold of 10000001 steps is over the budget of 10000000"
+    assert info.value.budget == DEFAULT_BUDGET
+    monkeypatch.setattr(complexity, "DEFAULT_BUDGET", 5)
+    with pytest.raises(BudgetExceededError, match="pfold of 6 steps"):
+        denote(fold, {"n": 6})
+    steps = PFold(CVar("n"), PAIR(1, 0), "p", "ps", "w", CPair(CNum(0), CPlus(CNum(1), PotOf(_W))))
+    assert denote(steps, {"n": 5}) == SPair(11, 5)
+
+
 # ---------------------------------------------------------------- maxima and naturals
 
 
@@ -359,9 +523,9 @@ def test_sem_apply_charges_one_unit_plus_both_sides_and_the_body():
 
 
 def test_nat_overflow():
-    assert nat_add(NAT_MAX - 1, 1) == NAT_MAX
-    with pytest.raises(NatOverflowError):
-        nat_add(NAT_MAX, 1)
+    # NAT_MAX itself is a natural; one more overflows.
+    assert denote(CPlus(CNum(NAT_MAX - 1), CNum(1))) == NAT_MAX
+    assert sem_apply(SPair(NAT_MAX - 3, lambda q: SPair(1, q)), SPair(1, 1)).cost == NAT_MAX
     with pytest.raises(NatOverflowError):
         denote(CPlus(CNum(NAT_MAX), CNum(1)))
     with pytest.raises(NatOverflowError):
