@@ -131,8 +131,8 @@ def is_potential(ty: CTy) -> bool:
 class CplxExpr:
     """Base class for complexity-language expressions.
 
-    Binder nodes declare what they bind as `syntax.Expr`'s do, so
-    `syntax.free_vars` and `syntax.subst` serve this language too.
+    Binder nodes declare what they bind as `syntax.Expr`'s do, so the
+    binding walkers of `syntax` (`free_vars`, `names`, `subst`) serve it too.
     """
 
     __slots__ = ()

@@ -17,8 +17,9 @@ Invariants:
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - Binder nodes (`Lam`, `Case`, `Fold`, and the complexity language's
     `CLet`, `CLam`, `PCase`, `PFold`) declare the names they bind and the
-    one field those scope over (see `Expr`).  `free_vars` and `subst`, the
-    only capture-avoiding substitution, read that and serve both languages.
+    one field those scope over (see `Expr`).  `free_vars`, `subst` (the only
+    capture-avoiding substitution) and `names`, which `translate` walks once
+    per program, read that and serve both languages.
   - `subst` is capture-avoiding and renames binders only when necessary.
   - `to_source`, `typecheck`, `translate`, `ctypecheck` and the evaluator's
     `_eval` dispatch on the exact node type, most frequent first, not on
@@ -256,7 +257,7 @@ OPS: Mapping[str, Op] = {
 # ---------------------------------------------------------------- binding structure
 
 class _Shape(NamedTuple):
-    """What `free_vars` and `subst` need of a node class of either language."""
+    """What the binding walkers need of a node class of either language."""
 
     is_var: bool
     kids: tuple[str, ...]  # the subterm fields: those annotated with the base class
@@ -284,15 +285,28 @@ def free_vars(e: Expr | CplxExpr) -> frozenset[str]:
     is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
     if is_var:
         return frozenset((e.name,))
-    if scope is None:  # the common cases first: a leaf, or two subterms
-        if not kids:
-            return _NO_VARS
-        if len(kids) == 2:
-            return free_vars(getattr(e, kids[0])) | free_vars(getattr(e, kids[1]))
     out = _NO_VARS
     for k in kids:
         fv = free_vars(getattr(e, k))
         out |= fv.difference([getattr(e, b) for b in binds]) if k == scope else fv
+    return out
+
+
+def names(e: Expr | CplxExpr) -> set[str]:
+    """Every variable and binder name in a term of either language."""
+    out: set[str] = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        is_var, kids, binds, _ = _SHAPES.get(t) or _shape(t)
+        if is_var:
+            out.add(e.name)
+            continue
+        for b in binds:
+            out.add(getattr(e, b))
+        for k in kids:
+            todo.append(getattr(e, k))
     return out
 
 

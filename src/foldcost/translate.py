@@ -20,11 +20,12 @@ xs of ...` and `case nil of ...` bind nothing, and `[1, 2]` binds only its
 outer tail.
 
 A cons branch is translated with its head and tail bound, in an
-environment, to the pairs (1, p) and (1, ps) over the fresh potential
-variables the pcase/pfold binds, as in the paper's translation.  So the
-recurrence is built with its branch variables in place and never needs a
-substitution pass.  The substitution lemma's capture-avoiding substitution
-is `syntax.subst`, which serves both languages.
+environment, to the pairs (1, p) and (1, ps) over the potential variables
+the pcase/pfold binds, as in the paper's translation.  Their names are apart
+from every variable and binder name of the program, and a nested branch's
+are primed on from the enclosing one's, so no target binder is ever renamed
+and the recurrence needs no substitution pass.  The substitution lemma's
+capture-avoiding substitution is `syntax.subst`, which serves both languages.
 
 The constant leaves 0, 1 and 2 and the pairs (1, 1) of a literal and (1, 0)
 of nil are nodes that `complexity` defines and every translation shares.
@@ -102,8 +103,9 @@ def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
 # ---------------------------------------------------------------- translation
 
 # Translation environments map the target variables bound by enclosing
-# branches (and renamed binders) to what they translate to.
+# branches to their potential pairs.
 _Env = Mapping[str, CplxExpr]
+_Fresh = tuple[set[str], str, str]  # the program's names; the next p and ps
 
 
 def translate(e: Expr) -> CplxExpr:
@@ -112,17 +114,17 @@ def translate(e: Expr) -> CplxExpr:
     Free target variables appear free in the result, at their translated
     types; a closed program translates to a closed recurrence.
     """
-    return _translate(e, {}, frozenset())
+    return _translate(e, {}, (syntax.names(e), "p", "ps"))
 
 
-def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
+def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
     """Translate e with the target variables in env replaced by their
-    translations; names holds every complexity variable those mention."""
+    translations; fresh holds the next branch's candidates (see _bind_branch)."""
     t = type(e)
     if t is IntLit or t is BoolLit:
         return LIT_PAIR
     if t is Cons:
-        th, tt = _translate(e.head, env, names), _translate(e.tail, env, names)
+        th, tt = _translate(e.head, env, fresh), _translate(e.tail, env, fresh)
         r = _reader(tt, _TAIL)
         body = CPair(CPlus(NUM_1, CPlus(CostOf(th), CostOf(r))), CPlus(NUM_1, PotOf(r)))
         return body if r is tt else CLet(_TAIL.name, tt, body)
@@ -132,34 +134,32 @@ def _translate(e: Expr, env: _Env, names: frozenset[str]) -> CplxExpr:
     if t is Nil:
         return NIL_PAIR
     if t is BinOp:
-        tl, tr = _translate(e.lhs, env, names), _translate(e.rhs, env, names)
+        tl, tr = _translate(e.lhs, env, fresh), _translate(e.rhs, env, fresh)
         return CPair(CPlus(NUM_2, CPlus(CostOf(tl), CostOf(tr))), NUM_1)
     if t is Lam:
-        env, names, param = _bind(e.param, e.body, env, names)
-        return CLam(param, pot_ty(e.param_ty), _translate(e.body, env, names))
+        if e.param in env:  # the parameter shadows a head or tail
+            env = {k: v for k, v in env.items() if k != e.param}
+        return CLam(e.param, pot_ty(e.param_ty), _translate(e.body, env, fresh))
     if t is If:
-        tt = _translate(e.test, env, names)
-        joined = CMax(_translate(e.then, env, names), _translate(e.orelse, env, names))
+        tt = _translate(e.test, env, fresh)
+        joined = CMax(_translate(e.then, env, fresh), _translate(e.orelse, env, fresh))
         return Charge(CPlus(NUM_1, CostOf(tt)), joined)
     if t is Fold:
-        ts = _translate(e.scrutinee, env, names)
-        tz = _translate(e.nil_branch, env, names)
-        taken = syntax.free_vars(e.step) | {e.head, e.tail, e.acc} | names
-        env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
-        # The accumulator shadows the head and tail.
-        env, names, w = _bind(e.acc, e.step, env, names)
-        tb = _translate(e.step, env, names)
+        ts = _translate(e.scrutinee, env, fresh)
+        tz = _translate(e.nil_branch, env, fresh)
+        env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
+        env.pop(e.acc, None)  # the accumulator shadows the head and tail
+        tb = _translate(e.step, env, fresh)
         r = _reader(ts, _SCRUT)
-        body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, w, tb))
+        body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, e.acc, tb))
         return body if r is ts else CLet(_SCRUT.name, ts, body)
     if t is App:
-        return StarApp(_translate(e.fn, env, names), _translate(e.arg, env, names))
+        return StarApp(_translate(e.fn, env, fresh), _translate(e.arg, env, fresh))
     if t is Case:
-        ts = _translate(e.scrutinee, env, names)
-        tz = _translate(e.nil_branch, env, names)
-        taken = syntax.free_vars(e.cons_branch) | {e.head, e.tail} | names
-        env, names, p, ps = _bind_branch(e.head, e.tail, env, names, taken)
-        tb = _translate(e.cons_branch, env, names)
+        ts = _translate(e.scrutinee, env, fresh)
+        tz = _translate(e.nil_branch, env, fresh)
+        env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
+        tb = _translate(e.cons_branch, env, fresh)
         r = _reader(ts, _SCRUT)
         body = Charge(CPlus(NUM_1, CostOf(r)), PCase(PotOf(r), tz, p, ps, tb))
         return body if r is ts else CLet(_SCRUT.name, ts, body)
@@ -178,34 +178,18 @@ def _reader(bound: CplxExpr, var: CVar) -> CplxExpr:
     return bound if shared else var
 
 
-def _bind_branch(head: str, tail: str, env: _Env, names: frozenset[str], taken: frozenset[str]
-                 ) -> tuple[_Env, frozenset[str], str, str]:
+def _bind_branch(head: str, tail: str, env: _Env, fresh: _Fresh
+                 ) -> tuple[dict[str, CplxExpr], _Fresh, str, str]:
     """Bind a cons branch's head and tail to potential pairs.
 
     The head is a value of potential at most 1 (an int); the tail a value
     whose potential is one less than the scrutinee's.  They become (1, p)
-    and (1, ps) over fresh p and ps, which the pcase/pfold binds; fresh
-    means apart from `taken`: the branch's free target variables, its
-    binders and every name the environment mentions.  One pair per binder
+    and (1, ps) over the first of fresh's candidates, each primed on, that
+    name no variable or binder of the program.  Branches inside start one
+    prime further, so they never rebind this p or ps.  One pair per binder
     is shared by all its occurrences.
     """
-    p = fresh_name("p", taken)
-    ps = fresh_name("ps", taken | {p})
+    taken, p, ps = fresh
+    p, ps = fresh_name(p, taken), fresh_name(ps, taken)
     inner = {**env, head: CPair(NUM_1, CVar(p)), tail: CPair(NUM_1, CVar(ps))}
-    return inner, names | {p, ps}, p, ps
-
-
-def _bind(x: str, body: Expr, env: _Env, names: frozenset[str]
-          ) -> tuple[_Env, frozenset[str], str]:
-    """Scope a lambda parameter or fold accumulator x over its body.
-
-    x shadows any binding of x in env.  If x is in `names`, keeping it could
-    capture a pair's variable, so x is renamed apart from `names` and the
-    body's free variables, and env maps x to the new name.
-    """
-    if x in names:
-        nx = fresh_name(x, names | syntax.free_vars(body))
-        return {**env, x: CVar(nx)}, names | {nx}, nx
-    if x in env:
-        env = {k: v for k, v in env.items() if k != x}
-    return env, names, x
+    return inner, (taken, p + "'", ps + "'"), p, ps

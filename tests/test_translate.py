@@ -3,6 +3,8 @@ preservation."""
 
 import hashlib
 import random
+import sys
+import time
 
 import pytest
 
@@ -34,11 +36,12 @@ from foldcost.complexity import (
     ctypecheck,
     denote,
 )
-from foldcost import gen
+from foldcost import gen, syntax
 from foldcost.gen import ProbeConfig, gen_typed_term
 from foldcost.harness import check_program, trial_seed
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, Expr, free_vars, subst, to_source
+from foldcost.syntax import (
+    BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, free_vars, subst, to_source)
 from foldcost.translate import pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
 from oracles import gen_cplx_term
@@ -120,6 +123,13 @@ def test_fold_accumulator_shadows_head_binding():
     assert ctypecheck({}, cplx) == translate_ty(typecheck({}, e))
     report = check_program(e, ProbeConfig())
     assert report.status == "pass"
+
+
+def test_lambda_parameter_shadows_head_binding():
+    # Under a lambda that rebinds the head's name, occurrences refer to the
+    # parameter, not to the branch's (1, p) pair.
+    lam = translate(parse("case xs of (\\h:int. h, [h, t] \\h:int. h)")).pair.succ
+    assert lam == CLam("h", NAT, CVar("h"))
 
 
 def test_branch_variables_fresh_against_branch_body():
@@ -316,23 +326,16 @@ def test_substitution_lemma_on_translations():
 
 
 def test_inner_binders_do_not_capture_branch_pairs():
-    # A lambda parameter named like the pcase's potential variable is
-    # renamed, so h still translates to the pair over the pcase's p.
+    # The lambda parameter keeps its name p; the pcase's potential variable
+    # is named apart from it, so h translates to the pair over p' and the
+    # lambda's p captures nothing.
     inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pair
     lam = inner.succ
-    assert (inner.p, lam.param) == ("p", "p'")
-    assert lam.body.cost.rhs == CPlus(CostOf(CPair(CNum(1), CVar("p"))), CostOf(CVar("p'")))
+    assert (inner.p, lam.param) == ("p'", "p")
+    assert lam.body.cost.rhs == CPlus(CostOf(CPair(CNum(1), CVar("p'"))), CostOf(CVar("p")))
 
 
 ADVERSARIAL_NAMES = ("p", "ps", "p'", "ps'", "p''", "w")
-
-
-def _binders(e) -> set[str]:
-    names = {getattr(e, field) for field in type(e).binds}
-    for child in vars(e).values():
-        if isinstance(child, Expr):
-            names |= _binders(child)
-    return names
 
 
 def test_adversarial_binder_names(monkeypatch):
@@ -348,9 +351,94 @@ def test_adversarial_binder_names(monkeypatch):
         assert ctypecheck({}, translate(e)) == translate_ty(ty), to_source(e)
         report = check_program(e)
         assert report.status != "fail", (to_source(e), report.detail)
-        adversarial += not _binders(e).isdisjoint(ADVERSARIAL_NAMES)
+        adversarial += not syntax.names(e).isdisjoint(ADVERSARIAL_NAMES)
     # The patched names reach the programs: 229 of the 300 bind one.
     assert adversarial >= 200
+
+
+def _binder_names(e) -> tuple[list[str], set[str]]:
+    """A term's lambda parameters and fold accumulators, sorted, and its
+    pcase and pfold potential variables; the term is walked as a tree."""
+    kept: list[str] = []
+    branch: set[str] = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is Lam or t is CLam:
+            kept.append(e.param)
+        elif t is Fold or t is PFold:
+            kept.append(e.acc if t is Fold else e.w)
+        if t is PCase or t is PFold:
+            branch |= {e.p, e.ps}
+        todo.extend(v for v in vars(e).values() if isinstance(v, (Expr, CplxExpr)))
+    return sorted(kept), branch
+
+
+def test_translation_keeps_every_binder_name(monkeypatch):
+    # Every CLam.param and PFold.w is its target binder's name, and every
+    # pcase/pfold variable is apart from every name of the program, over
+    # criterion 2's first 2,000 programs, the corpus and programs whose
+    # binders take the names the branch variables would.
+    programs = [corpus_expr(name) for name in CORPUS_NAMES]
+    for k in range(2000):
+        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+        ty = rng.choice(gen._BASE_TYPES)
+        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    draws = random.Random(1)
+    monkeypatch.setattr(gen, "_fresh_var", lambda ctx: draws.choice(ADVERSARIAL_NAMES))
+    programs += [gen_typed_term(seed, 5, (INT, BOOL, INT_LIST)[seed % 3]) for seed in range(300)]
+
+    def no_free_vars(e):
+        raise AssertionError("translate walked free_vars")
+
+    # translate collects the program's names once and never asks for free
+    # variables, at a branch or at a binder.
+    monkeypatch.setattr(syntax, "free_vars", no_free_vars)
+    branches = 0
+    for e in programs:
+        kept, branch_vars = _binder_names(translate(e))
+        assert kept == _binder_names(e)[0], to_source(e)
+        assert branch_vars.isdisjoint(syntax.names(e)), to_source(e)
+        branches += bool(branch_vars)
+    assert branches > 1000
+
+
+def _nested(n: int, fold: bool) -> Expr:
+    """n cases (or folds) of xs, each in the cons branch of the one before,
+    whose innermost branch is x0, the outermost head."""
+    e: Expr = Var("x0")
+    for k in reversed(range(n)):
+        if fold:
+            e = Fold(Var("xs"), Nil(), f"x{k}", f"t{k}", f"w{k}", e)
+        else:
+            e = Case(Var("xs"), Nil(), f"x{k}", f"t{k}", e)
+    return e
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["case", "fold"])
+def test_deep_branch_nesting_primes_once_per_level(fold):
+    # The k-th nested branch binds p and ps followed by k primes.  The time
+    # bound is generous: it catches a walk of each branch's body, which
+    # takes seconds at this depth, where this translation takes a fraction
+    # of one.
+    n = 2000
+    e = _nested(n, fold)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * n))
+    try:
+        start = time.perf_counter()
+        pair = translate(e)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    for k in range(n):
+        branch = pair.pair
+        assert type(branch) is (PFold if fold else PCase)
+        assert (branch.p, branch.ps) == ("p" + "'" * k, "ps" + "'" * k)
+        pair = branch.succ
+    assert pair == CPair(CNum(1), CVar("p"))
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------- preservation
