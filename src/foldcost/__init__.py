@@ -9,7 +9,7 @@ programs from the random program generator (gen).
 
 from .complexity import ctypecheck, denote
 from .gen import ProbeConfig, gen_typed_term
-from .harness import check_program, fuzz_campaign, tabulate
+from .harness import campaign_trials, check_program, tabulate
 from .interp import derive, eval_expr
 from .parser import parse
 from .syntax import to_source
@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProbeConfig",
+    "campaign_trials",
     "check_program",
     "ctypecheck",
     "denote",
     "derive",
     "eval_expr",
-    "fuzz_campaign",
     "gen_typed_term",
     "parse",
     "tabulate",

@@ -33,19 +33,19 @@ translation shares are defined here (`NUM_0` to `NUM_2`, `LIT_PAIR` (1, 1),
 `NIL_PAIR` (1, 0)); `ctypecheck` and `_stage` answer the pairs by identity.
 
 `denote` stages each node into a closure, and a few common shapes into one
-closure where a walk node by node would make two or three: a numeral, a
-pair of numerals and a projection of such a pair stage to a constant (the
-ones translations use are staged once, in a fixed table, and shared by
-every denotation); `x_c` and `x_p` of a variable read the environment
-directly; `k + e` with a numeral k, and `a_c + b_c`, add in one closure.
-Each fused closure makes the same checks in the same order, so an error
-keeps its class and its message.
+closure where a walk node by node would make two or three: `x_c` and `x_p`
+of a variable read the environment directly; `k + e` with a numeral k, and
+`a_c + b_c`, add in one closure; a pair `(k, e)` with a numeral cost makes
+no closure for its cost, and `LIT_PAIR` and `NIL_PAIR` stage to one shared
+closure each.  Each fused closure makes the same checks in the same order,
+so an error keeps its class and its message.
 
 The hot paths of `sem_apply`, `sem_max`, the staged closures and
 `ctypecheck` test the exact type first (`type(v) is SPair`, `type(n) is
 int`, `ty is NAT`, `e is NUM_1`) and call the checking helper (`_as_pair`,
-`_as_nat`, `_expect`, `_pair_ty`) only when that test fails, so the helper
-raises the same error, with the same text, as it would have on every call.
+`_as_nat`, `_sum`, `_expect`, `_pair_ty`) only when that test fails, so the
+helper raises the same error, with the same text, as it would have on every
+call.
 A bool passes `isinstance(v, int)` but no exact test, so it stays on the
 helper path and gives what it always gave.
 """
@@ -455,14 +455,13 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                 if type(v) is not SPair:
                     raise DenoteError(f"expected a cost/potential pair, got: {v!r}")
                 return v[i]
-        elif type(pair) is CPair and type(pair.cost) is CNum and type(pair.pot) is CNum:
-            return _constant((pair.cost.value, pair.pot.value)[i])
         else:
             def fn(env, pf=_stage(pair, fv), i=i) -> SemVal:
                 v = pf(env)
                 return v[i] if type(v) is SPair else _as_pair(v)[i]
     elif t is CNum:
-        return _constant(e.value)
+        def fn(env, value=e.value) -> SemVal:
+            return value
     elif t is CVar:
         fv.add(e.name)
 
@@ -476,9 +475,7 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         if type(lhs) is CNum and type(lhs.value) is int:  # k + e
             def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
                 b = rf(env)
-                if type(b) is not int and not isinstance(b, int):
-                    raise DenoteError("operands of + must be naturals")
-                n = k + b
+                n = k + b if type(b) is int else _sum(k, b)
                 if n > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
                 return n
@@ -488,28 +485,20 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                 a = a[0] if type(a) is SPair else _as_pair(a)[0]
                 b = bf(env)
                 b = b[0] if type(b) is SPair else _as_pair(b)[0]
-                if type(a) is not int or type(b) is not int:
-                    if not isinstance(a, int) or not isinstance(b, int):
-                        raise DenoteError("operands of + must be naturals")
-                n = a + b
+                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
                 if n > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
                 return n
         else:
             def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
                 a, b = lf(env), rf(env)
-                if type(a) is not int or type(b) is not int:
-                    if not isinstance(a, int) or not isinstance(b, int):
-                        raise DenoteError("operands of + must be naturals")
-                n = a + b
+                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
                 if n > NAT_MAX:
                     raise NatOverflowError(_OVERFLOW)
                 return n
     elif t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
         if e is LIT_PAIR or e is NIL_PAIR:
-            return _STAGED_LIT if e is LIT_PAIR else _STAGED_NIL
-        if type(e.pot) is CNum:
-            return _constant(SPair(e.cost.value, e.pot.value))
+            return _staged_lit if e is LIT_PAIR else _staged_nil
 
         def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
             return _new_pair(SPair, (cost, pf(env)))
@@ -584,26 +573,21 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     return fn
 
 
-def _constant(value: SemVal) -> Staged:
-    """A staged constant: the shared closure in `_CONSTANTS`, if there is
-    one, else a new one.  The exact-type tests keep True, which equals 1 as
-    a key, from staging to 1."""
-    if type(value) is SPair:
-        exact = type(value.cost) is int and type(value.pot) is int
-    else:
-        exact = type(value) is int
-    fn = _CONSTANTS.get(value) if exact else None
-    if fn is None:
-        def fn(env, value=value) -> SemVal:
-            return value
-    return fn
+# `LIT_PAIR` and `NIL_PAIR`, staged once and shared by every denotation.
+def _staged_lit(env: dict[str, SemVal], value: SemVal = SPair(1, 1)) -> SemVal:
+    return value
 
 
-# The constants translations make, `NUM_0` to `NUM_2`, `LIT_PAIR` and
-# `NIL_PAIR`, staged once for every denotation; the table never grows.
-_CONSTANTS: dict[SemVal, Staged] = {}
-_CONSTANTS.update((v, _constant(v)) for v in (0, 1, 2, SPair(1, 1), SPair(1, 0)))
-_STAGED_LIT, _STAGED_NIL = _CONSTANTS[SPair(1, 1)], _CONSTANTS[SPair(1, 0)]
+def _staged_nil(env: dict[str, SemVal], value: SemVal = SPair(1, 0)) -> SemVal:
+    return value
+
+
+def _sum(a: SemVal, b: SemVal) -> int:
+    """`a + b` for the staged `+` closures when an operand is not an exact
+    int: a bool adds as the int it is, and anything else is refused."""
+    if not isinstance(a, int) or not isinstance(b, int):
+        raise DenoteError("operands of + must be naturals")
+    return a + b
 
 
 def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged, set[str]]:

@@ -88,18 +88,14 @@ def _gen(rng: random.Random, depth: int, ty: Ty, ctx: dict[str, Ty], cfg: ProbeC
         step = _gen(rng, depth - 1, ty, ctx1, cfg)
         return Fold(scrut, nil_branch, head, tail, acc, step)
 
-    if isinstance(ty, ArrowTy):
-        if rng.random() < 0.15:
-            test = _gen(rng, depth - 1, BOOL, ctx, cfg)
-            return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
-        param = _fresh_var(ctx)
-        body = _gen(rng, depth - 1, ty.cod, {**ctx, param: ty.dom}, cfg)
-        return Lam(param, ty.dom, body)
-
     roll = rng.random()
     if roll < 0.15:
         test = _gen(rng, depth - 1, BOOL, ctx, cfg)
         return If(test, _gen(rng, depth - 1, ty, ctx, cfg), _gen(rng, depth - 1, ty, ctx, cfg))
+    if isinstance(ty, ArrowTy):
+        param = _fresh_var(ctx)
+        body = _gen(rng, depth - 1, ty.cod, {**ctx, param: ty.dom}, cfg)
+        return Lam(param, ty.dom, body)
     if roll >= 0.70:
         return _gen_leaf(rng, ty, ctx, cfg)
     if ty is INT or ty is BOOL:

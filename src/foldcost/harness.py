@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
@@ -68,7 +67,9 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
 
     The run's cost is compared with the bound's cost, and its value with the
     bound's potential by the bounding relation, which probes function-typed
-    results.
+    results.  When only the bound overflows 64 bits, the verdict is
+    inconclusive and the run's cost is still reported, unless the run stops
+    too.
     """
     ty = typecheck({}, e)
     cplx = translate(e)
@@ -76,6 +77,7 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     if cty != translate_ty(ty):
         raise AssertionError(f"translation changed the type: {cty} vs {translate_ty(ty)}")
 
+    result = None
     try:
         chi = denote(cplx)
         result = eval_expr(e, budget=cfg.budget)
@@ -105,7 +107,16 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     except ArithOverflowError:
         return Report(e, "inconclusive", None, None, None, None, detail="int-overflow")
     except NatOverflowError:
-        return Report(e, "inconclusive", None, None, None, None, detail="nat-overflow")
+        cost = result.cost if result is not None else _run_cost(e, cfg)
+        return Report(e, "inconclusive", cost, None, None, None, detail="nat-overflow")
+
+
+def _run_cost(e: Expr, cfg: ProbeConfig) -> int | None:
+    """The cost of running e, or None if the run stops at a limit."""
+    try:
+        return eval_expr(e, budget=cfg.budget).cost
+    except (BudgetExceededError, ArithOverflowError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -233,24 +244,6 @@ class Trial:
     report: Report
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
-    cfg: ProbeConfig
-    trials: tuple[Trial, ...]
-    passed: int
-    failed: int
-    inconclusive: int
-    errors: int
-
-    def counterexamples(self) -> list[Trial]:
-        return [t for t in self.trials if t.report.status == "fail"]
-
-    def lines(self, as_json: bool = False) -> list[str]:
-        counts = {"pass": self.passed, "fail": self.failed,
-                  "inconclusive": self.inconclusive, "error": self.errors}
-        return [trial_line(t, as_json) for t in self.trials] + [totals_line(counts, as_json)]
-
-
 def totals_line(counts: Mapping[str, int], as_json: bool) -> str:
     """A campaign's last line, from its count of trials per verdict."""
     passed, failed, inconclusive, errors = (
@@ -298,14 +291,6 @@ def trial_line(t: Trial, as_json: bool) -> str:
 
 def trial_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (2**63)
-
-
-def fuzz_campaign(cfg: ProbeConfig = DEFAULT_CONFIG) -> CampaignSummary:
-    """Run `campaign_trials` to the end and keep every trial."""
-    trials = tuple(campaign_trials(cfg))
-    counts = Counter(t.report.status for t in trials)
-    return CampaignSummary(cfg, trials, counts["pass"], counts["fail"],
-                           counts["inconclusive"], counts["error"])
 
 
 def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:

@@ -5,13 +5,14 @@ per session and every test that needs campaign-wide evidence shares it.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from foldcost import complexity
 from foldcost.gen import ProbeConfig
-from foldcost.harness import fuzz_campaign
+from foldcost.harness import Trial, campaign_trials
 from foldcost.parser import parse
 from foldcost.syntax import INT, INT_LIST, ArrowTy
 
@@ -50,6 +51,12 @@ def fun_acc_fold(n: int, dom: str = "int*") -> str:
             "[y, ys, w] if true then w else w)")
 
 
+def campaign(cfg: ProbeConfig) -> tuple[tuple[Trial, ...], Counter]:
+    """Every trial of a campaign, and the number of trials per verdict."""
+    trials = tuple(campaign_trials(cfg))
+    return trials, Counter(t.report.status for t in trials)
+
+
 def count_sem_max(monkeypatch, cap: int) -> None:
     """Make `complexity.sem_max` raise AssertionError past `cap` calls, so
     that a run with exponential work fails at once instead of running on."""
@@ -68,7 +75,8 @@ def count_sem_max(monkeypatch, cap: int) -> None:
 
 @pytest.fixture(scope="session")
 def campaign_10k():
-    """The campaign summary plus its wall-clock runtime in seconds."""
+    """The campaign's trials and verdict counts, plus its wall-clock runtime
+    in seconds."""
     start = time.perf_counter()
-    summary = fuzz_campaign(CAMPAIGN_CONFIG)
-    return summary, time.perf_counter() - start
+    trials, counts = campaign(CAMPAIGN_CONFIG)
+    return trials, counts, time.perf_counter() - start

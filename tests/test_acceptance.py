@@ -78,28 +78,28 @@ def test_criterion_01_worked_example(verdict):
 
 
 def test_criterion_02_fuzz_campaign_soundness(verdict, campaign_10k):
-    summary, elapsed = campaign_10k
+    trials, counts, elapsed = campaign_10k
     problems = []
-    if len(summary.trials) != 10_000:
-        problems.append(f"{len(summary.trials)} trials != 10000")
-    if summary.failed:
-        first = summary.counterexamples()[0]
+    if len(trials) != 10_000:
+        problems.append(f"{len(trials)} trials != 10000")
+    if counts["fail"]:
+        first = next(t for t in trials if t.report.status == "fail")
         problems.append(
-            f"{summary.failed} violations, first: {first.report.detail} "
+            f"{counts['fail']} violations, first: {first.report.detail} "
             f"in {first.report.program}")
-    if summary.errors:
-        first = next(t for t in summary.trials if t.report.status == "error")
+    if counts["error"]:
+        first = next(t for t in trials if t.report.status == "error")
         problems.append(
-            f"{summary.errors} trials raised in the checker, first: "
+            f"{counts['error']} trials raised in the checker, first: "
             f"{first.report.detail} in {first.report.program}")
     allowed = {"int-overflow", "nat-overflow", "budget-exceeded",
                "all probes hit evaluation limits"}
-    for t in summary.trials:
+    for t in trials:
         if t.report.status == "inconclusive" and t.report.detail not in allowed:
             problems.append(f"trial {t.index}: unexpected diagnostic {t.report.detail!r}")
     # Overflow and budget stops prove nothing either way, so top up from
     # reserve seeds until 10,000 programs have been checked conclusively.
-    conclusive = summary.passed
+    conclusive = counts["pass"]
     index = 10_000
     while conclusive < 10_000 and index < 12_000 and not problems:
         seed = trial_seed(CAMPAIGN_CONFIG.seed, index)
@@ -241,7 +241,7 @@ def test_criterion_06_map_bound_shape(verdict):
 
 
 def test_criterion_07_type_preservation(verdict, campaign_10k):
-    summary, _ = campaign_10k
+    trials, _, _ = campaign_10k
     problems = []
     for name in CORPUS_NAMES:
         e = corpus_expr(name)
@@ -254,7 +254,7 @@ def test_criterion_07_type_preservation(verdict, campaign_10k):
                 translate_ty(typecheck(ctx, e)):
             problems.append(f"open term seed {seed}: translation changed its type")
     checked = 0
-    for t in summary.trials:
+    for t in trials:
         e = parse(t.report.program)
         if ctypecheck({}, translate(e)) != translate_ty(typecheck({}, e)):
             problems.append(

@@ -220,16 +220,24 @@ def test_check_many_curried_arguments_is_inconclusive(tmp_path):
 def test_check_bound_past_64_bits_is_inconclusive(capsys, tmp_path):
     # Each fold step doubles the cost of the accumulated function, so its
     # potential overflows 64 bits at 64 steps; the memo keeps the
-    # denotation linear.  The run is never made, so no cost is reported.
+    # denotation linear.  The run takes the `true` branch and ends, so its
+    # cost is reported, with no bound.
     source = ("if true then 0 else (fold [" + ", ".join(["1"] * 64) +
               "] of (\\x:int. x, [y, ys, w] \\x:int. w (w x))) 0")
     code, out, err = run(capsys, "check", write_program(tmp_path, source))
-    assert (code, out, err) == (EXIT_OK, "cost=None bound=None size=None pot=None "
+    assert (code, out, err) == (EXIT_OK, "cost=3 bound=None size=None pot=None "
                                 "verdict=inconclusive detail='nat-overflow'\n", "")
     e = parse(source)
     report = harness.check_program(e)
-    assert (report.status, report.detail) == ("inconclusive", "nat-overflow")
+    assert (report.status, report.detail, report.cost) == ("inconclusive", "nat-overflow", 3)
     assert report.program == to_source(e)
+    # A run that stops too has no cost to report.
+    stopped = harness.check_program(e, replace(harness.DEFAULT_CONFIG, budget=2))
+    assert (stopped.status, stopped.detail, stopped.cost) == ("inconclusive", "nat-overflow", None)
+    # Under a lambda the bound overflows only when a probe applies it, after
+    # the run, whose cost is reported as well.
+    probed = harness.check_program(parse("\\z:int. " + source))
+    assert (probed.status, probed.detail, probed.cost) == ("inconclusive", "nat-overflow", 1)
 
 
 def test_fuzz_keeps_no_earlier_trial(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -11,8 +12,9 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from conftest import (
-    CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, corpus_expr, count_sem_max)
+    CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, campaign, corpus_expr, count_sem_max)
 from foldcost import gen, harness
+from foldcost.cli import main
 from foldcost.complexity import (
     NAT,
     NAT_PAIR,
@@ -33,8 +35,9 @@ from foldcost.harness import (
     SweepArg,
     TermArg,
     check_program,
-    fuzz_campaign,
     tabulate,
+    totals_line,
+    trial_line,
     trial_seed,
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
@@ -98,7 +101,7 @@ def _leaves(e, out):
 
 
 # sha256 of `to_source` of criterion 2's first 2,000 programs (one per
-# line), drawn as `fuzz_campaign` draws them, recorded before the draws
+# line), drawn as `campaign_trials` draws them, recorded before the draws
 # stopped going through `random.choice` and `random.randrange`.
 CAMPAIGN_DRAWS_SHA256 = "65d8a64a07f235a3c4f9c731875ed69925e030f3f6d4fd20f40728ef7af0aeb2"
 
@@ -110,8 +113,8 @@ def test_campaign_draws_are_frozen(monkeypatch):
         raise AssertionError("not checked")
 
     monkeypatch.setattr(harness, "check_program", refuse)
-    summary = fuzz_campaign(replace(CAMPAIGN_CONFIG, trials=2_000))
-    text = "".join(t.report.program + "\n" for t in summary.trials)
+    trials, _ = campaign(replace(CAMPAIGN_CONFIG, trials=2_000))
+    text = "".join(t.report.program + "\n" for t in trials)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CAMPAIGN_DRAWS_SHA256
 
 
@@ -183,6 +186,30 @@ def test_modules_import_by_layer():
         "__init__", "cli"]
     for module, names in imports.items():
         assert not {n.split(".")[0] for n in names} & {"tests", "conftest", "oracles"}, module
+
+
+def test_benchmark_entry_points_exist():
+    # The benchmark imports names from `foldcost`, calls the library through
+    # `foldcost.<name>` and wraps the functions named in `spans.WRAP_POINTS`.
+    # Its files are read, not run, so a deleted or renamed entry point fails
+    # here and not first in a benchmark run.
+    wanted = set()
+    for path in sorted((CORPUS.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("foldcost"):
+                wanted.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "foldcost"):
+                wanted.add(("foldcost", node.attr))
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and node.target.id == "WRAP_POINTS"):
+                wanted.update((point.elts[0].value, point.elts[1].value)
+                              for point in node.value.elts)
+    assert {("foldcost.harness", "gen_typed_term"), ("foldcost", "tabulate"),
+            ("foldcost.harness", "denote")} <= wanted
+    missing = [f"{module}.{name}" for module, name in sorted(wanted)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_generated_programs_share_their_leaves():
@@ -485,19 +512,30 @@ INCONCLUSIVE_LINE = re.compile(r"^trial=\d+ seed=\d+ error=.+ verdict=inconclusi
 SUMMARY_LINE = re.compile(r"^passed=\d+ failed=\d+ inconclusive=\d+ trials=\d+$")
 
 
-def test_small_campaign_shape_and_determinism():
+def campaign_lines(trials, counts, as_json: bool = False) -> list[str]:
+    """The lines `fuzz` prints for a campaign's trials and verdict counts."""
+    return [trial_line(t, as_json) for t in trials] + [totals_line(counts, as_json)]
+
+
+def fuzz_lines(capsys, *argv: str) -> list[str]:
+    main(["fuzz", *argv])
+    return capsys.readouterr().out.splitlines()
+
+
+def test_small_campaign_shape_and_determinism(capsys):
     cfg = ProbeConfig(trials=40, depth=4, seed=0)
-    summary = fuzz_campaign(cfg)
-    assert summary.passed + summary.failed + summary.inconclusive == 40
-    assert summary.failed == 0
-    assert summary.counterexamples() == []
-    for t in summary.trials:
+    trials, counts = campaign(cfg)
+    assert counts["pass"] + counts["fail"] + counts["inconclusive"] == 40
+    assert counts["fail"] == 0
+    assert [t for t in trials if t.report.status == "fail"] == []
+    for t in trials:
         assert t.seed == trial_seed(0, t.index)
-    lines = summary.lines()
+    lines = fuzz_lines(capsys, "--trials", "40", "--depth", "4", "--seed", "0")
+    assert lines == campaign_lines(trials, counts)
     assert SUMMARY_LINE.match(lines[-1])
     for line in lines[:-1]:
         assert PASS_LINE.match(line) or INCONCLUSIVE_LINE.match(line), line
-    assert fuzz_campaign(cfg).lines() == lines
+    assert fuzz_lines(capsys, "--trials", "40", "--depth", "4", "--seed", "0") == lines
 
 
 JOINS = re.compile(r"\b(if|case|fold)\b")
@@ -507,8 +545,8 @@ def test_join_free_campaign_trials_are_exact(campaign_10k):
     # Without a branch or a fold the translation takes no max, so the bound
     # is the measured cost and the potential is the result's size, with or
     # without lambdas.
-    summary, _ = campaign_10k
-    join_free = [t.report for t in summary.trials if not JOINS.search(t.report.program)]
+    trials, _, _ = campaign_10k
+    join_free = [t.report for t in trials if not JOINS.search(t.report.program)]
     assert len(join_free) == 2_500
     assert sum("\\" in r.program for r in join_free) == 57
     for r in join_free:
@@ -523,7 +561,7 @@ def test_join_free_campaign_trials_are_exact(campaign_10k):
 ], ids=lambda exc: type(exc).__name__)
 def test_campaign_records_an_error_verdict_and_goes_on(monkeypatch, exc):
     cfg = ProbeConfig(trials=6, depth=3, seed=4)
-    clean = fuzz_campaign(cfg)
+    clean, clean_counts = campaign(cfg)
     real = harness.check_program
     calls = 0
 
@@ -535,33 +573,33 @@ def test_campaign_records_an_error_verdict_and_goes_on(monkeypatch, exc):
         return real(e, cfg)
 
     monkeypatch.setattr(harness, "check_program", check)
-    summary = fuzz_campaign(cfg)
-    assert (summary.passed, summary.failed, summary.inconclusive, summary.errors) == (
-        clean.passed - (clean.trials[2].report.status == "pass"), clean.failed,
-        clean.inconclusive - (clean.trials[2].report.status == "inconclusive"), 1)
-    trial = summary.trials[2]
+    trials, counts = campaign(cfg)
+    assert (counts["pass"], counts["fail"], counts["inconclusive"], counts["error"]) == (
+        clean_counts["pass"] - (clean[2].report.status == "pass"), clean_counts["fail"],
+        clean_counts["inconclusive"] - (clean[2].report.status == "inconclusive"), 1)
+    trial = trials[2]
     detail = f"{type(exc).__name__}: {exc}"
     assert (trial.index, trial.seed) == (2, trial_seed(4, 2))
     assert (trial.report.status, trial.report.detail) == ("error", detail)
-    assert trial.report.program == clean.trials[2].report.program
-    lines, clean_lines = summary.lines(), clean.lines()
+    assert trial.report.program == clean[2].report.program
+    lines, clean_lines = campaign_lines(trials, counts), campaign_lines(clean, clean_counts)
     assert lines[2] == (f"trial=2 seed={trial.seed} verdict=error detail={detail!r} "
                         f"program={trial.report.program!r}")
     assert lines[:2] + lines[3:-1] == clean_lines[:2] + clean_lines[3:-1]
     assert lines[-1].endswith(" errors=1 trials=6")
-    rows = [json.loads(line) for line in summary.lines(as_json=True)]
+    rows = [json.loads(line) for line in campaign_lines(trials, counts, as_json=True)]
     assert rows[2]["verdict"] == "error" and rows[2]["detail"] == detail
     assert rows[-1]["errors"] == 1
 
 
-def test_campaign_json_lines():
-    summary = fuzz_campaign(ProbeConfig(trials=20, depth=3, seed=7))
-    lines = summary.lines(as_json=True)
+def test_campaign_json_lines(capsys):
+    _, counts = campaign(ProbeConfig(trials=20, depth=3, seed=7))
+    lines = fuzz_lines(capsys, "--trials", "20", "--depth", "3", "--seed", "7", "--json")
     rows = [json.loads(line) for line in lines]
     assert rows[-1] == {
-        "passed": summary.passed,
-        "failed": summary.failed,
-        "inconclusive": summary.inconclusive,
+        "passed": counts["pass"],
+        "failed": counts["fail"],
+        "inconclusive": counts["inconclusive"],
         "trials": 20,
     }
     for row in rows[:-1]:

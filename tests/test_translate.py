@@ -5,6 +5,7 @@ import hashlib
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -199,6 +200,37 @@ def test_literals_and_nil_translate_to_the_shared_pairs():
     assert translate(parse("1")) is LIT_PAIR
     assert translate(parse("true")) is LIT_PAIR
     assert translate(parse("nil")) is NIL_PAIR
+
+
+def test_translations_take_only_the_fused_shapes():
+    # `_stage` fuses `k + e` with a numeral k and `a_c + b_c`, and stages
+    # `LIT_PAIR` and `NIL_PAIR` to shared closures; the generic `+` closure
+    # and the pair of two other numerals serve no translation.  Over the
+    # corpus and criterion 2's first 2,000 programs, walked as trees, every
+    # `+` has a fused shape and every pair of numerals is a shared one.
+    programs = [corpus_expr(name) for name in CORPUS_NAMES]
+    for k in range(2000):
+        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+        ty = gen._BASE_TYPES[gen._below(rng, 3)]
+        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    plus: Counter[str] = Counter()
+    for e in programs:
+        todo = [translate(e)]
+        while todo:
+            node = todo.pop()
+            t = type(node)
+            if t is CPlus:
+                lhs, rhs = node.lhs, node.rhs
+                if type(lhs) is CNum and type(lhs.value) is int:
+                    plus["k + e"] += 1
+                elif type(lhs) is CostOf and type(rhs) is CostOf:
+                    plus["a_c + b_c"] += 1
+                else:
+                    plus[f"{type(lhs).__name__} + {type(rhs).__name__}"] += 1
+            elif t is CPair and type(node.cost) is CNum and type(node.pot) is CNum:
+                assert node is LIT_PAIR or node is NIL_PAIR, cplx_to_source(node)
+            todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
+    assert plus == {"k + e": 114_491, "a_c + b_c": 54_497}
 
 
 def test_branch_translation_keeps_sharing():
