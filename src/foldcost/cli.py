@@ -126,7 +126,8 @@ def _count(text: str) -> int:
 
 def _load(path: str) -> Expr:
     try:
-        with open(path, encoding="utf-8") as f:
+        # "utf-8-sig" drops a byte order mark at the start of the file only.
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from None

@@ -37,19 +37,24 @@ an application argument must start on the same line as the function
 (parenthesize to split across lines); without this, a `def` body would
 swallow a following expression that starts with an atom.  `def` bodies
 are expanded by substitution, in order, so a definition may use earlier
-definitions but not itself.
+definitions but not itself, and no other free variable.
+
+A program that parses pays for one regex pass and one loop over its tokens:
+`_lex` keeps them as flat lists of kinds, texts and line numbers, and the
+parser indexes those lists.  Columns are worked out only when a
+`ParseError` is raised, by `_positions`, which scans the text again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import (
     BOOL,
     INT,
     INT_LIST,
     INT_MAX,
+    INT_MIN,
     OPS,
     ArrowTy,
     App,
@@ -65,6 +70,7 @@ from .syntax import (
     Nil,
     Ty,
     Var,
+    free_vars,
     subst,
 )
 
@@ -72,16 +78,17 @@ KEYWORDS = frozenset(
     ["if", "then", "else", "case", "fold", "of", "nil", "true", "false", "def", "int", "bool"]
 )
 
-# One match per token.  Group 1 is the blanks before the token and a
-# comment, which runs to the end of the line.  Then exactly one of: a
-# newline, INT, a word, a symbol, or any other character.  "--" is tried
-# before the "-" symbol.  A word may start with any word character but a
-# decimal digit; `tokenize` rejects the ones that are not letters, such as
-# "²".  `\Z` takes the blanks at the end of the input.
-_TOKEN_RE = re.compile(
-    r"([ \t\r]*(?:--[^\n]*)?)"
-    r"(?:(\n)|([0-9]+)|([^\W\d][\w']*)|(->|::|<=|[-<=+*()\[\],.:\\])|(.)|\Z)"
-)
+# One match per token, after the blanks and a comment, which runs to the end
+# of the line.  The one group is the token: INT, a word, a two-character
+# symbol, any other character (a newline too), or "" at the end of input.
+# "--" is tried before "-".  A word may start with any word character but a
+# decimal digit; `_lex` rejects the ones that are not letters, such as "²".
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:--[^\n]*)?([0-9]+|[^\W\d][\w']*|->|::|<=|.|\Z)", re.DOTALL)
+
+# Keywords and symbols are their own kind; any other token is a "number"
+# (the keyword `int` has kind "int"), an "ident", a newline, the end of
+# input or an error.
+_KINDS = {tok: tok for tok in [*KEYWORDS, "->", "::", "<=", *"-<=+*()[],.:\\"]}
 
 
 class ParseError(Exception):
@@ -92,155 +99,150 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "int", "ident", "kw", "eof", or the symbol itself
-    text: str
-    line: int
-    col: int
-
-
-# Builds a Token without the Python-level `__new__` that NamedTuple
-# generates; the fields go in declaration order.
-_new_token = tuple.__new__
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start, pos = 1, 0, 0
-    for blank, newline, number, word, sym, other in _TOKEN_RE.findall(text):
-        pos += len(blank)
-        if sym:
-            append(_new_token(Token, (sym, sym, line, pos - line_start + 1)))
-            pos += len(sym)
-        elif word:
-            col = pos - line_start + 1
-            if word in KEYWORDS:
-                append(_new_token(Token, ("kw", word, line, col)))
-            elif word[0].isalpha() or word[0] == "_":
-                append(_new_token(Token, ("ident", word, line, col)))
+def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kind, text and line of every token; the last token is "eof"."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KINDS.get(tok)
+        if kind is None:
+            c = tok[:1]
+            if "0" <= c <= "9":
+                kind = "number"
+            elif c.isalpha() or c == "_":
+                kind = "ident"
+            elif c == "\n":
+                line += 1
+                continue
+            elif not c:
+                break  # end of input, which findall gives twice after a last comment
             else:
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
-            pos += len(word)
-        elif newline:
-            pos += 1
-            line, line_start = line + 1, pos
-        elif number:
-            append(_new_token(Token, ("int", number, line, pos - line_start + 1)))
-            pos += len(number)
-        elif other:
-            raise ParseError(f"unexpected character {other!r}", line, pos - line_start + 1)
+                raise ParseError(f"unexpected character {c!r}", *_positions(text)[len(kinds)])
+        kinds.append(kind)
+        texts.append(tok)
+        lines.append(line)
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    return kinds, texts, lines
+
+
+def _positions(text: str) -> list[tuple[int, int]]:
+    """The line and column of every token `_lex` returns, and of the
+    character it rejects; only errors pay for this second scan."""
+    out: list[tuple[int, int]] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m[1] == "\n":
+            line, line_start = line + 1, m.end()
+        else:
+            out.append((line, m.start(1) - line_start + 1))
+            if not m[1]:
+                break
     # A comment does not advance the column, so end of input after one sits
     # where the comment starts.  The first "--" on a line always starts one.
-    end = text.find("--", line_start)
-    append(Token("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
-    return tokens
+    comment = text.find("--", line_start)
+    if comment >= 0:
+        out[-1] = (line, comment - line_start + 1)
+    return out
 
 
 _PREC = {**{op: info.prec for op, info in OPS.items()}, "::": 2}
-_ATOM_START = frozenset(["int", "ident", "[", "("])
-_ATOM_KWS = frozenset(["true", "false", "nil"])
+_ATOM_START = frozenset(["number", "ident", "[", "(", "true", "false", "nil"])
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        # A second eof lets `peek(1)` look past the end without a bounds check.
-        self.tokens = tokens + tokens[-1:]
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts, self.lines = _lex(text)
         self.pos = 0
         self.group = 0  # parenthesis/bracket nesting; relaxes the app line rule
 
     # ------------------------------------------------------------- plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at token `pos`, by default the current one."""
+        return ParseError(message, *_positions(self.text)[self.pos if pos is None else pos])
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+    def found(self) -> str:
+        return "end of input" if self.kinds[self.pos] == "eof" else f"'{self.texts[self.pos]}'"
+
+    def expect(self, kind: str, what: str | None = None) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
             wanted = what or f"'{kind}'"
-            raise ParseError(f"expected {wanted}, found {self._describe(tok)}", tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def expect_kw(self, word: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind != "kw" or tok.text != word:
-            raise ParseError(f"expected '{word}', found {self._describe(tok)}", tok.line, tok.col)
-        self.pos += 1
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+            raise self.error(f"expected {wanted}, found {self.found()}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def ident(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok.kind == "kw":
-            raise ParseError(f"'{tok.text}' is a reserved word", tok.line, tok.col)
-        return self.expect("ident", "an identifier").text
+        if self.kinds[self.pos] in KEYWORDS:
+            raise self.error(f"'{self.texts[self.pos]}' is a reserved word")
+        return self.expect("ident", "an identifier")
 
     # ------------------------------------------------------------- types
 
     def type_(self) -> Ty:
         dom = self.btype()
-        if self.peek().kind == "->":
+        if self.kinds[self.pos] == "->":
             self.pos += 1
             return ArrowTy(dom, self.type_())
         return dom
 
     def btype(self) -> Ty:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text == "int":
+        kind = self.kinds[self.pos]
+        if kind == "int":
             self.pos += 1
-            if self.peek().kind == "*":
+            if self.kinds[self.pos] == "*":
                 self.pos += 1
                 return INT_LIST
             return INT
-        if tok.kind == "kw" and tok.text == "bool":
+        if kind == "bool":
             self.pos += 1
             return BOOL
-        if tok.kind == "(":
+        if kind == "(":
             self.pos += 1
             ty = self.type_()
             self.expect(")")
             return ty
-        raise ParseError(f"expected a type, found {self._describe(tok)}", tok.line, tok.col)
+        raise self.error(f"expected a type, found {self.found()}")
 
     # ------------------------------------------------------------- expressions
 
     def expr(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok.kind == "kw":
-            word = tok.text
-            if word == "if":
-                self.pos += 1
-                test = self.expr()
-                self.expect_kw("then")
-                then = self.expr()
-                self.expect_kw("else")
-                return If(test, then, self.expr())
-            if word == "case" or word == "fold":
-                self.pos += 1
-                scrutinee = self.expr()
-                self.expect_kw("of")
-                self.expect("(")
-                self.group += 1
-                nil_branch = self.expr()
+        kind = self.kinds[self.pos]
+        if kind == "if":
+            self.pos += 1
+            test = self.expr()
+            self.expect("then")
+            then = self.expr()
+            self.expect("else")
+            return If(test, then, self.expr())
+        if kind == "case" or kind == "fold":
+            self.pos += 1
+            scrutinee = self.expr()
+            self.expect("of")
+            self.expect("(")
+            self.group += 1
+            nil_branch = self.expr()
+            self.expect(",")
+            self.expect("[")
+            head = self.ident()
+            self.expect(",")
+            tail = self.ident()
+            if kind == "fold":
                 self.expect(",")
-                self.expect("[")
-                head = self.ident()
-                self.expect(",")
-                tail = self.ident()
-                if word == "fold":
-                    self.expect(",")
-                    acc = self.ident()
-                self.expect("]")
-                body = self.expr()
-                self.expect(")")
-                self.group -= 1
-                if word == "fold":
-                    return Fold(scrutinee, nil_branch, head, tail, acc, body)
-                return Case(scrutinee, nil_branch, head, tail, body)
-        elif tok.kind == "\\":
+                acc = self.ident()
+            self.expect("]")
+            body = self.expr()
+            self.expect(")")
+            self.group -= 1
+            if kind == "fold":
+                return Fold(scrutinee, nil_branch, head, tail, acc, body)
+            return Case(scrutinee, nil_branch, head, tail, body)
+        if kind == "\\":
             self.pos += 1
             param = self.ident()
             self.expect(":")
@@ -255,7 +257,7 @@ class _Parser:
         # and a comparison ends the loop (non-associative).
         lhs = self.app()
         while True:
-            op = self.tokens[self.pos].kind
+            op = self.kinds[self.pos]
             prec = _PREC.get(op, 0)
             if prec < min_prec:
                 return lhs
@@ -273,41 +275,42 @@ class _Parser:
         # starts with an atom.  Inside a group the next `,` or closer
         # delimits, so line breaks are free.
         e = self.atom()
-        tokens = self.tokens
-        while True:
-            tok = tokens[self.pos]
-            if tok.kind not in _ATOM_START and (tok.kind != "kw" or tok.text not in _ATOM_KWS):
-                return e
-            if self.group == 0 and tok.line != tokens[self.pos - 1].line:
+        kinds, lines = self.kinds, self.lines
+        while kinds[self.pos] in _ATOM_START:
+            if self.group == 0 and lines[self.pos] != lines[self.pos - 1]:
                 return e
             e = App(e, self.atom())
+        return e
 
     def atom(self) -> Expr:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        pos = self.pos
+        kind = self.kinds[pos]
         if kind == "ident":
-            self.pos += 1
-            return Var(tok.text)
-        if kind == "int":
-            self.pos += 1
-            return self._int_lit(tok, int(tok.text))
+            self.pos = pos + 1
+            return Var(self.texts[pos])
+        if kind == "number":
+            self.pos = pos + 1
+            return self.int_lit(int(self.texts[pos]), pos)
         if kind == "(":
-            self.pos += 1
+            self.pos = pos + 1
             self.group += 1
             e = self.expr()
             self.expect(")")
             self.group -= 1
             return e
-        if kind == "kw" and tok.text in _ATOM_KWS:
-            self.pos += 1
-            return Nil() if tok.text == "nil" else BoolLit(tok.text == "true")
+        if kind == "true" or kind == "false":
+            self.pos = pos + 1
+            return BoolLit(kind == "true")
+        if kind == "nil":
+            self.pos = pos + 1
+            return Nil()
         if kind == "[":
-            self.pos += 1
+            self.pos = pos + 1
             self.group += 1
             items: list[Expr] = []
-            if self.peek().kind != "]":
+            if self.kinds[self.pos] != "]":
                 items.append(self.expr())
-                while self.peek().kind == ",":
+                while self.kinds[self.pos] == ",":
                     self.pos += 1
                     items.append(self.expr())
             self.expect("]")
@@ -316,33 +319,34 @@ class _Parser:
             for item in reversed(items):
                 out = Cons(item, out)
             return out
-        if kind == "-" and self.peek(1).kind == "int":
-            lit = self.peek(1)
-            self.pos += 2
-            return self._int_lit(tok, -int(lit.text))
-        raise ParseError(f"expected an expression, found {self._describe(tok)}", tok.line, tok.col)
+        if kind == "-" and self.kinds[pos + 1] == "number":
+            self.pos = pos + 2
+            return self.int_lit(-int(self.texts[pos + 1]), pos)
+        raise self.error(f"expected an expression, found {self.found()}")
 
-    @staticmethod
-    def _int_lit(tok: Token, value: int) -> IntLit:
-        if not -(2**63) <= value <= INT_MAX:
-            raise ParseError("integer literal out of 64-bit range", tok.line, tok.col)
+    def int_lit(self, value: int, pos: int) -> IntLit:
+        if not INT_MIN <= value <= INT_MAX:
+            raise self.error("integer literal out of 64-bit range", pos)
         return IntLit(value)
 
     # ------------------------------------------------------------- programs
 
     def program(self) -> Expr:
         defs: dict[str, Expr] = {}
-        while self.peek()[:2] == ("kw", "def"):
+        while self.kinds[self.pos] == "def":
             self.pos += 1
+            at = self.pos
             name = self.ident()
             self.expect("=")
             # Expand eagerly: a definition may use earlier names, not itself.
             body = subst(self.expr(), defs)
+            free = free_vars(body)
+            if free:
+                raise self.error(f"unbound variable '{min(free)}' in definition of '{name}'", at)
             defs[name] = body
         e = subst(self.expr(), defs)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {self._describe(tok)} after expression", tok.line, tok.col)
+        if self.kinds[self.pos] != "eof":
+            raise self.error(f"unexpected {self.found()} after expression")
         return e
 
 
@@ -352,4 +356,4 @@ def parse(text: str) -> Expr:
     Definitions are expanded by capture-avoiding substitution, so the result
     is a plain expression with no definition nodes.
     """
-    return _Parser(tokenize(text)).program()
+    return _Parser(text).program()

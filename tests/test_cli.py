@@ -337,6 +337,15 @@ def test_non_ascii_digits_are_unexpected(capsys, tmp_path, text, err):
     assert run(capsys, "eval", write_program(tmp_path, text)) == (EXIT_ERROR, "", err)
 
 
+@pytest.mark.parametrize("text, code, out, err", [
+    ("\ufeff1 + 2", EXIT_OK, "value = 3, cost = 4\n", ""),
+    ("1 +\ufeff 2", EXIT_ERROR, "", "parse error: 1:4: unexpected character '\\ufeff'\n"),
+], ids=["at-start", "after-start"])
+def test_byte_order_mark_only_at_start(capsys, tmp_path, text, code, out, err):
+    # Editors may write a UTF-8 byte order mark before the program.
+    assert run(capsys, "eval", write_program(tmp_path, text)) == (code, out, err)
+
+
 @pytest.mark.parametrize("text, code, out", [
     ("1 = 2", EXIT_OK, "value = false, cost = 4\n"),
     ("1 == 2", EXIT_ERROR, ""),

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr, corpus_source
 from foldcost import syntax
 from foldcost.gen import _gen, gen_typed_term
 from foldcost.harness import trial_seed
-from foldcost.parser import ParseError, parse, tokenize
+from foldcost.parser import KEYWORDS, ParseError, _lex, _positions, parse
 from foldcost.syntax import (
     BOOL,
     INT,
@@ -141,7 +142,7 @@ def test_type_annotations():
 
 def test_comments_run_to_end_of_line():
     assert parse("1 -- the rest is ignored\n+ 2") == BinOp("+", IntLit(1), IntLit(2))
-    assert [t.kind for t in tokenize("x--3")] == ["ident", "eof"]
+    assert _lex("x--3")[0] == ["ident", "eof"]
 
 
 def test_int_literal_bounds():
@@ -162,8 +163,14 @@ def test_defs_expand_in_order():
 
 
 def test_defs_are_not_recursive():
-    # A definition cannot see itself; the occurrence stays a free variable.
-    assert parse("def f = f\nf") == Var("f")
+    # A definition cannot see itself, and a free variable in its body could
+    # never be bound, so it is reported at the definition's name.
+    with pytest.raises(ParseError) as exc:
+        parse("def f = f\nf")
+    assert str(exc.value) == "1:5: unbound variable 'f' in definition of 'f'"
+    with pytest.raises(ParseError) as exc:
+        parse("def one = 1\n\n  def  f = x + one\n\\x:int. f")
+    assert str(exc.value) == "3:8: unbound variable 'x' in definition of 'f'"
 
 
 def test_def_does_not_cross_binders():
@@ -276,6 +283,12 @@ DIAGNOSTICS = [
     ("def 1 = 2\n1", "1:5: expected an identifier, found '1'"),
     ("if true then 1", "1:15: expected 'else', found end of input"),
     ("fold xs of (0, [h, t] 0)", "1:21: expected ',', found ']'"),
+    ("1 +\r\n@", "2:1: unexpected character '@'"),
+    ("-- c\n  1 +\n", "3:1: expected an expression, found end of input"),
+    ("- x", "1:1: expected an expression, found '-'"),
+    ("x -- c\n)", "2:1: unexpected ')' after expression"),
+    ("\\x:int. x\n  y", "2:3: unexpected 'y' after expression"),
+    ("(f\n 5", "2:3: expected ')', found end of input"),
 ]
 
 
@@ -309,7 +322,8 @@ LAYOUT_CASES = [
 ]
 
 # sha256 of (kind, text, line, col) over the corpus, the first 2,000 printed
-# campaign programs and LAYOUT_CASES, as first recorded.
+# campaign programs and LAYOUT_CASES, as first recorded.  The lexer's kinds
+# are mapped back to the recorded ones: a keyword was "kw" and INT "int".
 TOKEN_STREAM_SHA256 = "fdb757bbce9bc280830ec7fcca25eec3be504dff4637601a6999171374d5bbb0"
 
 
@@ -325,11 +339,42 @@ def _token_stream_sha256():
     sources += LAYOUT_CASES
     h = hashlib.sha256()
     for text in sources:
-        for t in tokenize(text):
-            h.update(repr((t.kind, t.text, t.line, t.col)).encode("utf-8"))
+        kinds, texts, lines = _lex(text)
+        positions = _positions(text)
+        for kind, tok, line, (pos_line, col) in zip(kinds, texts, lines, positions, strict=True):
+            assert line == pos_line
+            kind = "kw" if kind in KEYWORDS else "int" if kind == "number" else kind
+            h.update(repr((kind, tok, line, col)).encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()
 
 
 def test_token_stream_is_frozen():
     assert _token_stream_sha256() == TOKEN_STREAM_SHA256
+
+
+# ---------------------------------------------------------------- parse cost
+
+# Python-level calls (sys.setprofile "call" events) that `parse` makes per
+# token over the corpus and 200 printed campaign programs, as first recorded;
+# the test allows 5% more.
+PARSE_CALLS_PER_TOKEN = 2.1917
+
+
+def test_parse_calls_per_token_are_bounded():
+    sources = [corpus_source(name) for name in CORPUS_NAMES]
+    sources += [_campaign_source(k) for k in range(200)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for text in sources:
+            parse(text)
+    finally:
+        sys.setprofile(None)
+    tokens = sum(len(_lex(text)[0]) for text in sources)
+    assert calls / tokens <= PARSE_CALLS_PER_TOKEN * 1.05
