@@ -9,7 +9,11 @@ pairs for the result.
 Expressions: variables; numerals; + and max; pairs with projections `_c` and
 `_p`; the paper's `c +_c E`, the pair E with c more cost units; `let x = E
 in E'`; costed lambdas and applications; `pcase`, a one-step match on a
-natural; and `pfold`, primitive recursion on a natural.  Branch results of
+natural; and `pfold`, primitive recursion on a natural.  Like `+_c`, the
+pair of a cons, `CCons` (1 + (r_c + s_c), 1 + s_p), and the pair of an
+operator, `COp` (2 + (r_c + s_c), 1), are derived forms: one node each
+where the core nodes would take five to eight, printed, typed and denoted
+as that expansion.  Branch results of
 pcase/pfold are combined with max rather than chosen, so the denotation is an
 upper bound regardless of which branch a run of the original program takes.
 `sem_apply` is the one application rule, charging one unit plus both sides'
@@ -29,16 +33,17 @@ frozen, slotted (a translation has a few hundred nodes) and built by an
 structurally, so a shared one equals a fresh one: `ctypecheck` and
 `translate_ty` give every pair of potential N the one `NAT_PAIR`, and
 `ctypecheck` tests identity before equality.  The constant leaves every
-translation shares are defined here (`NUM_0` to `NUM_2`, `LIT_PAIR` (1, 1),
+translation shares are defined here (`NUM_0`, `NUM_1`, `LIT_PAIR` (1, 1),
 `NIL_PAIR` (1, 0)); `ctypecheck` and `_stage` answer the pairs by identity.
 
 `denote` stages each node into a closure, and a few common shapes into one
 closure where a walk node by node would make two or three: `x_c` and `x_p`
-of a variable read the environment directly; `k + e` with a numeral k, and
-`a_c + b_c`, add in one closure; a pair `(k, e)` with a numeral cost makes
-no closure for its cost, and `LIT_PAIR` and `NIL_PAIR` stage to one shared
-closure each.  Each fused closure makes the same checks in the same order,
-so an error keeps its class and its message.
+of a variable read the environment directly; `k + e` with a numeral k adds
+in one closure; a pair `(k, e)` with a numeral cost makes no closure for its
+cost, and `LIT_PAIR` and `NIL_PAIR` stage to one shared closure each.  Each
+fused closure, like the one of a `CCons` or a `COp`, makes the same checks
+in the same order as the nodes it stands for, so an error keeps its class
+and its message.
 
 The hot paths of `sem_apply`, `sem_max`, the staged closures and
 `ctypecheck` test the exact type first (`type(v) is SPair`, `type(n) is
@@ -191,6 +196,25 @@ class Charge(CplxExpr):
 
 
 @node
+class CCons(CplxExpr):
+    """The pair of a cons `head :: tail`: (1 + (head_c + tail_c), 1 + tail_p).
+
+    It denotes as `let t = tail in (1 + (head_c + t_c), 1 + t_p)`: the tail
+    is computed once, and first."""
+
+    head: CplxExpr
+    tail: CplxExpr
+
+
+@node
+class COp(CplxExpr):
+    """The pair of a binary operator: (2 + (lhs_c + rhs_c), 1)."""
+
+    lhs: CplxExpr
+    rhs: CplxExpr
+
+
+@node
 class CLet(CplxExpr):
     """`let name = bound in body`: bound is computed once and named."""
 
@@ -250,7 +274,7 @@ class PFold(CplxExpr):
 
 
 # The shared constant leaves (see the module docstring).
-NUM_0, NUM_1, NUM_2 = CNum(0), CNum(1), CNum(2)
+NUM_0, NUM_1 = CNum(0), CNum(1)
 LIT_PAIR, NIL_PAIR = CPair(NUM_1, NUM_1), CPair(NUM_1, NUM_0)
 
 
@@ -259,30 +283,6 @@ LIT_PAIR, NIL_PAIR = CPair(NUM_1, NUM_1), CPair(NUM_1, NUM_0)
 def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
     """Return the type of e under ctx, or raise CplxTypeError."""
     t = type(e)
-    if t is CostOf or t is PotOf:
-        if e.pair is LIT_PAIR or e.pair is NIL_PAIR:
-            return NAT
-        ty = ctypecheck(ctx, e.pair)
-        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
-        return NAT if t is CostOf else ty.pot
-    if t is CVar:
-        ty = ctx.get(e.name)
-        if ty is None:
-            raise CplxTypeError(f"unbound variable: {e.name}")
-        return ty
-    if t is CNum:
-        if not 0 <= e.value <= NAT_MAX:
-            raise CplxTypeError(f"numeral out of natural range: {e.value}")
-        return NAT
-    if t is CPlus:
-        if e.lhs is not NUM_1 and e.lhs is not NUM_2:  # the shared leaves are naturals
-            ty = ctypecheck(ctx, e.lhs)
-            if ty is not NAT:
-                _expect(ty, NAT, "left operand of +")
-        ty = ctypecheck(ctx, e.rhs)
-        if ty is not NAT:
-            _expect(ty, NAT, "right operand of +")
-        return NAT
     if t is CPair:
         if e is LIT_PAIR or e is NIL_PAIR:
             return NAT_PAIR
@@ -294,45 +294,62 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if pt is not NAT and not is_potential(pt):
             raise CplxTypeError(f"pair potential has non-potential type {pt}")
         return NAT_PAIR if pt is NAT else ProdTy(pt)
+    if t is CVar:
+        ty = ctx.get(e.name)
+        if ty is None:
+            raise CplxTypeError(f"unbound variable: {e.name}")
+        return ty
+    if t is CCons:  # as its expansion, the tail first (see CCons)
+        tail = ctypecheck(ctx, e.tail)
+        head = ctypecheck(ctx, e.head)
+        if type(head) is not ProdTy:
+            _pair_ty(head)
+        tail = tail if type(tail) is ProdTy else _pair_ty(tail)
+        if tail.pot is not NAT:
+            _expect(tail.pot, NAT, "right operand of +")
+        return NAT_PAIR
     if t is Charge:
         ty = ctypecheck(ctx, e.extra)
         if ty is not NAT:
             _expect(ty, NAT, "charged cost")
         ty = ctypecheck(ctx, e.pair)
         return ty if type(ty) is ProdTy else _pair_ty(ty)
+    if t is CPlus:
+        if e.lhs is not NUM_1:  # the shared leaf is a natural
+            ty = ctypecheck(ctx, e.lhs)
+            if ty is not NAT:
+                _expect(ty, NAT, "left operand of +")
+        ty = ctypecheck(ctx, e.rhs)
+        if ty is not NAT:
+            _expect(ty, NAT, "right operand of +")
+        return NAT
+    if t is CostOf or t is PotOf:
+        if e.pair is LIT_PAIR or e.pair is NIL_PAIR:
+            return NAT
+        ty = ctypecheck(ctx, e.pair)
+        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
+        return NAT if t is CostOf else ty.pot
+    if t is COp:
+        ty = ctypecheck(ctx, e.lhs)
+        if type(ty) is not ProdTy:
+            _pair_ty(ty)
+        ty = ctypecheck(ctx, e.rhs)
+        if type(ty) is not ProdTy:
+            _pair_ty(ty)
+        return NAT_PAIR
     if t is CLet:
         return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
+    if t is CLam:
+        if not is_potential(e.param_ty):
+            raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
+        body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
+        return ProdTy(ArrowPotTy(e.param_ty, body_ty))
     if t is CMax:
         lt = ctypecheck(ctx, e.lhs)
         rt = ctypecheck(ctx, e.rhs)
         if lt is not rt and lt != rt:
             raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
         return lt
-    if t is StarApp:
-        fn_ty = ctypecheck(ctx, e.fn)
-        fn_ty = fn_ty if type(fn_ty) is ProdTy else _pair_ty(fn_ty)
-        if not isinstance(fn_ty.pot, ArrowPotTy):
-            raise CplxTypeError(f"applied a non-function of type {fn_ty}")
-        arg_ty = ctypecheck(ctx, e.arg)
-        arg_ty = arg_ty if type(arg_ty) is ProdTy else _pair_ty(arg_ty)
-        if arg_ty.pot != fn_ty.pot.dom:
-            raise CplxTypeError(
-                f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
-        return fn_ty.pot.cod
-    if t is CLam:
-        if not is_potential(e.param_ty):
-            raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
-        body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
-        return ProdTy(ArrowPotTy(e.param_ty, body_ty))
-    if t is PCase:
-        ty = ctypecheck(ctx, e.scrut)
-        if ty is not NAT:
-            _expect(ty, NAT, "pcase scrutinee")
-        zero_ty = ctypecheck(ctx, e.zero)
-        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
-        if succ_ty is not zero_ty and succ_ty != zero_ty:
-            raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
-        return zero_ty
     if t is PFold:
         ty = ctypecheck(ctx, e.scrut)
         if ty is not NAT:
@@ -344,6 +361,30 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if succ_ty is not zero_ty and succ_ty != zero_ty:
             raise CplxTypeError(f"pfold branches disagree: {zero_ty} and {succ_ty}")
         return zero_ty
+    if t is StarApp:
+        fn_ty = ctypecheck(ctx, e.fn)
+        fn_ty = fn_ty if type(fn_ty) is ProdTy else _pair_ty(fn_ty)
+        if not isinstance(fn_ty.pot, ArrowPotTy):
+            raise CplxTypeError(f"applied a non-function of type {fn_ty}")
+        arg_ty = ctypecheck(ctx, e.arg)
+        arg_ty = arg_ty if type(arg_ty) is ProdTy else _pair_ty(arg_ty)
+        if arg_ty.pot != fn_ty.pot.dom:
+            raise CplxTypeError(
+                f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
+        return fn_ty.pot.cod
+    if t is PCase:
+        ty = ctypecheck(ctx, e.scrut)
+        if ty is not NAT:
+            _expect(ty, NAT, "pcase scrutinee")
+        zero_ty = ctypecheck(ctx, e.zero)
+        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
+        if succ_ty is not zero_ty and succ_ty != zero_ty:
+            raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
+        return zero_ty
+    if t is CNum:
+        if not 0 <= e.value <= NAT_MAX:
+            raise CplxTypeError(f"numeral out of natural range: {e.value}")
+        return NAT
     raise CplxTypeError(f"not a complexity expression: {e!r}")
 
 
@@ -442,7 +483,60 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     """Stage e into a closure, adding e's free variables to fv."""
     fn: Staged
     t = type(e)
-    if t is CostOf or t is PotOf:
+    if t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
+        if e is LIT_PAIR or e is NIL_PAIR:
+            return _staged_lit if e is LIT_PAIR else _staged_nil
+
+        def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
+            return _new_pair(SPair, (cost, pf(env)))
+    elif t is CPair:
+        def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
+            c = cf(env)
+            return _new_pair(SPair, (c if type(c) is int else _as_nat(c), pf(env)))
+    elif t is CCons:
+        # The checks of `let t = tail in (1 + (head_c + t_c), 1 + t_p)`, in
+        # its order; `n >= NAT_MAX` stands for the checks after `head_c +
+        # t_c` and after `1 +` it, which raise the same error.
+        def fn(env, hf=_stage(e.head, fv), tf=_stage(e.tail, fv)) -> SemVal:
+            tail = tf(env)
+            head = hf(env)
+            if type(head) is not SPair or type(tail) is not SPair:
+                head, tail = _as_pair(head), _as_pair(tail)
+            a, b = head[0], tail[0]
+            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
+            if n >= NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            p = tail[1]
+            p = 1 + p if type(p) is int else _sum(1, p)
+            if p > NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            return _new_pair(SPair, (1 + n, p))
+    elif t is Charge:
+        def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
+            pair = pf(env)
+            pair = pair if type(pair) is SPair else _as_pair(pair)
+            x = xf(env)
+            n = (x if type(x) is int else _as_nat(x)) + pair[0]
+            if n > NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            return _new_pair(SPair, (n, pair[1]))
+    elif t is CPlus:
+        lhs, rhs = e.lhs, e.rhs
+        if type(lhs) is CNum and type(lhs.value) is int:  # k + e
+            def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
+                b = rf(env)
+                n = k + b if type(b) is int else _sum(k, b)
+                if n > NAT_MAX:
+                    raise NatOverflowError(_OVERFLOW)
+                return n
+        else:
+            def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
+                a, b = lf(env), rf(env)
+                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
+                if n > NAT_MAX:
+                    raise NatOverflowError(_OVERFLOW)
+                return n
+    elif t is CostOf or t is PotOf:
         pair, i = e.pair, 0 if t is CostOf else 1
         if type(pair) is CVar:  # x_c or x_p: read env directly
             fv.add(pair.name)
@@ -459,9 +553,18 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             def fn(env, pf=_stage(pair, fv), i=i) -> SemVal:
                 v = pf(env)
                 return v[i] if type(v) is SPair else _as_pair(v)[i]
-    elif t is CNum:
-        def fn(env, value=e.value) -> SemVal:
-            return value
+    elif t is COp:
+        # The checks of `(2 + (lhs_c + rhs_c), 1)`, in its order; `n > NAT_MAX
+        # - 2` stands for the checks after both additions.
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            a = lf(env)
+            a = a[0] if type(a) is SPair else _as_pair(a)[0]
+            b = rf(env)
+            b = b[0] if type(b) is SPair else _as_pair(b)[0]
+            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
+            if n > NAT_MAX - 2:
+                raise NatOverflowError(_OVERFLOW)
+            return _new_pair(SPair, (2 + n, 1))
     elif t is CVar:
         fv.add(e.name)
 
@@ -470,61 +573,10 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                 return env[name]
             except KeyError:
                 raise DenoteError(f"unbound variable at denotation time: {name}") from None
-    elif t is CPlus:
-        lhs, rhs = e.lhs, e.rhs
-        if type(lhs) is CNum and type(lhs.value) is int:  # k + e
-            def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
-                b = rf(env)
-                n = k + b if type(b) is int else _sum(k, b)
-                if n > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                return n
-        elif type(lhs) is CostOf and type(rhs) is CostOf:  # a_c + b_c
-            def fn(env, af=_stage(lhs.pair, fv), bf=_stage(rhs.pair, fv)) -> SemVal:
-                a = af(env)
-                a = a[0] if type(a) is SPair else _as_pair(a)[0]
-                b = bf(env)
-                b = b[0] if type(b) is SPair else _as_pair(b)[0]
-                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
-                if n > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                return n
-        else:
-            def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
-                a, b = lf(env), rf(env)
-                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
-                if n > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                return n
-    elif t is CPair and type(e.cost) is CNum:  # a value's, as (1, p): no cost closure
-        if e is LIT_PAIR or e is NIL_PAIR:
-            return _staged_lit if e is LIT_PAIR else _staged_nil
-
-        def fn(env, cost=e.cost.value, pf=_stage(e.pot, fv)) -> SemVal:
-            return _new_pair(SPair, (cost, pf(env)))
-    elif t is CPair:
-        def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
-            c = cf(env)
-            return _new_pair(SPair, (c if type(c) is int else _as_nat(c), pf(env)))
-    elif t is Charge:
-        def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
-            pair = pf(env)
-            pair = pair if type(pair) is SPair else _as_pair(pair)
-            x = xf(env)
-            n = (x if type(x) is int else _as_nat(x)) + pair[0]
-            if n > NAT_MAX:
-                raise NatOverflowError(_OVERFLOW)
-            return _new_pair(SPair, (n, pair[1]))
     elif t is CLet:
         def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
                name=e.name) -> SemVal:
             return body({**env, name: bf(env)})
-    elif t is CMax:
-        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
-            return sem_max(lf(env), rf(env))
-    elif t is StarApp:
-        def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
-            return sem_apply(ff(env), af(env))
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
@@ -537,15 +589,9 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         if not own:  # closed: one value, and so one memo, for the whole denotation
             def fn(env, value=fn({})) -> SemVal:
                 return value
-    elif t is PCase:
-        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
-               tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
-            n = sf(env)
-            n = n if type(n) is int else _as_nat(n)
-            if n == 0:
-                return zf(env)
-            zero = zf(env)
-            return sem_max(zero, tf({**env, p: 1, ps: n - 1}))
+    elif t is CMax:
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            return sem_max(lf(env), rf(env))
     elif t is PFold:
         # Primitive recursion, bottom up to keep long recursions off the
         # Python stack: acc is the value at q, starting at 0.
@@ -568,6 +614,21 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
                     raise NatOverflowError(_OVERFLOW)
                 acc = _new_pair(SPair, (cost, sem_max(zero_pot, step[1])))
             return acc
+    elif t is StarApp:
+        def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
+            return sem_apply(ff(env), af(env))
+    elif t is PCase:
+        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
+               tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
+            n = sf(env)
+            n = n if type(n) is int else _as_nat(n)
+            if n == 0:
+                return zf(env)
+            zero = zf(env)
+            return sem_max(zero, tf({**env, p: 1, ps: n - 1}))
+    elif t is CNum:
+        def fn(env, value=e.value) -> SemVal:
+            return value
     else:
         raise DenoteError(f"not a complexity expression: {e!r}")
     return fn
@@ -655,6 +716,12 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
             s = f"max({_cshow(lhs, 0, lets)}, {_cshow(rhs, 0, lets)})"
         case CPair(cost, pot):
             s = f"({_cshow(cost, 0, lets)}, {_cshow(pot, 0, lets)})"
+        case CCons(head, tail):
+            t = _cshow(tail, _PREC_PROJ, lets)
+            s = f"(1 + ({_cshow(head, _PREC_PROJ, lets)}_c + {t}_c), 1 + {t}_p)"
+        case COp(lhs, rhs):
+            s = (f"(2 + ({_cshow(lhs, _PREC_PROJ, lets)}_c + "
+                 f"{_cshow(rhs, _PREC_PROJ, lets)}_c), 1)")
         case Charge(extra, pair):
             p = _cshow(pair, _PREC_PROJ, lets)
             s = f"({_cshow(extra, _PREC_PLUS, lets)} + {p}_c, {p}_p)"

@@ -343,29 +343,46 @@ def subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr]) -> Expr |
     either language.
 
     A binder is renamed only when it is free in a substituted term, and then
-    apart from the body's free variables and the keys of the bindings.
+    apart from the body's free variables and the keys of the bindings.  When
+    every substituted term is closed, as a parsed `def` body is, no binder
+    can capture and none is looked at, so the walk is linear.
     """
     if not bindings:
         return e
+    return _subst(e, bindings, _danger(bindings))
+
+
+def _danger(bindings: Mapping[str, Expr | CplxExpr]) -> frozenset[str]:
+    """Names that must not capture anything substituted in: the free
+    variables of the substituted terms."""
+    return frozenset().union(*map(free_vars, bindings.values()))
+
+
+def _subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr],
+           danger: frozenset[str]) -> Expr | CplxExpr:
+    """`subst` with bindings non-empty and danger `_danger(bindings)`."""
     t = type(e)
     is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
     if is_var:
         return bindings.get(e.name, e)
     if not kids:
         return e
-    changes = {k: subst(getattr(e, k), bindings) for k in kids if k != scope}
+    changes = {k: _subst(getattr(e, k), bindings, danger) for k in kids if k != scope}
     if scope is not None:
         binders = [getattr(e, b) for b in binds]
         body = getattr(e, scope)
-        # Names that must not capture anything substituted in.
-        danger = frozenset().union(*map(free_vars, bindings.values()))
-        new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
-        renaming = {b: t.var_class(nb) for b, nb in zip(binders, new_binders) if b != nb}
-        if renaming:
-            body = subst(body, renaming)
         inner = {k: v for k, v in bindings.items() if k not in binders}
-        changes[scope] = subst(body, inner)
-        changes.update(zip(binds, new_binders))
+        if danger:
+            new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
+            renaming = {b: t.var_class(nb) for b, nb in zip(binders, new_binders) if b != nb}
+            if renaming:
+                body = subst(body, renaming)
+            changes.update(zip(binds, new_binders))
+            if len(inner) < len(bindings):  # a binder shadows a key
+                danger = _danger(inner)
+        if inner:
+            body = _subst(body, inner, danger)
+        changes[scope] = body
     return replace(e, **changes)
 
 

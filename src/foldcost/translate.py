@@ -12,12 +12,13 @@ with max; `fold` becomes `pfold`, primitive recursion on the scrutinee's
 potential, which dominates the actual recursion on the list because the
 potential bounds the length.  Extra cost charged onto a pair (for the rule
 instances the original program will execute) is written with the paper's
-`+_c`; a cons tail or case/fold scrutinee, read by both projections, is
-named by a `let`, so the recurrence grows linearly with the program.  A
-tail or scrutinee that is a variable, or the shared pair of a literal or of
-nil, has constant size and is read in place, with no `let`: `[1]`, `case
-xs of ...` and `case nil of ...` bind nothing, and `[1, 2]` binds only its
-outer tail.
+`+_c`.  A cons `r :: s` is the one node `CCons` of (1 + r_c + s_c, 1 +
+s_p), and an operator the one node `COp` of (2 + r_c + s_c, 1), each
+reading its operands once.  A case/fold scrutinee, read by both
+projections, is named by a `let`, so the recurrence grows linearly with the
+program.  A scrutinee that is a variable, or the shared pair of a literal
+or of nil, has constant size and is read in place, with no `let`: `case xs
+of ...` and `case nil of ...` bind nothing.
 
 A cons branch is translated with its head and tail bound, in an
 environment, to the pairs (1, p) and (1, ps) over the potential variables
@@ -27,8 +28,8 @@ are primed on from the enclosing one's, so no target binder is ever renamed
 and the recurrence needs no substitution pass.  The substitution lemma's
 capture-avoiding substitution is `syntax.subst`, which serves both languages.
 
-The constant leaves 0, 1 and 2 and the pairs (1, 1) of a literal and (1, 0)
-of nil are nodes that `complexity` defines and every translation shares.
+The constant leaf 1 and the pairs (1, 1) of a literal and (1, 0) of nil
+are nodes that `complexity` defines and every translation shares.
 Nodes are frozen and compare structurally, so a shared leaf equals, and
 prints as, a fresh one.
 """
@@ -44,12 +45,13 @@ from .complexity import (
     NAT_PAIR,
     NIL_PAIR,
     NUM_1,
-    NUM_2,
     ArrowPotTy,
+    CCons,
     Charge,
     CLam,
     CLet,
     CMax,
+    COp,
     CPair,
     CPlus,
     CplxExpr,
@@ -124,18 +126,14 @@ def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
     if t is IntLit or t is BoolLit:
         return LIT_PAIR
     if t is Cons:
-        th, tt = _translate(e.head, env, fresh), _translate(e.tail, env, fresh)
-        r = _reader(tt, _TAIL)
-        body = CPair(CPlus(NUM_1, CPlus(CostOf(th), CostOf(r))), CPlus(NUM_1, PotOf(r)))
-        return body if r is tt else CLet(_TAIL.name, tt, body)
+        return CCons(_translate(e.head, env, fresh), _translate(e.tail, env, fresh))
     if t is Var:
         bound = env.get(e.name)
         return CVar(e.name) if bound is None else bound
     if t is Nil:
         return NIL_PAIR
     if t is BinOp:
-        tl, tr = _translate(e.lhs, env, fresh), _translate(e.rhs, env, fresh)
-        return CPair(CPlus(NUM_2, CPlus(CostOf(tl), CostOf(tr))), NUM_1)
+        return COp(_translate(e.lhs, env, fresh), _translate(e.rhs, env, fresh))
     if t is Lam:
         if e.param in env:  # the parameter shadows a head or tail
             env = {k: v for k, v in env.items() if k != e.param}
@@ -150,7 +148,7 @@ def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
         env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
         env.pop(e.acc, None)  # the accumulator shadows the head and tail
         tb = _translate(e.step, env, fresh)
-        r = _reader(ts, _SCRUT)
+        r = _reader(ts)
         body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, e.acc, tb))
         return body if r is ts else CLet(_SCRUT.name, ts, body)
     if t is App:
@@ -160,22 +158,22 @@ def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
         tz = _translate(e.nil_branch, env, fresh)
         env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
         tb = _translate(e.cons_branch, env, fresh)
-        r = _reader(ts, _SCRUT)
+        r = _reader(ts)
         body = Charge(CPlus(NUM_1, CostOf(r)), PCase(PotOf(r), tz, p, ps, tb))
         return body if r is ts else CLet(_SCRUT.name, ts, body)
     raise TypeError(f"not an expression: {e!r}")
 
 
-# The variables a `let` binds a cons tail and a case/fold scrutinee to; no
-# program uses these names, and every translation shares the two nodes.
-_TAIL, _SCRUT = CVar("$t"), CVar("$s")
+# The variable a `let` binds a case/fold scrutinee to; no program uses this
+# name, and every translation shares the node.
+_SCRUT = CVar("$s")
 
 
-def _reader(bound: CplxExpr, var: CVar) -> CplxExpr:
+def _reader(bound: CplxExpr) -> CplxExpr:
     """What a body reads `bound` through: bound itself, if it is a variable or
-    a shared constant pair, else `var`, for a `let` around the body to bind."""
+    a shared constant pair, else `_SCRUT`, for a `let` around the body to bind."""
     shared = type(bound) is CVar or bound is LIT_PAIR or bound is NIL_PAIR
-    return bound if shared else var
+    return bound if shared else _SCRUT
 
 
 def _bind_branch(head: str, tail: str, env: _Env, fresh: _Fresh

@@ -1,20 +1,26 @@
 """Oracles that only the tests call: the bounding relation as a yes/no
-answer, direct runs of an application, the order on semantic values and a
-generator for the complexity language.  The library never calls them, so
+answer, direct runs of an application, the order on semantic values, a
+generator for the complexity language and the expansion of its derived
+forms.  The library never calls them, so
 they live beside the tests that do.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 from typing import Mapping, Sequence
 
 from foldcost.complexity import (
     NAT,
+    NUM_1,
     ArrowPotTy,
+    CCons,
     CLam,
+    CLet,
     CMax,
     CNum,
+    COp,
     CPair,
     CPlus,
     CplxExpr,
@@ -198,3 +204,31 @@ def _fresh_cplx_var(ctx: Mapping[str, CTy]) -> str:
     while f"u{n}" in ctx:
         n += 1
     return f"u{n}"
+
+
+# ---------------------------------------------------------------- derived forms
+
+
+def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> CplxExpr:
+    """e with every `CCons` and `COp` written out in the core nodes, a cons's
+    tail bound by a `let` and read through `$t` (see `complexity.CCons`).  A
+    node shared in e is expanded once (`done` maps node ids to expansions)."""
+    done = {} if done is None else done
+    out = done.get(id(e))
+    if out is not None:
+        return out
+    t = type(e)
+    if t is CCons:
+        tail = CVar("$t")
+        out = CLet("$t", expand_derived(e.tail, done), CPair(
+            CPlus(NUM_1, CPlus(CostOf(expand_derived(e.head, done)), CostOf(tail))),
+            CPlus(NUM_1, PotOf(tail))))
+    elif t is COp:
+        out = CPair(CPlus(CNum(2), CPlus(CostOf(expand_derived(e.lhs, done)),
+                                         CostOf(expand_derived(e.rhs, done)))), NUM_1)
+    else:
+        kids = {f.name: expand_derived(v, done) for f in fields(e)
+                if isinstance(v := getattr(e, f.name), CplxExpr)}
+        out = replace(e, **kids) if kids else e
+    done[id(e)] = out  # e lives as long as the caller's tree, so its id is not reused
+    return out

@@ -16,11 +16,13 @@ from foldcost.complexity import (
     NIL_PAIR,
     MAX_PRINTED,
     ArrowPotTy,
+    CCons,
     Charge,
     CLam,
     CLet,
     CMax,
     CNum,
+    COp,
     CPair,
     CPlus,
     CostOf,
@@ -45,6 +47,7 @@ from foldcost.complexity import (
 from foldcost.interp import DEFAULT_BUDGET, BudgetExceededError
 from foldcost.parser import parse
 from foldcost.translate import translate
+from oracles import expand_derived
 
 def PAIR(c: int, p: int) -> CPair:
     return CPair(CNum(c), CNum(p))
@@ -244,9 +247,10 @@ def test_denote_env_and_errors():
 _OVERFLOW = "cost/potential arithmetic overflowed 64 bits"
 _NOT_A_PAIR = "expected a cost/potential pair, got: 3"
 
-# Staging fuses projections of variables, `k + e` and `a_c + b_c` into one
-# closure each; every error keeps its class and its text, recorded before
-# any of them was fused.
+# Staging fuses projections of variables and `k + e` into one closure each;
+# every error keeps its class and its text, recorded before any of them was
+# fused.  The `a_c + b_c` cases, recorded when that shape was fused as well,
+# take the generic `+` closure.
 FUSED_ERRORS = [
     pytest.param(CostOf(CVar("x")), {}, DenoteError,
                  "unbound variable at denotation time: x", id="cost-of-unbound"),
@@ -432,6 +436,115 @@ def test_type_errors_keep_their_text(e, message):
     with pytest.raises(CplxTypeError) as info:
         ctypecheck({}, e)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- derived forms
+
+
+def _outcome(run):
+    """run()'s value with the types of its parts, or its error's class and text."""
+    try:
+        v = run()
+    except (CplxTypeError, DenoteError) as err:
+        return type(err), str(err)
+    return _typed(v)
+
+
+_H, _T, _L, _R = CVar("h"), CVar("t"), CVar("l"), CVar("r")
+_PAIR_ERROR = "expected a cost/potential pair, got: "
+_NOT_NATURALS = (DenoteError, "operands of + must be naturals")
+_OVERFLOWED = (NatOverflowError, _OVERFLOW)
+
+# A cons and an operator node denote as their expansions (`expand_derived`):
+# the same value, or the same first error, at every check of every addition.
+DERIVED_DENOTATIONS = [
+    pytest.param(CCons(_H, _T), {"h": SPair(2, 1), "t": SPair(3, 4)}, SPair(6, 5), id="cons"),
+    pytest.param(CCons(_H, _T), {"h": 3, "t": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="cons-head-natural"),
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": 4}, (DenoteError, _PAIR_ERROR + "4"),
+                 id="cons-tail-natural"),
+    pytest.param(CCons(_H, _T), {"h": 3, "t": 4}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="cons-both-natural"),
+    pytest.param(CCons(_H, _T), {"h": 3}, (DenoteError, "unbound variable at denotation time: t"),
+                 id="cons-tail-first"),
+    pytest.param(CCons(_H, CPlus(CNum(1), PAIR(1, 1))), {}, _NOT_NATURALS,
+                 id="cons-tail-before-head"),
+    pytest.param(CCons(_H, _T), {"h": SPair(True, 1), "t": SPair(True, True)}, SPair(3, 2),
+                 id="cons-bools"),
+    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX, 1), "t": SPair(1, 0)}, _OVERFLOWED,
+                 id="cons-costs-overflow"),
+    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX - 1, 1), "t": SPair(1, 0)}, _OVERFLOWED,
+                 id="cons-one-plus-overflows"),
+    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX - 2, 1), "t": SPair(1, 0)},
+                 SPair(NAT_MAX, 1), id="cons-cost-at-max"),
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, NAT_MAX)}, _OVERFLOWED,
+                 id="cons-potential-overflows"),
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, NAT_MAX - 1)},
+                 SPair(3, NAT_MAX), id="cons-potential-at-max"),
+    pytest.param(CCons(_H, _T), {"h": SPair(_GROW, 1), "t": SPair(1, 0)}, _NOT_NATURALS,
+                 id="cons-function-cost"),
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, _GROW)}, _NOT_NATURALS,
+                 id="cons-function-potential"),
+    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX, 1), "t": SPair(1, _GROW)}, _OVERFLOWED,
+                 id="cons-cost-before-potential"),
+    pytest.param(COp(_L, _R), {"l": SPair(2, 1), "r": SPair(3, 9)}, SPair(7, 1), id="op"),
+    pytest.param(COp(_L, _R), {"l": 3, "r": SPair(1, 1)}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="op-left-natural"),
+    pytest.param(COp(_L, _R), {"l": SPair(1, 1), "r": 4}, (DenoteError, _PAIR_ERROR + "4"),
+                 id="op-right-natural"),
+    pytest.param(COp(_L, _R), {"l": 3}, (DenoteError, _PAIR_ERROR + "3"), id="op-left-first"),
+    pytest.param(COp(_L, _R), {"r": 4}, (DenoteError, "unbound variable at denotation time: l"),
+                 id="op-left-unbound"),
+    pytest.param(COp(_L, _R), {"l": SPair(True, 1), "r": SPair(False, 5)}, SPair(3, 1),
+                 id="op-bools"),
+    pytest.param(COp(_L, _R), {"l": SPair(NAT_MAX, 1), "r": SPair(1, 1)}, _OVERFLOWED,
+                 id="op-costs-overflow"),
+    pytest.param(COp(_L, _R), {"l": SPair(NAT_MAX - 2, 1), "r": SPair(1, 1)}, _OVERFLOWED,
+                 id="op-two-plus-overflows"),
+    pytest.param(COp(_L, _R), {"l": SPair(NAT_MAX - 3, 1), "r": SPair(1, 1)},
+                 SPair(NAT_MAX, 1), id="op-cost-at-max"),
+    pytest.param(COp(_L, _R), {"l": SPair(_GROW, 1), "r": SPair(1, 1)}, _NOT_NATURALS,
+                 id="op-function-cost"),
+    pytest.param(COp(_L, _R), {"l": SPair(1, _GROW), "r": SPair(1, _GROW)}, SPair(4, 1),
+                 id="op-function-potentials"),
+    pytest.param(CCons(COp(LIT_PAIR, PAIR(3, 1)), CCons(LIT_PAIR, NIL_PAIR)), {}, SPair(10, 2),
+                 id="nested"),
+]
+
+
+@pytest.mark.parametrize("e, env, want", DERIVED_DENOTATIONS)
+def test_derived_forms_denote_as_their_expansions(e, env, want):
+    got = _outcome(lambda: denote(e, env))
+    assert got == _outcome(lambda: denote(expand_derived(e), env))
+    assert got == (_typed(want) if type(want) is SPair else want)
+
+
+_FUN_PAIR = CLam("x", NAT, CVar("x"))
+
+DERIVED_TYPES = [
+    pytest.param(CCons(LIT_PAIR, NIL_PAIR), NAT_PAIR, id="cons"),
+    pytest.param(CCons(CNum(1), NIL_PAIR), "expected a cost/potential pair, got N",
+                 id="cons-head-natural"),
+    pytest.param(CCons(LIT_PAIR, CNum(0)), "expected a cost/potential pair, got N",
+                 id="cons-tail-natural"),
+    pytest.param(CCons(LIT_PAIR, _FUN_PAIR), "right operand of +: expected N, got N -> N x N",
+                 id="cons-tail-function"),
+    pytest.param(CCons(CVar("q"), CVar("r")), "unbound variable: r", id="cons-tail-first"),
+    pytest.param(COp(LIT_PAIR, _FUN_PAIR), NAT_PAIR, id="op"),
+    pytest.param(COp(CNum(1), LIT_PAIR), "expected a cost/potential pair, got N",
+                 id="op-left-natural"),
+    pytest.param(COp(LIT_PAIR, CNum(1)), "expected a cost/potential pair, got N",
+                 id="op-right-natural"),
+    pytest.param(COp(CVar("q"), CVar("r")), "unbound variable: q", id="op-left-first"),
+]
+
+
+@pytest.mark.parametrize("e, want", DERIVED_TYPES)
+def test_derived_forms_typecheck_and_print_as_their_expansions(e, want):
+    got = _outcome(lambda: ctypecheck({}, e))
+    assert got == _outcome(lambda: ctypecheck({}, expand_derived(e)))
+    assert got == (_typed(want) if isinstance(want, CTy) else (CplxTypeError, want))
+    assert cplx_to_source(e) == cplx_to_source(expand_derived(e))
 
 
 def test_pfold_over_the_budget_stops_before_its_first_step(monkeypatch):

@@ -16,11 +16,13 @@ from foldcost.complexity import (
     NAT_PAIR,
     NIL_PAIR,
     ArrowPotTy,
+    CCons,
     Charge,
     CLam,
     CLet,
     CMax,
     CNum,
+    COp,
     CPair,
     CPlus,
     CplxExpr,
@@ -45,7 +47,7 @@ from foldcost.syntax import (
     BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, free_vars, subst, to_source)
 from foldcost.translate import pot_ty, translate, translate_ctx, translate_ty
 from foldcost.typecheck import typecheck
-from oracles import gen_cplx_term
+from oracles import expand_derived, gen_cplx_term
 
 # ---------------------------------------------------------------- types
 
@@ -74,20 +76,19 @@ def test_leaf_translations():
 
 
 def test_operator_translations():
+    # An operator and a cons are one node each, printed as their expansions;
+    # a compound tail is read in place, with no `let`.
     x = CVar("x")
-    assert translate(parse("x + x")) == \
-        CPair(CPlus(CNum(2), CPlus(CostOf(x), CostOf(x))), CNum(1))
-    assert translate(parse("x < x")) == \
-        CPair(CPlus(CNum(2), CPlus(CostOf(x), CostOf(x))), CNum(1))
-    assert translate(parse("x :: t")) == CPair(
-        CPlus(CNum(1), CPlus(CostOf(x), CostOf(CVar("t")))),
-        CPlus(CNum(1), PotOf(CVar("t"))))
+    assert translate(parse("x + x")) == COp(x, x)
+    assert translate(parse("x < x")) == COp(x, x)
+    assert translate(parse("x :: t")) == CCons(x, CVar("t"))
+    assert translate(parse("x :: 1 :: t")) == CCons(x, CCons(LIT_PAIR, CVar("t")))
+    assert cplx_to_source(translate(parse("x < x"))) == "(2 + (x_c + x_c), 1)"
+    assert cplx_to_source(translate(parse("x :: t"))) == "(1 + (x_c + t_c), 1 + t_p)"
 
 
 def test_lambda_translation():
-    assert translate(parse("\\x:int. x + x")) == CLam(
-        "x", NAT,
-        CPair(CPlus(CNum(2), CPlus(CostOf(CVar("x")), CostOf(CVar("x")))), CNum(1)))
+    assert translate(parse("\\x:int. x + x")) == CLam("x", NAT, COp(CVar("x"), CVar("x")))
     assert translate(parse("f y")) == StarApp(CVar("f"), CVar("y"))
 
 
@@ -111,9 +112,7 @@ def test_fold_translation_binds_accumulator():
     assert isinstance(inner, PFold)
     assert inner.w == "w"
     # Head occurrences become (1, p); the accumulator stays a variable.
-    assert inner.succ == CPair(
-        CPlus(CNum(1), CPlus(CostOf(CPair(CNum(1), CVar("p"))), CostOf(CVar("w")))),
-        CPlus(CNum(1), PotOf(CVar("w"))))
+    assert inner.succ == CCons(CPair(CNum(1), CVar("p")), CVar("w"))
 
 
 def test_fold_accumulator_shadows_head_binding():
@@ -163,9 +162,9 @@ def tree_size(e: CplxExpr, limit: int) -> int:
     (40, "if true then " * 40 + "0" + " else 0" * 40, (81, 1)),
 ], ids=["list-150", "if-40"])
 def test_translation_grows_linearly(n, source, bound):
-    # Every cons tail is read by two projections, and every if's joined
-    # branches by a charge; named once, neither is copied, so the
-    # recurrence grows by a constant per list element or nested if.
+    # A cons node reads its tail once, and a charge reads every if's joined
+    # branches once, so the recurrence grows by a constant per list element
+    # or nested if.
     cplx = translate(parse(source))
     assert tree_size(cplx, 20 * n) <= 20 * n
     assert ctypecheck({}, cplx) == NAT_PAIR
@@ -175,8 +174,8 @@ def test_translation_grows_linearly(n, source, bound):
 def test_translation_shares_constant_leaves():
     # Every literal's pair (1, 1) and every numeral is one shared node, so a
     # list of n literals holds far fewer distinct nodes than tree nodes (at
-    # n = 150, 1,354 of 2,253; 2,103 without the sharing), and its
-    # potential type is the one NAT_PAIR.
+    # n = 150, 154 of 603: one cons node per element and the two shared
+    # pairs with their numerals), and its potential type is the one NAT_PAIR.
     cplx = translate(parse("[" + ", ".join(["1"] * 150) + "]"))
     tree, ids, todo = 0, set(), [cplx]
     literal_pairs, numerals = [], []
@@ -203,17 +202,19 @@ def test_literals_and_nil_translate_to_the_shared_pairs():
 
 
 def test_translations_take_only_the_fused_shapes():
-    # `_stage` fuses `k + e` with a numeral k and `a_c + b_c`, and stages
-    # `LIT_PAIR` and `NIL_PAIR` to shared closures; the generic `+` closure
-    # and the pair of two other numerals serve no translation.  Over the
-    # corpus and criterion 2's first 2,000 programs, walked as trees, every
-    # `+` has a fused shape and every pair of numerals is a shared one.
+    # `_stage` fuses `k + e` with a numeral k, and stages `LIT_PAIR` and
+    # `NIL_PAIR` to shared closures; the generic `+` closure and the pair of
+    # two other numerals serve no translation.  Over the corpus and criterion
+    # 2's first 2,000 programs, walked as trees, every `+` has the fused
+    # shape, every pair of numerals is a shared one, and every `let` names a
+    # case/fold scrutinee.  Each cons and operator is one node: together they
+    # number the 54,497 `a_c + b_c` sums the spelled-out pairs held.
     programs = [corpus_expr(name) for name in CORPUS_NAMES]
     for k in range(2000):
         rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
         ty = gen._BASE_TYPES[gen._below(rng, 3)]
         programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
-    plus: Counter[str] = Counter()
+    shapes: Counter[str] = Counter()
     for e in programs:
         todo = [translate(e)]
         while todo:
@@ -222,15 +223,76 @@ def test_translations_take_only_the_fused_shapes():
             if t is CPlus:
                 lhs, rhs = node.lhs, node.rhs
                 if type(lhs) is CNum and type(lhs.value) is int:
-                    plus["k + e"] += 1
-                elif type(lhs) is CostOf and type(rhs) is CostOf:
-                    plus["a_c + b_c"] += 1
+                    shapes["k + e"] += 1
                 else:
-                    plus[f"{type(lhs).__name__} + {type(rhs).__name__}"] += 1
+                    shapes[f"{type(lhs).__name__} + {type(rhs).__name__}"] += 1
+            elif t is CCons or t is COp:
+                shapes[t.__name__] += 1
             elif t is CPair and type(node.cost) is CNum and type(node.pot) is CNum:
                 assert node is LIT_PAIR or node is NIL_PAIR, cplx_to_source(node)
+            elif t is CLet:
+                assert node.name == "$s", cplx_to_source(node)
             todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
-    assert plus == {"k + e": 114_491, "a_c + b_c": 54_497}
+    assert shapes == {"k + e": 27_726, "CCons": 32_268, "COp": 22_229}
+
+
+def _denotes(t: CplxExpr):
+    """t's denotation, a potential function as its results at 0, 1 and 2,
+    or its error's class and text."""
+    def tabulated(v):
+        if type(v) is SPair:
+            return v.cost, tabulated(v.pot)
+        return [tabulated(v(q)) for q in range(3)] if callable(v) else v
+
+    try:
+        return tabulated(denote(t))
+    except Exception as err:  # overflow or budget, the same on both sides
+        return type(err), str(err)
+
+
+def test_translations_denote_as_their_expansions():
+    # Over the corpus and criterion 2's first 2,000 programs, a translation
+    # denotes and type-checks as it does with every cons and operator node
+    # written out (`expand_derived`), which is how they were translated
+    # before; the first 500 also print the same (printing takes most of the
+    # time, and `test_campaign_translations_are_frozen` pins 300 of them).
+    programs = [corpus_expr(name) for name in CORPUS_NAMES]
+    for k in range(2000):
+        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+        ty = gen._BASE_TYPES[gen._below(rng, 3)]
+        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    derived = 0
+    for k, e in enumerate(programs):
+        t = translate(e)
+        x = expand_derived(t)
+        derived += x != t
+        assert ctypecheck({}, t) == ctypecheck({}, x)
+        assert _denotes(t) == _denotes(x), to_source(e)
+        if k < 500:
+            assert cplx_to_source(t) == cplx_to_source(x)
+    assert derived > 1500
+
+
+def test_translations_hold_few_distinct_nodes():
+    # Distinct complexity nodes per translation, as the benchmark's
+    # `dag_nodes` counts them, over the corpus and criterion 2's first 2,000
+    # programs: 126.4 on average, 276.5 with every cons and operator spelled
+    # out in core nodes.
+    programs = [corpus_expr(name) for name in CORPUS_NAMES]
+    for k in range(2000):
+        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+        ty = gen._BASE_TYPES[gen._below(rng, 3)]
+        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    total = 0
+    for e in programs:
+        seen, todo = set(), [translate(e)]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
+        total += len(seen)
+    assert total / len(programs) <= 140
 
 
 def test_branch_translation_keeps_sharing():
@@ -364,7 +426,7 @@ def test_inner_binders_do_not_capture_branch_pairs():
     inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pair
     lam = inner.succ
     assert (inner.p, lam.param) == ("p'", "p")
-    assert lam.body.cost.rhs == CPlus(CostOf(CPair(CNum(1), CVar("p'"))), CostOf(CVar("p")))
+    assert lam.body == COp(CPair(CNum(1), CVar("p'")), CVar("p"))
 
 
 ADVERSARIAL_NAMES = ("p", "ps", "p'", "ps'", "p''", "w")
