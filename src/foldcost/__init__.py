@@ -10,7 +10,7 @@ programs from the random program generator (gen).
 from .complexity import ctypecheck, denote
 from .gen import ProbeConfig, gen_typed_term
 from .harness import campaign_trials, check_program, tabulate
-from .interp import derive, eval_expr
+from .interp import eval_expr
 from .parser import parse
 from .syntax import to_source
 from .translate import translate, translate_ty
@@ -24,7 +24,6 @@ __all__ = [
     "check_program",
     "ctypecheck",
     "denote",
-    "derive",
     "eval_expr",
     "gen_typed_term",
     "parse",

@@ -137,7 +137,8 @@ class CplxExpr:
     """Base class for complexity-language expressions.
 
     Binder nodes declare what they bind as `syntax.Expr`'s do, so the
-    binding walkers of `syntax` (`free_vars`, `names`, `subst`) serve it too.
+    binding walkers of `syntax` (`free_vars`, `names`) serve it too, as
+    does the tests' capture-avoiding `oracles.subst`.
     """
 
     __slots__ = ()

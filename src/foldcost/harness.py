@@ -355,12 +355,6 @@ class BoundRow:
 class BoundTable:
     rows: tuple[BoundRow, ...]
 
-    def costs(self) -> list[int]:
-        return [r.cost for r in self.rows]
-
-    def pots(self) -> list[int]:
-        return [r.pot for r in self.rows]
-
 
 def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     """Bound cost/potential of applying e to the given arguments, per n.

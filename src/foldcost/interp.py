@@ -19,14 +19,15 @@ the cost counter in place, testing the budget after each addition.  Where
 the ticks fall decides which limit a run hits first, so they stay fixed: one
 on entering each node; an operator's side condition after both operands and
 before the checked operation; a fold's 2k unrollings after its scrutinee and
-before its nil branch.  `_derive`, the oracle, follows the rules by
-structural `match` instead and is written separately on purpose.
+before its nil branch.  The tests' derivation oracle, `oracles.derive`,
+follows the rules by structural `match` instead and is written separately
+on purpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .syntax import (
     INT_MAX,
@@ -224,123 +225,3 @@ def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:
 
 def _expected(kind: str, v: Value) -> EvalError:
     return EvalError(f"expected {kind}, got: {render_value(v)}")
-
-
-def _as_int(v: Value) -> int:
-    if type(v) is not int:
-        raise _expected("an integer", v)
-    return v
-
-
-def _as_bool(v: Value) -> bool:
-    if type(v) is not bool:
-        raise _expected("a boolean", v)
-    return v
-
-
-def _as_list(v: Value) -> tuple[int, ...]:
-    if type(v) is not tuple:
-        raise _expected("a list", v)
-    return v
-
-
-# ---------------------------------------------------------------- derivation oracle
-
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    """A materialized big-step derivation, for cross-checking the counter.
-
-    `side_conditions` is 1 on a binary-operator node (the operator
-    hypothesis) and 0 elsewhere.  The derivation size is the node count plus
-    the side conditions, which must equal the evaluator's cost exactly.
-    """
-
-    rule: str
-    value: Value
-    children: tuple["Derivation", ...]
-    side_conditions: int = 0
-
-    def size(self) -> int:
-        return 1 + self.side_conditions + sum(c.size() for c in self.children)
-
-
-def derive(e: Expr, env: ValueEnv | None = None) -> Derivation:
-    """Build the full evaluation derivation of e.
-
-    Independent of eval_expr by construction: this follows the rules
-    literally, including recursion through a fresh `$fold<n>` variable bound
-    to the remaining tail at each fold unrolling.  Intended for
-    cross-validation at test scale, not for production evaluation.
-    """
-    return _derive(e, dict(env or {}))
-
-
-def _fresh_fold_var(env: ValueEnv) -> str:
-    n = 0
-    while f"$fold{n}" in env:
-        n += 1
-    return f"$fold{n}"
-
-
-def _derive(e: Expr, env: ValueEnv) -> Derivation:
-    match e:
-        case Var(name):
-            return Derivation("var", env[name], ())
-        case IntLit(n):
-            return Derivation("int", n, ())
-        case BoolLit(b):
-            return Derivation("bool", b, ())
-        case Nil():
-            return Derivation("nil", (), ())
-        case Lam(param, _, body):
-            return Derivation("lam", VClosure(param, body, env), ())
-        case Cons(head, tail):
-            dh, dt = _derive(head, env), _derive(tail, env)
-            items = (_as_int(dh.value), *_as_list(dt.value))
-            return Derivation("cons", items, (dh, dt))
-        case BinOp(op, lhs, rhs):
-            dl, dr = _derive(lhs, env), _derive(rhs, env)
-            out = _checked(op, _as_int(dl.value), _as_int(dr.value))
-            return Derivation("binop", out, (dl, dr), side_conditions=1)
-        case If(test, then, orelse):
-            dt = _derive(test, env)
-            db = _derive(then if _as_bool(dt.value) else orelse, env)
-            return Derivation("if", db.value, (dt, db))
-        case App(fn, arg):
-            df, da = _derive(fn, env), _derive(arg, env)
-            clo = df.value
-            if type(clo) is not VClosure:
-                raise EvalError(f"applied a non-function: {render_value(clo)}")
-            db = _derive(clo.body, {**clo.env, clo.param: da.value})
-            return Derivation("app", db.value, (df, da, db))
-        case Case(scrutinee, nil_branch, head, tail, cons_branch):
-            ds = _derive(scrutinee, env)
-            items = _as_list(ds.value)
-            if not items:
-                db = _derive(nil_branch, env)
-                return Derivation("case-nil", db.value, (ds, db))
-            env1 = {**env, head: items[0], tail: items[1:]}
-            db = _derive(cons_branch, env1)
-            return Derivation("case-cons", db.value, (ds, db))
-        case Fold(scrutinee, nil_branch, head, tail, acc, step):
-            ds = _derive(scrutinee, env)
-            items = _as_list(ds.value)
-            if not items:
-                db = _derive(nil_branch, env)
-                return Derivation("fold-nil", db.value, (ds, db))
-            fresh = _fresh_fold_var(env)
-            env_rec = {**env, fresh: items[1:]}
-            rec = Fold(Var(fresh), nil_branch, head, tail, acc, step)
-            dr = _derive(rec, env_rec)
-            env1 = {**env, head: items[0], tail: items[1:], acc: dr.value}
-            db = _derive(step, env1)
-            return Derivation("fold-cons", db.value, (ds, dr, db))
-    raise EvalError(f"not an expression: {e!r}")
-
-
-def derivation_nodes(d: Derivation) -> Iterator[Derivation]:
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)

@@ -35,9 +35,12 @@ only in atom position; in particular "f -3" is the subtraction f - 3, not an
 application.  Outside parentheses and brackets,
 an application argument must start on the same line as the function
 (parenthesize to split across lines); without this, a `def` body would
-swallow a following expression that starts with an atom.  `def` bodies
-are expanded by substitution, in order, so a definition may use earlier
-definitions but not itself, and no other free variable.
+swallow a following expression that starts with an atom.  `def` names
+are resolved as they are read: each use stands for the definition's body,
+one node shared by every use.  A definition may use earlier definitions
+but not itself, and no other free variable, so every body is closed.  A
+`\\x`, a `case`'s `[h, t]` or a `fold`'s `[h, t, w]` hides a definition of
+the same name in its body only.
 
 A program that parses pays for one regex pass and one loop over its tokens:
 `_lex` keeps them as flat lists of kinds, texts and line numbers, and the
@@ -71,7 +74,6 @@ from .syntax import (
     Ty,
     Var,
     free_vars,
-    subst,
 )
 
 KEYWORDS = frozenset(
@@ -159,6 +161,7 @@ class _Parser:
         self.kinds, self.texts, self.lines = _lex(text)
         self.pos = 0
         self.group = 0  # parenthesis/bracket nesting; relaxes the app line rule
+        self.defs: dict[str, Expr] = {}  # the definitions in scope, by name
 
     # ------------------------------------------------------------- plumbing
 
@@ -236,7 +239,10 @@ class _Parser:
                 self.expect(",")
                 acc = self.ident()
             self.expect("]")
-            body = self.expr()
+            if self.defs:
+                body = self.scope((head, tail, acc) if kind == "fold" else (head, tail))
+            else:
+                body = self.expr()
             self.expect(")")
             self.group -= 1
             if kind == "fold":
@@ -248,8 +254,18 @@ class _Parser:
             self.expect(":")
             param_ty = self.type_()
             self.expect(".")
-            return Lam(param, param_ty, self.expr())
+            return Lam(param, param_ty, self.scope((param,)) if self.defs else self.expr())
         return self.binary(1)
+
+    def scope(self, binders: tuple[str, ...]) -> Expr:
+        """A binder's body, in which its binders hide the definitions of
+        their names."""
+        defs = self.defs
+        if not defs.keys().isdisjoint(binders):
+            self.defs = {name: body for name, body in defs.items() if name not in binders}
+        e = self.expr()
+        self.defs = defs
+        return e
 
     def binary(self, min_prec: int) -> Expr:
         # Precedence climbing: "::" parses its right operand at its own
@@ -287,7 +303,12 @@ class _Parser:
         kind = self.kinds[pos]
         if kind == "ident":
             self.pos = pos + 1
-            return Var(self.texts[pos])
+            name = self.texts[pos]
+            if self.defs:
+                body = self.defs.get(name)
+                if body is not None:
+                    return body
+            return Var(name)
         if kind == "number":
             self.pos = pos + 1
             return self.int_lit(int(self.texts[pos]), pos)
@@ -332,19 +353,18 @@ class _Parser:
     # ------------------------------------------------------------- programs
 
     def program(self) -> Expr:
-        defs: dict[str, Expr] = {}
         while self.kinds[self.pos] == "def":
             self.pos += 1
             at = self.pos
             name = self.ident()
             self.expect("=")
-            # Expand eagerly: a definition may use earlier names, not itself.
-            body = subst(self.expr(), defs)
+            # A definition may use earlier names, not its own.
+            body = self.expr()
             free = free_vars(body)
             if free:
                 raise self.error(f"unbound variable '{min(free)}' in definition of '{name}'", at)
-            defs[name] = body
-        e = subst(self.expr(), defs)
+            self.defs[name] = body
+        e = self.expr()
         if self.kinds[self.pos] != "eof":
             raise self.error(f"unexpected {self.found()} after expression")
         return e
@@ -353,7 +373,7 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse a program (optional `def`s, then one expression) to an expression.
 
-    Definitions are expanded by capture-avoiding substitution, so the result
-    is a plain expression with no definition nodes.
+    Each use of a definition is its body, so the result is a plain
+    expression with no definition nodes.
     """
     return _Parser(text).program()

@@ -17,10 +17,9 @@ Invariants:
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - Binder nodes (`Lam`, `Case`, `Fold`, and the complexity language's
     `CLet`, `CLam`, `PCase`, `PFold`) declare the names they bind and the
-    one field those scope over (see `Expr`).  `free_vars`, `subst` (the only
-    capture-avoiding substitution) and `names`, which `translate` walks once
-    per program, read that and serve both languages.
-  - `subst` is capture-avoiding and renames binders only when necessary.
+    one field those scope over (see `Expr`).  `free_vars`, which checks
+    that a parsed `def` body is closed, and `names`, which `translate` walks
+    once per program, read that and serve both languages.
   - `to_source`, `typecheck`, `translate`, `ctypecheck` and the evaluator's
     `_eval` dispatch on the exact node type, most frequent first, not on
     `match` patterns, which test isinstance case by case; so node classes
@@ -32,8 +31,8 @@ Invariants:
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from dataclasses import FrozenInstanceError, dataclass, fields
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .complexity import CplxExpr
@@ -316,74 +315,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     while name in avoid:
         name += "'"
     return name
-
-
-# ---------------------------------------------------------------- substitution
-
-def rename_apart(binders: list[str], danger: frozenset[str], taken: Iterable[str]) -> list[str]:
-    """New names for binders: each one in `danger` gets a fresh name, apart
-    from `danger`, `taken`, the binders and the names already given.
-
-    Binders shadow left to right, so a later binder wins when two share a
-    name.  Substituting under renamed binders cannot capture as long as
-    `taken` holds the body's free variables and the substitution's keys.
-    """
-    taken = {*danger, *taken, *binders}
-    out: list[str] = []
-    for b in binders:
-        if b in danger:
-            b = fresh_name(b, taken)
-            taken.add(b)
-        out.append(b)
-    return out
-
-
-def subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr]) -> Expr | CplxExpr:
-    """Simultaneous capture-avoiding substitution of bindings into a term of
-    either language.
-
-    A binder is renamed only when it is free in a substituted term, and then
-    apart from the body's free variables and the keys of the bindings.  When
-    every substituted term is closed, as a parsed `def` body is, no binder
-    can capture and none is looked at, so the walk is linear.
-    """
-    if not bindings:
-        return e
-    return _subst(e, bindings, _danger(bindings))
-
-
-def _danger(bindings: Mapping[str, Expr | CplxExpr]) -> frozenset[str]:
-    """Names that must not capture anything substituted in: the free
-    variables of the substituted terms."""
-    return frozenset().union(*map(free_vars, bindings.values()))
-
-
-def _subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr],
-           danger: frozenset[str]) -> Expr | CplxExpr:
-    """`subst` with bindings non-empty and danger `_danger(bindings)`."""
-    t = type(e)
-    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
-    if is_var:
-        return bindings.get(e.name, e)
-    if not kids:
-        return e
-    changes = {k: _subst(getattr(e, k), bindings, danger) for k in kids if k != scope}
-    if scope is not None:
-        binders = [getattr(e, b) for b in binds]
-        body = getattr(e, scope)
-        inner = {k: v for k, v in bindings.items() if k not in binders}
-        if danger:
-            new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
-            renaming = {b: t.var_class(nb) for b, nb in zip(binders, new_binders) if b != nb}
-            if renaming:
-                body = subst(body, renaming)
-            changes.update(zip(binds, new_binders))
-            if len(inner) < len(bindings):  # a binder shadows a key
-                danger = _danger(inner)
-        if inner:
-            body = _subst(body, inner, danger)
-        changes[scope] = body
-    return replace(e, **changes)
 
 
 # ---------------------------------------------------------------- printing

@@ -25,8 +25,7 @@ environment, to the pairs (1, p) and (1, ps) over the potential variables
 the pcase/pfold binds, as in the paper's translation.  Their names are apart
 from every variable and binder name of the program, and a nested branch's
 are primed on from the enclosing one's, so no target binder is ever renamed
-and the recurrence needs no substitution pass.  The substitution lemma's
-capture-avoiding substitution is `syntax.subst`, which serves both languages.
+and the recurrence needs no substitution pass.
 
 The constant leaf 1 and the pairs (1, 1) of a literal and (1, 0) of nil
 are nodes that `complexity` defines and every translation shares.
@@ -96,10 +95,6 @@ def translate_ty(ty: Ty) -> ProdTy:
     """The full cost/potential type of a target type; N x N is the shared `NAT_PAIR`."""
     pot = pot_ty(ty)
     return NAT_PAIR if pot is NAT else ProdTy(pot)
-
-
-def translate_ctx(ctx: Mapping[str, Ty]) -> dict[str, CTy]:
-    return {name: translate_ty(ty) for name, ty in ctx.items()}
 
 
 # ---------------------------------------------------------------- translation

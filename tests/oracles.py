@@ -1,15 +1,16 @@
 """Oracles that only the tests call: the bounding relation as a yes/no
 answer, direct runs of an application, the order on semantic values, a
-generator for the complexity language and the expansion of its derived
-forms.  The library never calls them, so
-they live beside the tests that do.
+generator for the complexity language, the expansion of its derived
+forms, capture-avoiding substitution for both languages (the substitution
+lemma, criterion 9) and the materialised big-step derivation (criterion
+10).  The library never calls them, so they live beside the tests that do.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import fields, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from foldcost.complexity import (
     NAT,
@@ -38,8 +39,37 @@ from foldcost.complexity import (
 )
 from foldcost.gen import DEFAULT_CONFIG, ProbeConfig
 from foldcost.harness import _check_value, _TooManyProbes, _Violation
-from foldcost.interp import DEFAULT_BUDGET, EvalResult, Value, eval_expr
-from foldcost.syntax import App, Expr, Ty, Var
+from foldcost.interp import (
+    DEFAULT_BUDGET,
+    EvalError,
+    EvalResult,
+    Value,
+    ValueEnv,
+    VClosure,
+    _checked,
+    _expected,
+    eval_expr,
+    render_value,
+)
+from foldcost.syntax import (
+    _SHAPES,
+    App,
+    BinOp,
+    BoolLit,
+    Case,
+    Cons,
+    Expr,
+    Fold,
+    If,
+    IntLit,
+    Lam,
+    Nil,
+    Ty,
+    Var,
+    _shape,
+    free_vars,
+    fresh_name,
+)
 
 
 # ---------------------------------------------------------------- bounding and measured runs
@@ -232,3 +262,191 @@ def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> Cplx
         out = replace(e, **kids) if kids else e
     done[id(e)] = out  # e lives as long as the caller's tree, so its id is not reused
     return out
+
+
+# ---------------------------------------------------------------- substitution
+
+def rename_apart(binders: list[str], danger: frozenset[str], taken: Iterable[str]) -> list[str]:
+    """New names for binders: each one in `danger` gets a fresh name, apart
+    from `danger`, `taken`, the binders and the names already given.
+
+    Binders shadow left to right, so a later binder wins when two share a
+    name.  Substituting under renamed binders cannot capture as long as
+    `taken` holds the body's free variables and the substitution's keys.
+    """
+    taken = {*danger, *taken, *binders}
+    out: list[str] = []
+    for b in binders:
+        if b in danger:
+            b = fresh_name(b, taken)
+            taken.add(b)
+        out.append(b)
+    return out
+
+
+def subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr]) -> Expr | CplxExpr:
+    """Simultaneous capture-avoiding substitution of bindings into a term of
+    either language.
+
+    A binder is renamed only when it is free in a substituted term, and then
+    apart from the body's free variables and the keys of the bindings.  When
+    every substituted term is closed, as a parsed `def` body is, no binder
+    can capture and none is looked at, so the walk is linear.
+    """
+    if not bindings:
+        return e
+    return _subst(e, bindings, _danger(bindings))
+
+
+def _danger(bindings: Mapping[str, Expr | CplxExpr]) -> frozenset[str]:
+    """Names that must not capture anything substituted in: the free
+    variables of the substituted terms."""
+    return frozenset().union(*map(free_vars, bindings.values()))
+
+
+def _subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr],
+           danger: frozenset[str]) -> Expr | CplxExpr:
+    """`subst` with bindings non-empty and danger `_danger(bindings)`."""
+    t = type(e)
+    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
+    if is_var:
+        return bindings.get(e.name, e)
+    if not kids:
+        return e
+    changes = {k: _subst(getattr(e, k), bindings, danger) for k in kids if k != scope}
+    if scope is not None:
+        binders = [getattr(e, b) for b in binds]
+        body = getattr(e, scope)
+        inner = {k: v for k, v in bindings.items() if k not in binders}
+        if danger:
+            new_binders = rename_apart(binders, danger, free_vars(body) | bindings.keys())
+            renaming = {b: t.var_class(nb) for b, nb in zip(binders, new_binders) if b != nb}
+            if renaming:
+                body = subst(body, renaming)
+            changes.update(zip(binds, new_binders))
+            if len(inner) < len(bindings):  # a binder shadows a key
+                danger = _danger(inner)
+        if inner:
+            body = _subst(body, inner, danger)
+        changes[scope] = body
+    return replace(e, **changes)
+
+
+def _as_int(v: Value) -> int:
+    if type(v) is not int:
+        raise _expected("an integer", v)
+    return v
+
+
+def _as_bool(v: Value) -> bool:
+    if type(v) is not bool:
+        raise _expected("a boolean", v)
+    return v
+
+
+def _as_list(v: Value) -> tuple[int, ...]:
+    if type(v) is not tuple:
+        raise _expected("a list", v)
+    return v
+
+
+# ---------------------------------------------------------------- derivation oracle
+
+@dataclass(frozen=True, eq=False)
+class Derivation:
+    """A materialized big-step derivation, for cross-checking the counter.
+
+    `side_conditions` is 1 on a binary-operator node (the operator
+    hypothesis) and 0 elsewhere.  The derivation size is the node count plus
+    the side conditions, which must equal the evaluator's cost exactly.
+    """
+
+    rule: str
+    value: Value
+    children: tuple["Derivation", ...]
+    side_conditions: int = 0
+
+    def size(self) -> int:
+        return 1 + self.side_conditions + sum(c.size() for c in self.children)
+
+
+def derive(e: Expr, env: ValueEnv | None = None) -> Derivation:
+    """Build the full evaluation derivation of e.
+
+    Independent of eval_expr by construction: this follows the rules
+    literally, including recursion through a fresh `$fold<n>` variable bound
+    to the remaining tail at each fold unrolling.  Intended for
+    cross-validation at test scale, not for production evaluation.
+    """
+    return _derive(e, dict(env or {}))
+
+
+def _fresh_fold_var(env: ValueEnv) -> str:
+    n = 0
+    while f"$fold{n}" in env:
+        n += 1
+    return f"$fold{n}"
+
+
+def _derive(e: Expr, env: ValueEnv) -> Derivation:
+    match e:
+        case Var(name):
+            return Derivation("var", env[name], ())
+        case IntLit(n):
+            return Derivation("int", n, ())
+        case BoolLit(b):
+            return Derivation("bool", b, ())
+        case Nil():
+            return Derivation("nil", (), ())
+        case Lam(param, _, body):
+            return Derivation("lam", VClosure(param, body, env), ())
+        case Cons(head, tail):
+            dh, dt = _derive(head, env), _derive(tail, env)
+            items = (_as_int(dh.value), *_as_list(dt.value))
+            return Derivation("cons", items, (dh, dt))
+        case BinOp(op, lhs, rhs):
+            dl, dr = _derive(lhs, env), _derive(rhs, env)
+            out = _checked(op, _as_int(dl.value), _as_int(dr.value))
+            return Derivation("binop", out, (dl, dr), side_conditions=1)
+        case If(test, then, orelse):
+            dt = _derive(test, env)
+            db = _derive(then if _as_bool(dt.value) else orelse, env)
+            return Derivation("if", db.value, (dt, db))
+        case App(fn, arg):
+            df, da = _derive(fn, env), _derive(arg, env)
+            clo = df.value
+            if type(clo) is not VClosure:
+                raise EvalError(f"applied a non-function: {render_value(clo)}")
+            db = _derive(clo.body, {**clo.env, clo.param: da.value})
+            return Derivation("app", db.value, (df, da, db))
+        case Case(scrutinee, nil_branch, head, tail, cons_branch):
+            ds = _derive(scrutinee, env)
+            items = _as_list(ds.value)
+            if not items:
+                db = _derive(nil_branch, env)
+                return Derivation("case-nil", db.value, (ds, db))
+            env1 = {**env, head: items[0], tail: items[1:]}
+            db = _derive(cons_branch, env1)
+            return Derivation("case-cons", db.value, (ds, db))
+        case Fold(scrutinee, nil_branch, head, tail, acc, step):
+            ds = _derive(scrutinee, env)
+            items = _as_list(ds.value)
+            if not items:
+                db = _derive(nil_branch, env)
+                return Derivation("fold-nil", db.value, (ds, db))
+            fresh = _fresh_fold_var(env)
+            env_rec = {**env, fresh: items[1:]}
+            rec = Fold(Var(fresh), nil_branch, head, tail, acc, step)
+            dr = _derive(rec, env_rec)
+            env1 = {**env, head: items[0], tail: items[1:], acc: dr.value}
+            db = _derive(step, env1)
+            return Derivation("fold-cons", db.value, (ds, dr, db))
+    raise EvalError(f"not an expression: {e!r}")
+
+
+def derivation_nodes(d: Derivation) -> Iterator[Derivation]:
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)

@@ -29,12 +29,12 @@ from foldcost.complexity import (
 )
 from foldcost.gen import gen_typed_term
 from foldcost.harness import FixedArg, SweepArg, TermArg, check_program, tabulate, trial_seed
-from foldcost.interp import ArithOverflowError, derive, eval_expr, value_size
+from foldcost.interp import ArithOverflowError, eval_expr, value_size
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, App, ArrowTy, subst
-from foldcost.translate import translate, translate_ctx, translate_ty
+from foldcost.syntax import BOOL, INT, INT_LIST, App, ArrowTy
+from foldcost.translate import translate, translate_ty
 from foldcost.typecheck import typecheck
-from oracles import gen_cplx_term, measure_application, semval_le
+from oracles import derive, gen_cplx_term, measure_application, semval_le, subst
 
 
 @pytest.fixture
@@ -174,7 +174,7 @@ def test_criterion_04_insert_bound_shape(verdict):
     start = time.perf_counter()
     table = tabulate(corpus_expr("ins"), [FixedArg(), SweepArg()], range(65))
     elapsed = time.perf_counter() - start
-    costs, pots = table.costs(), table.pots()
+    costs, pots = [r.cost for r in table.rows], [r.pot for r in table.rows]
     d1 = [b - a for a, b in zip(costs, costs[1:])]
     if any(b - a for a, b in zip(d1, d1[1:])):
         problems.append("cost column is not affine")
@@ -197,7 +197,7 @@ def test_criterion_05_insertion_sort_bound_shape(verdict):
     start = time.perf_counter()
     table = tabulate(corpus_expr("ins_sort"), [SweepArg()], range(65))
     elapsed = time.perf_counter() - start
-    costs, pots = table.costs(), table.pots()
+    costs, pots = [r.cost for r in table.rows], [r.pot for r in table.rows]
     d1 = [b - a for a, b in zip(costs, costs[1:])]
     d2 = [b - a for a, b in zip(d1, d1[1:])]
     if any(b - a for a, b in zip(d2, d2[1:])):
@@ -223,7 +223,7 @@ def test_criterion_06_map_bound_shape(verdict):
     start = time.perf_counter()
     table = tabulate(corpus_expr("map"), [TermArg(h), SweepArg()], range(65))
     elapsed = time.perf_counter() - start
-    costs, pots = table.costs(), table.pots()
+    costs, pots = [r.cost for r in table.rows], [r.pot for r in table.rows]
     d1 = [b - a for a, b in zip(costs, costs[1:])]
     if any(b - a for a, b in zip(d1, d1[1:])):
         problems.append("cost column is not affine")
@@ -248,9 +248,10 @@ def test_criterion_07_type_preservation(verdict, campaign_10k):
         if ctypecheck({}, translate(e)) != translate_ty(typecheck({}, e)):
             problems.append(f"{name}: translation changed its type")
     ctx = {"v": INT, "vs": INT_LIST, "f": ArrowTy(INT, INT)}
+    cctx = {name: translate_ty(ty) for name, ty in ctx.items()}
     for seed in range(200):
         e = gen_typed_term(seed, 4, INT_LIST, ctx)
-        if ctypecheck(translate_ctx(ctx), translate(e)) != \
+        if ctypecheck(cctx, translate(e)) != \
                 translate_ty(typecheck(ctx, e)):
             problems.append(f"open term seed {seed}: translation changed its type")
     checked = 0

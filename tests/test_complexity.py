@@ -62,7 +62,7 @@ NODE_CLASSES = [c for c in vars(complexity).values() if isinstance(c, type)
 def test_nodes_are_slotted_and_frozen(cls):
     # A translation has a few hundred nodes, so none keeps a per-instance
     # dict; `vars(node)` still lists an expression's fields, and keyword
-    # construction, which `syntax.subst` uses through `dataclasses.replace`,
+    # construction, which `oracles.subst` uses through `dataclasses.replace`,
     # still works.
     names = [field.name for field in fields(cls)]
     node = cls(*[None] * len(names))

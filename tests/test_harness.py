@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, campaign, corpus_expr, count_sem_max)
+import foldcost
 from foldcost import gen, harness
 from foldcost.cli import main
 from foldcost.complexity import (
@@ -47,11 +48,11 @@ from foldcost.interp import (
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
-    free_vars, subst, to_source)
+    free_vars, to_source)
 from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import typecheck
 from oracles import (
-    canonical_semval, check_value_bounded, gen_cplx_term, measure_application, semval_le)
+    canonical_semval, check_value_bounded, gen_cplx_term, measure_application, semval_le, subst)
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
 
@@ -186,6 +187,55 @@ def test_modules_import_by_layer():
         "__init__", "cli"]
     for module, names in imports.items():
         assert not {n.split(".")[0] for n in names} & {"tests", "conftest", "oracles"}, module
+
+
+def _referenced_names(tree) -> set[str]:
+    """Names a syntax tree reads, imports or takes as an attribute, and the
+    functions `spans.WRAP_POINTS` names by string; text in strings and
+    docstrings is not read."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id == "WRAP_POINTS"):
+            names.update(point.elts[1].value for point in node.value.elts)
+    return names
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_src_defines_nothing_only_tests_reach():
+    # Each top-level name in the library is used by another library module,
+    # by another statement of its own module or by the benchmark, and each
+    # export by the command line or the benchmark.  Code that only tests
+    # reach belongs in `tests/oracles.py`.
+    root = CORPUS.parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((root / "src" / "foldcost").glob("*.py"))}
+    bench = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                          for p in sorted((root / "perfbench").glob("*.py"))))
+    unused = []
+    for module, tree in trees.items():
+        outside = bench.union(*(_referenced_names(t) for m, t in trees.items()
+                                if m not in (module, "__init__")))
+        for stmt in tree.body:
+            used = outside.union(*(_referenced_names(s) for s in tree.body if s is not stmt))
+            unused += [f"{module}.{name}" for name in _defined_names(stmt)
+                       if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []
+    front = bench | _referenced_names(trees["cli"])
+    assert [name for name in foldcost.__all__ if name not in front] == ["__version__"]
 
 
 def test_benchmark_entry_points_exist():
@@ -626,8 +676,8 @@ def test_tabulated_bounds_match_closed_forms():
         table = tabulate(corpus_expr(name), args, ns)
         for row in table.rows:
             assert (row.cost, row.pot) == form(row.n), (name, row)
-        assert table.costs() == [form(n)[0] for n in ns]
-        assert table.pots() == [form(n)[1] for n in ns]
+        assert [r.cost for r in table.rows] == [form(n)[0] for n in ns]
+        assert [r.pot for r in table.rows] == [form(n)[1] for n in ns]
 
 
 # sha256 of the "n cost pot" lines of the benchmark's four sweep plans over
@@ -651,12 +701,12 @@ def test_insertion_sort_bound_stays_quadratic_to_300():
     # The quadratic through rows 0..64, by finite differences, must give every
     # row up to 300.  Unmemoised, the inlined `ins` makes this sweep cubic.
     table = tabulate(corpus_expr("ins_sort"), [SweepArg()], range(301))
-    costs = table.costs()
+    costs = [r.cost for r in table.rows]
     c0, d1, d2 = costs[0], costs[1] - costs[0], costs[2] - 2 * costs[1] + costs[0]
     fit = [c0 + d1 * n + d2 * n * (n - 1) // 2 for n in range(301)]
     assert costs[:65] == fit[:65]
     assert costs == fit
-    assert table.pots() == list(range(301))
+    assert [r.pot for r in table.rows] == list(range(301))
 
 
 @pytest.mark.parametrize("name", ["list_fold", "ins_sort"])

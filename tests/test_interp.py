@@ -16,14 +16,13 @@ from foldcost.interp import (
     BudgetExceededError,
     EvalError,
     VClosure,
-    derivation_nodes,
-    derive,
     eval_expr,
     render_value,
     value_size,
 )
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, Var
+from oracles import derivation_nodes, derive
 
 # ---------------------------------------------------------------- frozen costs
 

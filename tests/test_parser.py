@@ -1,7 +1,9 @@
 """Lexing, parsing, precedence, sugar, definitions, and error positions."""
 
 import hashlib
+import itertools
 import random
+import re
 import sys
 import time
 from dataclasses import FrozenInstanceError, fields
@@ -35,9 +37,10 @@ from foldcost.syntax import (
     Nil,
     Ty,
     Var,
-    subst,
+    free_vars,
     to_source,
 )
+from oracles import subst
 
 # ---------------------------------------------------------------- round trips
 
@@ -174,15 +177,58 @@ def test_defs_are_not_recursive():
     assert str(exc.value) == "3:8: unbound variable 'x' in definition of 'f'"
 
 
+# Each binder hides a definition of its name in its body only; the other
+# definitions, and the same one outside the body, are still resolved.
+DEF_SCOPES = [
+    ("def n = 5\n\\n:int. n", Lam("n", INT, Var("n"))),
+    ("def n = 5\ndef m = 6\n\\n:int. n + m", Lam("n", INT, BinOp("+", Var("n"), IntLit(6)))),
+    ("def n = 5\n(\\n:int. n) n", App(Lam("n", INT, Var("n")), IntLit(5))),
+    ("def h = 1\ncase nil of (h :: nil, [h, t] h :: t)",
+     Case(Nil(), Cons(IntLit(1), Nil()), "h", "t", Cons(Var("h"), Var("t")))),
+    ("def t = nil\ncase t of (t, [h, t] t)", Case(Nil(), Nil(), "h", "t", Var("t"))),
+    ("def h = 1\nfold nil of (h :: nil, [h, t, w] h :: w)",
+     Fold(Nil(), Cons(IntLit(1), Nil()), "h", "t", "w", Cons(Var("h"), Var("w")))),
+    ("def t = nil\nfold t of (t, [h, t, w] t)", Fold(Nil(), Nil(), "h", "t", "w", Var("t"))),
+    ("def w = nil\nfold w of (w, [h, t, w] h :: w)",
+     Fold(Nil(), Nil(), "h", "t", "w", Cons(Var("h"), Var("w")))),
+]
+
+
 def test_def_does_not_cross_binders():
-    e = parse("def n = 5\n\\n:int. n")
-    assert e == Lam("n", INT, Var("n"))
+    for source, want in DEF_SCOPES:
+        assert parse(source) == want, source
+    # Every use of a definition is the one node of its body.
+    e = parse("def f = \\y:int. y\nf (f 1)")
+    assert e == App(Lam("y", INT, Var("y")), App(Lam("y", INT, Var("y")), IntLit(1)))
+    assert e.fn is e.arg.fn
+
+
+def test_def_resolution_agrees_with_substitution():
+    # Each program uses a definition's name both free and as the name of one
+    # of its binders, whose body hides the definition; resolving names while
+    # parsing must give what capture-avoiding substitution gives.
+    checked = 0
+    for seed in itertools.count():
+        m = gen_typed_term(seed, 4, INT, {"k": INT})
+        binders = sorted(syntax.names(m) - {"k"})
+        if not binders:
+            continue
+        source = re.sub(rf"\b{binders[seed % len(binders)]}\b", "k", to_source(m))
+        e = parse(source)
+        if "k" not in free_vars(e):
+            continue
+        body = to_source(gen_typed_term(seed, 3, INT))
+        assert parse(f"def k = {body}\n{source}") == subst(e, {"k": parse(body)}), source
+        checked += 1
+        if checked == 500:
+            break
 
 
 def test_def_expansion_is_linear_in_binder_depth():
-    # A `def` body is closed, so substituting it renames nothing and looks
-    # at no binder's body: under 2,000 nested lambdas the expansion takes
-    # milliseconds, where free variables taken at every binder took seconds.
+    # A `def` name is resolved as it is read, and a binder of another name
+    # leaves the definitions in scope as they are: under 2,000 nested
+    # lambdas parsing takes milliseconds, where free variables taken at
+    # every binder took seconds.
     n = 2000
     text = "def f = \\y:int. y\n" + "".join(f"\\x{k}:int. " for k in range(n)) + "f x0"
     limit = sys.getrecursionlimit()

@@ -44,10 +44,10 @@ from foldcost.gen import ProbeConfig, gen_typed_term
 from foldcost.harness import check_program, trial_seed
 from foldcost.parser import parse
 from foldcost.syntax import (
-    BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, free_vars, subst, to_source)
-from foldcost.translate import pot_ty, translate, translate_ctx, translate_ty
+    BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, free_vars, to_source)
+from foldcost.translate import pot_ty, translate, translate_ty
 from foldcost.typecheck import typecheck
-from oracles import expand_derived, gen_cplx_term
+from oracles import expand_derived, gen_cplx_term, subst
 
 # ---------------------------------------------------------------- types
 
@@ -61,8 +61,7 @@ def test_type_translation():
     # The domain contributes only its potential; the codomain a full pair.
     assert pot_ty(ArrowTy(ArrowTy(INT, INT), INT)) == \
         ArrowPotTy(ArrowPotTy(NAT, NAT_PAIR), NAT_PAIR)
-    assert translate_ctx({"x": INT, "f": ArrowTy(INT, INT)}) == {
-        "x": NAT_PAIR, "f": ProdTy(ArrowPotTy(NAT, NAT_PAIR))}
+    assert translate_ty(ArrowTy(INT, INT)) == ProdTy(ArrowPotTy(NAT, NAT_PAIR))
 
 
 # ---------------------------------------------------------------- shapes
@@ -546,11 +545,12 @@ def test_type_preservation_on_corpus():
 
 def test_type_preservation_on_open_generated_terms():
     ctx = {"x": INT, "xs": INT_LIST, "f": ArrowTy(INT, INT)}
+    cctx = {name: translate_ty(var_ty) for name, var_ty in ctx.items()}
     for seed in range(60):
         for ty in (INT, BOOL, INT_LIST, ArrowTy(INT_LIST, INT)):
             e = gen_typed_term(seed, 4, ty, ctx)
             assert typecheck(ctx, e) == ty
-            assert ctypecheck(translate_ctx(ctx), translate(e)) == translate_ty(ty)
+            assert ctypecheck(cctx, translate(e)) == translate_ty(ty)
 
 
 # sha256 of the printed translations of criterion 2's first 300 campaign
