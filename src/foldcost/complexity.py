@@ -136,9 +136,9 @@ def is_potential(ty: CTy) -> bool:
 class CplxExpr:
     """Base class for complexity-language expressions.
 
-    Binder nodes declare what they bind as `syntax.Expr`'s do, so the
-    binding walkers of `syntax` (`free_vars`, `names`) serve it too, as
-    does the tests' capture-avoiding `oracles.subst`.
+    Binder nodes declare what they bind as `syntax.Expr`'s do, so
+    `syntax.names` serves it too, as do the tests' `oracles.free_vars` and
+    capture-avoiding `oracles.subst`.
     """
 
     __slots__ = ()

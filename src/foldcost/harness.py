@@ -36,7 +36,6 @@ from .interp import (
     VClosure,
     Value,
     eval_expr,
-    evaluate,
     render_value,
     value_size,
 )
@@ -171,7 +170,7 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
     checked = skipped = 0
     for z, q in _probe_args(ty.dom, per_level, cfg, rng):
         try:
-            value, cost = evaluate(v.body, {**v.env, v.param: z}, cfg.budget)
+            value, cost = eval_expr(v.body, {**v.env, v.param: z}, cfg.budget)
         except (BudgetExceededError, ArithOverflowError):
             skipped += 1
             continue

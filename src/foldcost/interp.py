@@ -14,6 +14,9 @@ ints for a list, or a `VClosure` for a function.
 Evaluation is total on well-typed terms except for two checked limits, both
 reported as distinct errors: 64-bit integer overflow and the cost budget.
 
+`eval_expr` is the one entry point, for the command line, `check_program`
+and every probe; its `EvalResult` unpacks at tuple cost.
+
 `_eval` dispatches on the exact node type, most frequent first, and adds to
 the cost counter in place, testing the budget after each addition.  Where
 the ticks fall decides which limit a run hits first, so they stay fixed: one
@@ -27,7 +30,7 @@ on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .syntax import (
     INT_MAX,
@@ -110,8 +113,7 @@ def value_size(v: Value) -> int:
 
 # ---------------------------------------------------------------- evaluator
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: Value
     cost: int
 
@@ -132,18 +134,14 @@ def _checked(op: str, a: int, b: int) -> int | bool:
 
 
 def eval_expr(e: Expr, env: ValueEnv | None = None, budget: int = DEFAULT_BUDGET) -> EvalResult:
-    """Evaluate e under env, returning its value and evaluation cost."""
-    return EvalResult(*evaluate(e, dict(env or {}), budget))
+    """Evaluate e under env, returning its value and evaluation cost.
 
-
-def evaluate(e: Expr, env: ValueEnv, budget: int) -> tuple[Value, int]:
-    """Evaluate e under env, returning (value, cost).
-
-    Unlike `eval_expr`, env is used as given, not copied, so the caller must
-    not change it afterwards: closures made by the run keep it.
+    env is used as given, not copied, so the caller must not change it
+    afterwards: closures made by the run keep it.
     """
     counter = _Counter(budget)
-    return _eval(e, env, counter), counter.cost
+    value = _eval(e, {} if env is None else env, counter)
+    return tuple.__new__(EvalResult, (value, counter.cost))  # no NamedTuple `__new__` frame
 
 
 def _eval(e: Expr, env: ValueEnv, counter: _Counter) -> Value:

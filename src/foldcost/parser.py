@@ -39,8 +39,11 @@ swallow a following expression that starts with an atom.  `def` names
 are resolved as they are read: each use stands for the definition's body,
 one node shared by every use.  A definition may use earlier definitions
 but not itself, and no other free variable, so every body is closed.  A
-`\\x`, a `case`'s `[h, t]` or a `fold`'s `[h, t, w]` hides a definition of
-the same name in its body only.
+`\\x`, a `case`'s `[h, t]` or a `fold`'s `[h, t, w]` binds its names, hiding
+a definition of the same name, in its body only.  A name that is neither
+bound nor defined is noted as free as it is read, and a body that read one
+is an error at the definition's name: no body is walked again, so parsing
+is linear in `def` nesting.
 
 A program that parses pays for one regex pass and one loop over its tokens:
 `_lex` keeps them as flat lists of kinds, texts and line numbers, and the
@@ -73,7 +76,6 @@ from .syntax import (
     Nil,
     Ty,
     Var,
-    free_vars,
 )
 
 KEYWORDS = frozenset(
@@ -161,7 +163,10 @@ class _Parser:
         self.kinds, self.texts, self.lines = _lex(text)
         self.pos = 0
         self.group = 0  # parenthesis/bracket nesting; relaxes the app line rule
-        self.defs: dict[str, Expr] = {}  # the definitions in scope, by name
+        self.scoped = False  # set at the first `def`; from then on names are resolved
+        self.defs: dict[str, Expr] = {}  # the definitions read so far, by name
+        self.bound: set[str] = set()  # names of the enclosing binders
+        self.free: set[str] = set()  # names read that are neither bound nor defined
 
     # ------------------------------------------------------------- plumbing
 
@@ -239,7 +244,7 @@ class _Parser:
                 self.expect(",")
                 acc = self.ident()
             self.expect("]")
-            if self.defs:
+            if self.scoped:
                 body = self.scope((head, tail, acc) if kind == "fold" else (head, tail))
             else:
                 body = self.expr()
@@ -254,17 +259,17 @@ class _Parser:
             self.expect(":")
             param_ty = self.type_()
             self.expect(".")
-            return Lam(param, param_ty, self.scope((param,)) if self.defs else self.expr())
+            return Lam(param, param_ty, self.scope((param,)) if self.scoped else self.expr())
         return self.binary(1)
 
     def scope(self, binders: tuple[str, ...]) -> Expr:
-        """A binder's body, in which its binders hide the definitions of
-        their names."""
-        defs = self.defs
-        if not defs.keys().isdisjoint(binders):
-            self.defs = {name: body for name, body in defs.items() if name not in binders}
+        """A binder's body, in which its binders' names are bound, hiding
+        the definitions of those names; `bound` is marked in place."""
+        bound = self.bound
+        new = [name for name in binders if name not in bound]  # an outer binder keeps its own
+        bound.update(new)
         e = self.expr()
-        self.defs = defs
+        bound.difference_update(new)
         return e
 
     def binary(self, min_prec: int) -> Expr:
@@ -304,10 +309,11 @@ class _Parser:
         if kind == "ident":
             self.pos = pos + 1
             name = self.texts[pos]
-            if self.defs:
+            if self.scoped and name not in self.bound:
                 body = self.defs.get(name)
                 if body is not None:
                     return body
+                self.free.add(name)
             return Var(name)
         if kind == "number":
             self.pos = pos + 1
@@ -355,12 +361,13 @@ class _Parser:
     def program(self) -> Expr:
         while self.kinds[self.pos] == "def":
             self.pos += 1
+            self.scoped = True
             at = self.pos
             name = self.ident()
             self.expect("=")
             # A definition may use earlier names, not its own.
             body = self.expr()
-            free = free_vars(body)
+            free = self.free
             if free:
                 raise self.error(f"unbound variable '{min(free)}' in definition of '{name}'", at)
             self.defs[name] = body

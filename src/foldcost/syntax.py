@@ -17,9 +17,10 @@ Invariants:
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - Binder nodes (`Lam`, `Case`, `Fold`, and the complexity language's
     `CLet`, `CLam`, `PCase`, `PFold`) declare the names they bind and the
-    one field those scope over (see `Expr`).  `free_vars`, which checks
-    that a parsed `def` body is closed, and `names`, which `translate` walks
-    once per program, read that and serve both languages.
+    one field those scope over (see `Expr`).  `names`, which `translate`
+    walks once per program, reads that and serves both languages, as do
+    the tests' `oracles.free_vars` and `oracles.subst`.  The parser checks
+    that a `def` body is closed while reading it, with no walk.
   - `to_source`, `typecheck`, `translate`, `ctypecheck` and the evaluator's
     `_eval` dispatch on the exact node type, most frequent first, not on
     `match` patterns, which test isinstance case by case; so node classes
@@ -265,7 +266,6 @@ class _Shape(NamedTuple):
 
 
 _SHAPES: dict[type, _Shape] = {}
-_NO_VARS: frozenset[str] = frozenset()
 
 
 def _shape(t: type) -> _Shape:
@@ -276,19 +276,6 @@ def _shape(t: type) -> _Shape:
     kids = tuple(f.name for f in fields(t) if f.type == base)
     shape = _SHAPES[t] = _Shape(t is var, kids, t.binds, t.scope)
     return shape
-
-
-def free_vars(e: Expr | CplxExpr) -> frozenset[str]:
-    """The free variables of a term of either language."""
-    t = type(e)
-    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
-    if is_var:
-        return frozenset((e.name,))
-    out = _NO_VARS
-    for k in kids:
-        fv = free_vars(getattr(e, k))
-        out |= fv.difference([getattr(e, b) for b in binds]) if k == scope else fv
-    return out
 
 
 def names(e: Expr | CplxExpr) -> set[str]:

@@ -1,9 +1,10 @@
 """Oracles that only the tests call: the bounding relation as a yes/no
 answer, direct runs of an application, the order on semantic values, a
 generator for the complexity language, the expansion of its derived
-forms, capture-avoiding substitution for both languages (the substitution
-lemma, criterion 9) and the materialised big-step derivation (criterion
-10).  The library never calls them, so they live beside the tests that do.
+forms, free variables and capture-avoiding substitution for both languages
+(the substitution lemma, criterion 9) and the materialised big-step
+derivation (criterion 10).  The library never calls them, so they live
+beside the tests that do.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from foldcost.syntax import (
     Ty,
     Var,
     _shape,
-    free_vars,
     fresh_name,
 )
 
@@ -265,6 +265,22 @@ def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> Cplx
 
 
 # ---------------------------------------------------------------- substitution
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def free_vars(e: Expr | CplxExpr) -> frozenset[str]:
+    """The free variables of a term of either language."""
+    t = type(e)
+    is_var, kids, binds, scope = _SHAPES.get(t) or _shape(t)
+    if is_var:
+        return frozenset((e.name,))
+    out = _NO_VARS
+    for k in kids:
+        fv = free_vars(getattr(e, k))
+        out |= fv.difference([getattr(e, b) for b in binds]) if k == scope else fv
+    return out
+
 
 def rename_apart(binders: list[str], danger: frozenset[str], taken: Iterable[str]) -> list[str]:
     """New names for binders: each one in `danger` gets a fresh name, apart

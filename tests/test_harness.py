@@ -43,16 +43,17 @@ from foldcost.harness import (
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
 from foldcost.interp import (
-    DEFAULT_BUDGET, ArithOverflowError, BudgetExceededError, EvalError, eval_expr, evaluate,
-    render_value, value_size)
+    DEFAULT_BUDGET, ArithOverflowError, BudgetExceededError, EvalError, eval_expr, render_value,
+    value_size)
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
-    free_vars, to_source)
+    to_source)
 from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import typecheck
 from oracles import (
-    canonical_semval, check_value_bounded, gen_cplx_term, measure_application, semval_le, subst)
+    canonical_semval, check_value_bounded, free_vars, gen_cplx_term, measure_application, semval_le,
+    subst)
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
 
@@ -350,6 +351,22 @@ def test_function_program_reports_probe_counts():
         assert r.status == "pass", (name, r.detail)
         assert (r.cost, r.bound_cost) == (1, 1)
         assert (r.probes_checked, r.probes_skipped) == (probes, 0), name
+
+
+def test_probes_run_through_the_wrapped_eval_expr(monkeypatch):
+    # The benchmark traces evaluation by wrapping `harness.eval_expr`, so
+    # the program's run and every probe of its closure must be calls of it.
+    calls = []
+    real = harness.eval_expr
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "eval_expr", counting)
+    r = check_program(corpus_expr("ins_sort"))
+    assert r.status == "pass" and r.probes_checked == 100
+    assert len(calls) == 1 + r.probes_checked + r.probes_skipped
 
 
 # The sha256 of check_program's report fields (status, cost, bound, size,
@@ -828,7 +845,7 @@ def test_rule_bounds_hold_under_loose_hypotheses(kind):
         bound = translate(e)
         for n in range(4):
             try:
-                value, cost = evaluate(e, {"a": tuple(range(n)), "c": 3}, DEFAULT_BUDGET)
+                value, cost = eval_expr(e, {"a": tuple(range(n)), "c": 3}, DEFAULT_BUDGET)
             except (ArithOverflowError, BudgetExceededError):
                 skipped += 1
                 continue

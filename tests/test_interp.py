@@ -96,6 +96,10 @@ def test_fold_tail_binding():
 def test_closures_capture_their_environment():
     e = parse("(\\x:int. \\y:int. x * y) 6 7")
     assert eval_expr(e).value == 42
+    # The environment is used as given, not copied.
+    env = {"y": 6}
+    value, cost = eval_expr(parse("\\x:int. x * y"), env)
+    assert value.env is env and cost == 1
 
 
 # ---------------------------------------------------------------- limits

@@ -37,10 +37,9 @@ from foldcost.syntax import (
     Nil,
     Ty,
     Var,
-    free_vars,
     to_source,
 )
-from oracles import subst
+from oracles import free_vars, subst
 
 # ---------------------------------------------------------------- round trips
 
@@ -166,15 +165,24 @@ def test_defs_expand_in_order():
     assert e == BinOp("*", BinOp("+", IntLit(2), IntLit(2)), IntLit(2))
 
 
+# A definition cannot see itself, and a free variable in its body could
+# never be bound, so it is reported at the definition's name; a binder covers
+# its own body only, and a parse error inside the body comes first.
+UNCLOSED_DEFS = [
+    ("def f = f\nf", "1:5: unbound variable 'f' in definition of 'f'"),
+    ("def one = 1\n\n  def  f = x + one\n\\x:int. f",
+     "3:8: unbound variable 'x' in definition of 'f'"),
+    ("def f = fold nil of (w, [h, t, w] w)\nf", "1:5: unbound variable 'w' in definition of 'f'"),
+    ("def f = b + a\nf", "1:5: unbound variable 'a' in definition of 'f'"),
+    ("def f = x +", "1:12: expected an expression, found end of input"),
+]
+
+
 def test_defs_are_not_recursive():
-    # A definition cannot see itself, and a free variable in its body could
-    # never be bound, so it is reported at the definition's name.
-    with pytest.raises(ParseError) as exc:
-        parse("def f = f\nf")
-    assert str(exc.value) == "1:5: unbound variable 'f' in definition of 'f'"
-    with pytest.raises(ParseError) as exc:
-        parse("def one = 1\n\n  def  f = x + one\n\\x:int. f")
-    assert str(exc.value) == "3:8: unbound variable 'x' in definition of 'f'"
+    for source, message in UNCLOSED_DEFS:
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == message, source
 
 
 # Each binder hides a definition of its name in its body only; the other
@@ -191,6 +199,10 @@ DEF_SCOPES = [
     ("def t = nil\nfold t of (t, [h, t, w] t)", Fold(Nil(), Nil(), "h", "t", "w", Var("t"))),
     ("def w = nil\nfold w of (w, [h, t, w] h :: w)",
      Fold(Nil(), Nil(), "h", "t", "w", Cons(Var("h"), Var("w")))),
+    ("def n = 1\ndef f = \\n:int. n\nf", Lam("n", INT, Var("n"))),
+    # An inner binder of the same name leaves the outer one's name bound.
+    ("def f = \\x:int. (\\x:int. x) x\nf", Lam("x", INT, App(Lam("x", INT, Var("x")), Var("x")))),
+    ("def x = 1\n\\x:int. (\\x:int. x) x", Lam("x", INT, App(Lam("x", INT, Var("x")), Var("x")))),
 ]
 
 
@@ -206,7 +218,8 @@ def test_def_does_not_cross_binders():
 def test_def_resolution_agrees_with_substitution():
     # Each program uses a definition's name both free and as the name of one
     # of its binders, whose body hides the definition; resolving names while
-    # parsing must give what capture-avoiding substitution gives.
+    # parsing must give what capture-avoiding substitution gives, and a body
+    # is closed by the parser exactly when it is by `free_vars`.
     checked = 0
     for seed in itertools.count():
         m = gen_typed_term(seed, 4, INT, {"k": INT})
@@ -222,6 +235,47 @@ def test_def_resolution_agrees_with_substitution():
         checked += 1
         if checked == 500:
             break
+    # Bodies drawn with free `y` and `z`, a binder renamed to `z` in every
+    # other one so that some uses are bound: a body is accepted, as the tree
+    # it parses to alone, exactly when it has no free variable.
+    accepted = rejected = 0
+    for seed in range(500):
+        m = gen_typed_term(seed, 3, INT, {"y": INT, "z": INT_LIST})
+        source = to_source(m)
+        binders = sorted(syntax.names(m) - {"y", "z"})
+        if binders and seed % 2:
+            source = re.sub(rf"\b{binders[seed % len(binders)]}\b", "z", source)
+        e = parse(source)
+        free = free_vars(e)
+        if free:
+            with pytest.raises(ParseError) as exc:
+                parse(f"def k = {source}\nk")
+            assert str(exc.value) == f"1:5: unbound variable '{min(free)}' in definition of 'k'"
+            rejected += 1
+        else:
+            assert parse(f"def k = {source}\nk") == e, source
+            accepted += 1
+    assert accepted > 50 and rejected > 50
+
+
+def _doubling_defs(k: int, free: str = "") -> str:
+    """`def a0 = 1`, then `def ai = a(i-1) + a(i-1)` for i up to k, and `ak`:
+    a body of 2^k leaves as a tree, k + 1 nodes shared."""
+    lines = ["def a0 = 1"] + [f"def a{i} = a{i - 1} + a{i - 1}" for i in range(1, k + 1)]
+    return "\n".join(lines) + free + f"\na{k}"
+
+
+def test_def_closedness_is_linear_in_def_nesting():
+    # Closedness is recorded while the body is read, so nothing walks the
+    # shared body as a tree: k = 20 took 1.3 s when each body was walked.
+    start = time.perf_counter()
+    e = parse(_doubling_defs(40))
+    elapsed = time.perf_counter() - start
+    assert e.lhs is e.rhs and e.lhs.lhs is e.lhs.rhs
+    assert elapsed < 0.1
+    with pytest.raises(ParseError) as exc:
+        parse(_doubling_defs(40, " + z"))
+    assert str(exc.value) == "41:5: unbound variable 'z' in definition of 'a40'"
 
 
 def test_def_expansion_is_linear_in_binder_depth():
