@@ -15,6 +15,9 @@ trial that ended in an error; 3 the evaluation cost budget was exhausted.
 
 All randomized commands are deterministic for a fixed --seed: running the
 same command twice prints byte-identical output.
+
+Every line that check, fuzz and bound print is a dict of fields, which
+`_line` writes as JSON (--json) or as `key=value` pairs.
 """
 
 from __future__ import annotations
@@ -27,20 +30,20 @@ import threading
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .complexity import CplxTypeError, DenoteError, NatOverflowError, ctypecheck, cplx_to_source
 from .gen import DEFAULT_CONFIG, ProbeConfig
 from .harness import (
     ArgSpec,
     FixedArg,
+    Report,
     SweepArg,
     TermArg,
+    Trial,
     campaign_trials,
     check_program,
     tabulate,
-    totals_line,
-    trial_line,
 )
 from .interp import ArithOverflowError, BudgetExceededError, DEFAULT_BUDGET, EvalError, eval_expr, render_value
 from .parser import ParseError, parse
@@ -91,6 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="run the program and compare cost and size against the bound")
     p_check.add_argument("file")
     _add_probe_flags(p_check)
+    p_check.add_argument("--max-list", type=_count, default=DEFAULT_CONFIG.max_list,
+                         help="longest probe-argument list (default %(default)s)")
     p_check.add_argument("--json", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="check generated programs against their bounds")
@@ -107,8 +112,6 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
                    help="generator seed (default %(default)s)")
     p.add_argument("--depth", type=_count, default=DEFAULT_CONFIG.depth,
                    help="generated term depth (default %(default)s)")
-    p.add_argument("--max-list", type=_count, default=DEFAULT_CONFIG.max_list,
-                   help="longest probe-argument list; fuzz never probes (default %(default)s)")
     p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                    help="evaluation cost budget (default %(default)s)")
 
@@ -135,14 +138,9 @@ def _load(path: str) -> Expr:
 
 
 def _config(ns: argparse.Namespace) -> ProbeConfig:
-    return replace(
-        DEFAULT_CONFIG,
-        trials=ns.trials,
-        seed=ns.seed,
-        depth=ns.depth,
-        max_list=ns.max_list,
-        budget=ns.budget,
-    )
+    max_list = getattr(ns, "max_list", DEFAULT_CONFIG.max_list)  # fuzz never probes
+    return replace(DEFAULT_CONFIG, trials=ns.trials, seed=ns.seed, depth=ns.depth,
+                   max_list=max_list, budget=ns.budget)
 
 
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
@@ -264,47 +262,67 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
         raise ValueError(f"--range wants LO:HI integers, got {ns.range!r}") from None
     if lo > hi:
         raise ValueError(f"--range wants LO <= HI, got {ns.range!r}")
-    table = tabulate(e, specs, range(lo, hi + 1))
-    for row in table.rows:
-        if ns.json:
-            print(f'{{"n": {row.n}, "cost": {row.cost}, "pot": {row.pot}}}')
-        else:
-            print(f"n={row.n} cost={row.cost} pot={row.pot}")
+    for row in tabulate(e, specs, range(lo, hi + 1)).rows:
+        print(_line({"n": row.n, "cost": row.cost, "pot": row.pot}, ns.json))
     return EXIT_OK
 
 
 def _cmd_check(ns: argparse.Namespace) -> int:
-    e = _load(ns.file)
-    report = check_program(e, _config(ns))
-    if ns.json:
-        payload = {
-            "cost": report.cost,
-            "bound": report.bound_cost,
-            "size": report.size,
-            "pot": report.pot,
-            "verdict": report.status,
-        }
-        if report.probes_checked is not None:
-            payload["probes"] = report.probes_checked
-            payload["skipped"] = report.probes_skipped
-        if report.status != "pass":
-            payload["detail"] = report.detail
-        print(json.dumps(payload))
-    else:
-        if report.probes_checked is not None:
-            line = (f"cost={report.cost} bound={report.bound_cost} "
-                    f"probes={report.probes_checked} verdict={report.status}")
-        else:
-            line = (f"cost={report.cost} bound={report.bound_cost} "
-                    f"size={report.size} pot={report.pot} verdict={report.status}")
-        if report.status != "pass" and report.detail:
-            line += f" detail={report.detail!r}"
-        print(line)
+    report = check_program(_load(ns.file), _config(ns))
+    # Text gives a function's probe count in place of size and pot; JSON adds both counts.
+    fields = _verdict(report, probes=not ns.json and report.probes_checked is not None)
+    if ns.json and report.probes_checked is not None:
+        fields.update(probes=report.probes_checked, skipped=report.probes_skipped)
+    if report.status != "pass" and (ns.json or report.detail):
+        fields["detail"] = report.detail
+    print(_line(fields, ns.json))
     if report.status == "fail":
         return EXIT_VIOLATION
     if report.status == "inconclusive" and report.detail == "budget-exceeded":
         return EXIT_BUDGET
     return EXIT_OK
+
+
+def _line(fields: Mapping[str, object], as_json: bool) -> str:
+    """One output line: the fields as a JSON object, or as `key=value` pairs
+    with the free text of `detail` and `program` quoted."""
+    if as_json:
+        return json.dumps(fields)
+    return " ".join(f"{k}={v!r}" if k in ("detail", "program") else f"{k}={v}"
+                    for k, v in fields.items())
+
+
+def _verdict(r: Report, probes: bool = False) -> dict[str, object]:
+    """The fields a report gives every check and trial line; with `probes`,
+    the probe count stands in for the size and the potential."""
+    sizes = {"probes": r.probes_checked} if probes else {"size": r.size, "pot": r.pot}
+    return {"cost": r.cost, "bound": r.bound_cost, **sizes, "verdict": r.status}
+
+
+def trial_line(t: Trial, as_json: bool) -> str:
+    """A campaign trial's line; the program text is read only if it is printed."""
+    r = t.report
+    fields: dict[str, object] = {"trial": t.index, "seed": t.seed}
+    if as_json or r.status in ("pass", "fail"):
+        fields.update(_verdict(r))
+    elif r.status == "inconclusive":  # a text line names only the limit the run hit
+        return _line({**fields, "error": r.detail, "verdict": r.status}, as_json)
+    else:  # an error's text line has no numbers
+        fields["verdict"] = r.status
+    if r.status != "pass":
+        fields.update(detail=r.detail, program=r.program)
+    return _line(fields, as_json)
+
+
+def totals_line(counts: Mapping[str, int], as_json: bool) -> str:
+    """A campaign's last line, from its count of trials per verdict."""
+    fields = {"passed": counts["pass"], "failed": counts["fail"],
+              "inconclusive": counts["inconclusive"]}
+    # Errors are counted only when nonzero: an error-free campaign keeps its frozen form.
+    if counts["error"]:
+        fields["errors"] = counts["error"]
+    fields["trials"] = sum(fields.values())
+    return _line(fields, as_json)
 
 
 if __name__ == "__main__":

@@ -15,16 +15,16 @@ is one recursive check over the type, `_check_value`.  Programs come from
 
 Everything is deterministic given the config seed.  Trials that hit the cost
 budget or 64-bit overflow prove nothing either way and are reported as
-inconclusive rather than as verdicts.
+inconclusive rather than as verdicts.  The harness returns reports, trials
+and tables; it formats no text, and `cli` prints every line from them.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .complexity import DenoteError, NatOverflowError, SPair, SemVal, ctypecheck, denote, sem_apply
 # `gen_typed_term` is re-exported for callers that import it from here.
@@ -83,7 +83,7 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
         if not isinstance(chi, SPair):
             raise AssertionError("translated program denoted a non-pair")
         if result.cost > chi.cost:
-            return Report(e, "fail", result.cost, chi.cost, None, None,
+            return Report(e, "fail", result.cost, chi.cost,
                           detail=f"cost {result.cost} > bound {chi.cost}")
         size, pot = (None, None) if isinstance(ty, ArrowTy) else (value_size(result.value), chi.pot)
         try:
@@ -91,23 +91,23 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
         except _Violation as v:
             return Report(e, "fail", result.cost, chi.cost, size, pot, detail=str(v))
         except _TooManyProbes as exc:
-            return Report(e, "inconclusive", result.cost, chi.cost, None, None,
+            return Report(e, "inconclusive", result.cost, chi.cost,
                           detail=str(exc), probes_checked=0, probes_skipped=0)
         if not isinstance(ty, ArrowTy):
             return Report(e, "pass", result.cost, chi.cost, size, pot)
         if checked == 0:
-            return Report(e, "inconclusive", result.cost, chi.cost, None, None,
+            return Report(e, "inconclusive", result.cost, chi.cost,
                           detail="all probes hit evaluation limits",
                           probes_checked=checked, probes_skipped=skipped)
-        return Report(e, "pass", result.cost, chi.cost, None, None,
+        return Report(e, "pass", result.cost, chi.cost,
                       probes_checked=checked, probes_skipped=skipped)
     except BudgetExceededError:
-        return Report(e, "inconclusive", None, None, None, None, detail="budget-exceeded")
+        return Report(e, "inconclusive", detail="budget-exceeded")
     except ArithOverflowError:
-        return Report(e, "inconclusive", None, None, None, None, detail="int-overflow")
+        return Report(e, "inconclusive", detail="int-overflow")
     except NatOverflowError:
         cost = result.cost if result is not None else _run_cost(e, cfg)
-        return Report(e, "inconclusive", cost, None, None, None, detail="nat-overflow")
+        return Report(e, "inconclusive", cost, detail="nat-overflow")
 
 
 def _run_cost(e: Expr, cfg: ProbeConfig) -> int | None:
@@ -125,10 +125,10 @@ class Report:
 
     expr: Expr
     status: str  # "pass" | "fail" | "inconclusive" | "error"
-    cost: int | None
-    bound_cost: int | None
-    size: int | None
-    pot: int | None
+    cost: int | None = None
+    bound_cost: int | None = None
+    size: int | None = None
+    pot: int | None = None
     detail: str = ""
     probes_checked: int | None = None
     probes_skipped: int | None = None
@@ -243,51 +243,6 @@ class Trial:
     report: Report
 
 
-def totals_line(counts: Mapping[str, int], as_json: bool) -> str:
-    """A campaign's last line, from its count of trials per verdict."""
-    passed, failed, inconclusive, errors = (
-        counts[v] for v in ("pass", "fail", "inconclusive", "error"))
-    trials = passed + failed + inconclusive + errors
-    # The error count is printed only when nonzero, so the output of an
-    # error-free campaign keeps its frozen form.
-    if as_json:
-        totals = {"passed": passed, "failed": failed, "inconclusive": inconclusive}
-        if errors:
-            totals["errors"] = errors
-        return json.dumps({**totals, "trials": trials})
-    errors_text = f" errors={errors}" if errors else ""
-    return (f"passed={passed} failed={failed} "
-            f"inconclusive={inconclusive}{errors_text} trials={trials}")
-
-
-def trial_line(t: Trial, as_json: bool) -> str:
-    r = t.report
-    if as_json:
-        payload = {
-            "trial": t.index,
-            "seed": t.seed,
-            "cost": r.cost,
-            "bound": r.bound_cost,
-            "size": r.size,
-            "pot": r.pot,
-            "verdict": r.status,
-        }
-        if r.status != "pass":
-            payload["detail"] = r.detail
-            payload["program"] = r.program
-        return json.dumps(payload)
-    if r.status == "inconclusive":
-        return f"trial={t.index} seed={t.seed} error={r.detail} verdict=inconclusive"
-    if r.status == "error":
-        return (f"trial={t.index} seed={t.seed} verdict=error "
-                f"detail={r.detail!r} program={r.program!r}")
-    line = (f"trial={t.index} seed={t.seed} cost={r.cost} bound={r.bound_cost} "
-            f"size={r.size} pot={r.pot} verdict={r.status}")
-    if r.status == "fail":
-        line += f" detail={r.detail!r} program={r.program!r}"
-    return line
-
-
 def trial_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (2**63)
 
@@ -312,8 +267,7 @@ def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
         try:
             report = check_program(program, cfg)
         except (DenoteError, EvalError, RecursionError, AssertionError) as exc:
-            report = Report(program, "error", None, None, None, None,
-                            detail=f"{type(exc).__name__}: {exc}")
+            report = Report(program, "error", detail=f"{type(exc).__name__}: {exc}")
         yield Trial(k, s, report)
 
 

@@ -4,17 +4,19 @@ The 10,000-trial campaign is expensive (tens of seconds), so it runs once
 per session and every test that needs campaign-wide evidence shares it.
 """
 
+import functools
+import random
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from foldcost import complexity
+from foldcost import complexity, gen
 from foldcost.gen import ProbeConfig
-from foldcost.harness import Trial, campaign_trials
+from foldcost.harness import Trial, campaign_trials, trial_seed
 from foldcost.parser import parse
-from foldcost.syntax import INT, INT_LIST, ArrowTy
+from foldcost.syntax import INT, INT_LIST, ArrowTy, Expr
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -34,6 +36,19 @@ PROBE_TYPES = (
     ArrowTy(INT_LIST, INT),
     ArrowTy(ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST)),
 )
+
+
+@functools.cache
+def campaign_programs() -> tuple[Expr, ...]:
+    """Criterion 2's first 2,000 programs, drawn as the campaign draws them
+    and built once per session.  The first call must come before any test
+    patches the generator."""
+    programs = []
+    for k in range(2000):
+        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
+        ty = gen._BASE_TYPES[gen._below(rng, 3)]
+        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    return tuple(programs)
 
 
 def corpus_source(name: str) -> str:

@@ -470,7 +470,7 @@ def test_bound_rejects_a_negative_fixed_argument(capsys, specs):
 @pytest.mark.parametrize("argv, flag", [
     (("check", corpus_path("ins"), "--trials", "-5"), "--trials"),
     (("fuzz", "--trials", "-1"), "--trials"),
-    (("fuzz", "--max-list", "-1"), "--max-list"),
+    (("check", corpus_path("ins"), "--max-list", "-1"), "--max-list"),
     (("check", corpus_path("ins"), "--budget", "-1"), "--budget"),
     (("eval", corpus_path("case_if"), "--budget", "-1"), "--budget"),
     (("fuzz", "--trials", "3", "--depth", "-1"), "--depth"),
@@ -483,6 +483,19 @@ def test_negative_counts_are_usage_errors(capsys, argv, flag):
     assert exc.value.code == EXIT_ERROR
     assert f"argument {flag}: must be nonnegative" in err
     assert "Traceback" not in err
+
+
+def test_max_list_belongs_to_check_only(capsys):
+    # `fuzz` draws only base-typed programs and never probes them, so it
+    # takes no probe-list length; `check` draws its list probes up to it.
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--max-list", "3"])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --max-list 3" in capsys.readouterr().err
+    for max_list, probes in (("0", 100), ("40", 16)):
+        code, out, _ = run(capsys, "check", corpus_path("ins_sort"), "--max-list", max_list,
+                           "--budget", "300")
+        assert (code, out) == (EXIT_OK, f"cost=1 bound=1 probes={probes} verdict=pass\n")
 
 
 def test_bound_rejects_an_empty_range(capsys):

@@ -15,7 +15,7 @@ from conftest import (
     CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, campaign, corpus_expr, count_sem_max)
 import foldcost
 from foldcost import gen, harness
-from foldcost.cli import main
+from foldcost.cli import main, totals_line, trial_line
 from foldcost.complexity import (
     NAT,
     NAT_PAIR,
@@ -37,8 +37,6 @@ from foldcost.harness import (
     TermArg,
     check_program,
     tabulate,
-    totals_line,
-    trial_line,
     trial_seed,
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
@@ -47,7 +45,7 @@ from foldcost.interp import (
     value_size)
 from foldcost.parser import parse
 from foldcost.syntax import (
-    BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, IntLit, Lam, Nil, Var,
+    BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, If, IntLit, Lam, Nil, Var,
     to_source)
 from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import typecheck
@@ -179,13 +177,15 @@ def _imported_names(path) -> set[str]:
 
 def test_modules_import_by_layer():
     # The generator sits below the checker, only the front ends import the
-    # checker, and the library imports nothing from its tests.
+    # checker, only the command line formats JSON, and the library imports
+    # nothing from its tests.
     root = CORPUS.parent
     imports = {p.stem: _imported_names(p) for p in sorted((root / "src").rglob("*.py"))}
     assert "foldcost.gen" in imports["harness"]
     assert not {"foldcost.harness", "foldcost.cli"} & imports["gen"]
     assert sorted(m for m, names in imports.items() if "foldcost.harness" in names) == [
         "__init__", "cli"]
+    assert [m for m, names in imports.items() if "json" in names] == ["cli"]
     for module, names in imports.items():
         assert not {n.split(".")[0] for n in names} & {"tests", "conftest", "oracles"}, module
 
@@ -820,8 +820,13 @@ def test_corpus_bounds_equal_the_worst_measured_runs():
 def _rule_template(kind: str, rng: random.Random, ty) -> Expr:
     """`fold a of (z, [y, ys, w] s)` or `case a of (z, [y, ys] s)`, with z
     and s generated over a free `a : int*`, a free `c : int` and the branch
-    binders."""
+    binders; or `if b then s else t`, with s and t generated over `a`, `c`
+    and a free `b : bool`."""
     ctx = {"a": INT_LIST, "c": INT}
+    if kind == "if":
+        ctx["b"] = BOOL
+        then = gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG)
+        return If(Var("b"), then, gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG))
     zero = gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG)
     ctx.update(y=INT, ys=INT_LIST)
     if kind == "case":
@@ -830,27 +835,29 @@ def _rule_template(kind: str, rng: random.Random, ty) -> Expr:
     return Fold(Var("a"), zero, "y", "ys", "w", gen._gen(rng, 3, ty, ctx, gen.DEFAULT_CONFIG))
 
 
-@pytest.mark.parametrize("kind", ["case", "fold"])
+@pytest.mark.parametrize("kind", ["case", "fold", "if"])
 def test_rule_bounds_hold_under_loose_hypotheses(kind):
     """The Soundness Theorem's induction grants a construct's subterms any
     bounding pair, not only the tightest one a closed program produces.  So
     the scrutinee `a`, a list of length n in 0..3, is bounded by (1, n + k)
-    for every k in 0..3, and each of these 16 hypotheses must bound the run.
-    A `pfold` or `pcase` that drops its join with the zero branch fails here
-    on 31 and 158 of the 300 bodies; the campaign's root check catches
-    them in 0 and 1 of 300 programs."""
+    for every k in 0..3, and each of these 16 hypotheses must bound the run;
+    an `if` template runs once with `b` true and once false, bounded by
+    (1, 1).  A `pfold` or `pcase` that drops its join with the zero branch
+    fails here on 31 and 158 of the 300 bodies; the campaign's root check
+    catches them in 0 and 1 of 300 programs."""
     skipped = 0
+    tests = (True, False) if kind == "if" else (True,)
     for seed in range(20000, 20300):
         e = _rule_template(kind, random.Random(seed), gen._BASE_TYPES[seed % 3])
         bound = translate(e)
-        for n in range(4):
+        for n, b in itertools.product(range(4), tests):
             try:
-                value, cost = eval_expr(e, {"a": tuple(range(n)), "c": 3}, DEFAULT_BUDGET)
+                value, cost = eval_expr(e, {"a": tuple(range(n)), "c": 3, "b": b}, DEFAULT_BUDGET)
             except (ArithOverflowError, BudgetExceededError):
                 skipped += 1
                 continue
             for k in range(4):
-                chi = denote(bound, {"a": SPair(1, n + k), "c": SPair(1, 1)})
+                chi = denote(bound, {"a": SPair(1, n + k), "c": SPair(1, 1), "b": SPair(1, 1)})
                 assert cost <= chi.cost and value_size(value) <= chi.pot, (
                     to_source(e), n, k, cost, chi)
     assert skipped <= 4  # one run overflows

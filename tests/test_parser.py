@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import random
 import re
 import sys
 import time
@@ -12,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr, corpus_source
+from conftest import CORPUS_NAMES, campaign_programs, corpus_expr, corpus_source
 from foldcost import syntax
-from foldcost.gen import _gen, gen_typed_term
-from foldcost.harness import trial_seed
+from foldcost.gen import gen_typed_term
 from foldcost.parser import KEYWORDS, ParseError, _lex, _positions, parse
 from foldcost.syntax import (
     BOOL,
@@ -450,9 +448,7 @@ TOKEN_STREAM_SHA256 = "fdb757bbce9bc280830ec7fcca25eec3be504dff4637601a699917137
 
 
 def _campaign_source(k):
-    rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-    ty = rng.choice((INT, BOOL, INT_LIST))
-    return to_source(_gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    return to_source(campaign_programs()[k])
 
 
 def _token_stream_sha256():

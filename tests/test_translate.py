@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CAMPAIGN_CONFIG, CORPUS_NAMES, corpus_expr
+from conftest import CORPUS_NAMES, campaign_programs, corpus_expr
 from foldcost.complexity import (
     LIT_PAIR,
     NAT,
@@ -41,7 +41,7 @@ from foldcost.complexity import (
 )
 from foldcost import gen, syntax
 from foldcost.gen import ProbeConfig, gen_typed_term
-from foldcost.harness import check_program, trial_seed
+from foldcost.harness import check_program
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, to_source)
@@ -208,11 +208,7 @@ def test_translations_take_only_the_fused_shapes():
     # shape, every pair of numerals is a shared one, and every `let` names a
     # case/fold scrutinee.  Each cons and operator is one node: together they
     # number the 54,497 `a_c + b_c` sums the spelled-out pairs held.
-    programs = [corpus_expr(name) for name in CORPUS_NAMES]
-    for k in range(2000):
-        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = gen._BASE_TYPES[gen._below(rng, 3)]
-        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     shapes: Counter[str] = Counter()
     for e in programs:
         todo = [translate(e)]
@@ -255,11 +251,7 @@ def test_translations_denote_as_their_expansions():
     # written out (`expand_derived`), which is how they were translated
     # before; the first 500 also print the same (printing takes most of the
     # time, and `test_campaign_translations_are_frozen` pins 300 of them).
-    programs = [corpus_expr(name) for name in CORPUS_NAMES]
-    for k in range(2000):
-        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = gen._BASE_TYPES[gen._below(rng, 3)]
-        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     derived = 0
     for k, e in enumerate(programs):
         t = translate(e)
@@ -277,11 +269,7 @@ def test_translations_hold_few_distinct_nodes():
     # `dag_nodes` counts them, over the corpus and criterion 2's first 2,000
     # programs: 126.4 on average, 276.5 with every cons and operator spelled
     # out in core nodes.
-    programs = [corpus_expr(name) for name in CORPUS_NAMES]
-    for k in range(2000):
-        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = gen._BASE_TYPES[gen._below(rng, 3)]
-        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     total = 0
     for e in programs:
         seen, todo = set(), [translate(e)]
@@ -473,11 +461,7 @@ def test_translation_keeps_every_binder_name(monkeypatch):
     # pcase/pfold variable is apart from every name of the program, over
     # criterion 2's first 2,000 programs, the corpus and programs whose
     # binders take the names the branch variables would.
-    programs = [corpus_expr(name) for name in CORPUS_NAMES]
-    for k in range(2000):
-        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = rng.choice(gen._BASE_TYPES)
-        programs.append(gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG))
+    programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     draws = random.Random(1)
     monkeypatch.setattr(gen, "_fresh_var", lambda ctx: draws.choice(ADVERSARIAL_NAMES))
     programs += [gen_typed_term(seed, 5, (INT, BOOL, INT_LIST)[seed % 3]) for seed in range(300)]
@@ -559,10 +543,7 @@ CAMPAIGN_TRANSLATIONS_SHA256 = "41a35ae44873b18197348a0259bdaf62ee608e78d7f91a29
 
 def test_campaign_translations_are_frozen():
     lines = []
-    for k in range(300):
-        rng = random.Random(trial_seed(CAMPAIGN_CONFIG.seed, k))
-        ty = rng.choice(gen._BASE_TYPES)
-        e = gen._gen(rng, CAMPAIGN_CONFIG.depth, ty, {}, CAMPAIGN_CONFIG)
+    for e in campaign_programs()[:300]:
         try:
             lines.append(cplx_to_source(translate(e)) + "\n")
         except ValueError:  # over MAX_PRINTED
