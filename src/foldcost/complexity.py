@@ -9,13 +9,18 @@ pairs for the result.
 Expressions: variables; numerals; + and max; pairs with projections `_c` and
 `_p`; the paper's `c +_c E`, the pair E with c more cost units; `let x = E
 in E'`; costed lambdas and applications; `pcase`, a one-step match on a
-natural; and `pfold`, primitive recursion on a natural.  Like `+_c`, the
-pair of a cons, `CCons` (1 + (r_c + s_c), 1 + s_p), and the pair of an
-operator, `COp` (2 + (r_c + s_c), 1), are derived forms: one node each
-where the core nodes would take five to eight, printed, typed and denoted
-as that expansion.  Branch results of
-pcase/pfold are combined with max rather than chosen, so the denotation is an
-upper bound regardless of which branch a run of the original program takes.
+natural; and `pfold`, primitive recursion on a natural.  These core nodes
+are the paper's complexity language.  A translation is written in five
+derived forms instead, one node per target construct where the core nodes
+would take four to eight, each printed, typed and denoted as its
+expansion: the pair of a cons, `CCons` (1 + (r_c + s_c), 1 + s_p); of an
+operator, `COp` (2 + (r_c + s_c), 1); of an `if`, `CIf` (1 + test_c) +_c
+max(then, orelse); and of a `case` or `fold`, `CCase` and `CFold`, (1 +
+s_c) +_c pcase s_p of ... and the same with pfold, over the scrutinee s
+computed once.  `CCase` and `CFold` run the pcase and pfold loops and
+branch checks that `PCase` and `PFold` run.  Branch results of pcase/pfold
+are combined with max rather than chosen, so the denotation is an upper
+bound regardless of which branch a run of the original program takes.
 `sem_apply` is the one application rule, charging one unit plus both sides'
 costs plus the body's; the denotation and `tabulate` both apply by it.
 
@@ -36,14 +41,11 @@ structurally, so a shared one equals a fresh one: `ctypecheck` and
 translation shares are defined here (`NUM_0`, `NUM_1`, `LIT_PAIR` (1, 1),
 `NIL_PAIR` (1, 0)); `ctypecheck` and `_stage` answer the pairs by identity.
 
-`denote` stages each node into a closure, and a few common shapes into one
-closure where a walk node by node would make two or three: `x_c` and `x_p`
-of a variable read the environment directly; `k + e` with a numeral k adds
-in one closure; a pair `(k, e)` with a numeral cost makes no closure for its
-cost, and `LIT_PAIR` and `NIL_PAIR` stage to one shared closure each.  Each
-fused closure, like the one of a `CCons` or a `COp`, makes the same checks
-in the same order as the nodes it stands for, so an error keeps its class
-and its message.
+`denote` stages each node into a closure.  A pair `(k, e)` with a numeral
+cost makes no closure for its cost, and `LIT_PAIR` and `NIL_PAIR` stage to
+one shared closure each.  The closure of a derived node makes the same
+checks in the same order as the core nodes it stands for, so an error
+keeps its class and its message.
 
 The hot paths of `sem_apply`, `sem_max`, the staged closures and
 `ctypecheck` test the exact type first (`type(v) is SPair`, `type(n) is
@@ -136,9 +138,9 @@ def is_potential(ty: CTy) -> bool:
 class CplxExpr:
     """Base class for complexity-language expressions.
 
-    Binder nodes declare what they bind as `syntax.Expr`'s do, so
-    `syntax.names` serves it too, as do the tests' `oracles.free_vars` and
-    capture-avoiding `oracles.subst`.
+    Binder nodes declare what they bind as `syntax.Expr`'s do, so the
+    tests' `oracles.names`, `oracles.free_vars` and capture-avoiding
+    `oracles.subst` serve it too.
     """
 
     __slots__ = ()
@@ -216,6 +218,16 @@ class COp(CplxExpr):
 
 
 @node
+class CIf(CplxExpr):
+    """The pair of `if`: `(1 + test_c) +_c max(then, orelse)`.  It denotes as
+    that expansion does, the branches first."""
+
+    test: CplxExpr
+    then: CplxExpr
+    orelse: CplxExpr
+
+
+@node
 class CLet(CplxExpr):
     """`let name = bound in body`: bound is computed once and named."""
 
@@ -274,6 +286,33 @@ class PFold(CplxExpr):
     binds, scope = ("p", "ps", "w"), "succ"
 
 
+@node
+class CCase(CplxExpr):
+    """The pair of `case`: `let $s = scrut in (1 + $s_c) +_c pcase $s_p of
+    (zero, [p, ps] succ)`, with no `$s` bound in the branches."""
+
+    scrut: CplxExpr
+    zero: CplxExpr
+    p: str
+    ps: str
+    succ: CplxExpr
+    binds, scope = ("p", "ps"), "succ"
+
+
+@node
+class CFold(CplxExpr):
+    """The pair of `fold`: as `CCase`, with `pfold $s_p of (zero, [p, ps, w]
+    succ)`."""
+
+    scrut: CplxExpr
+    zero: CplxExpr
+    p: str
+    ps: str
+    w: str
+    succ: CplxExpr
+    binds, scope = ("p", "ps", "w"), "succ"
+
+
 # The shared constant leaves (see the module docstring).
 NUM_0, NUM_1 = CNum(0), CNum(1)
 LIT_PAIR, NIL_PAIR = CPair(NUM_1, NUM_1), CPair(NUM_1, NUM_0)
@@ -309,27 +348,6 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if tail.pot is not NAT:
             _expect(tail.pot, NAT, "right operand of +")
         return NAT_PAIR
-    if t is Charge:
-        ty = ctypecheck(ctx, e.extra)
-        if ty is not NAT:
-            _expect(ty, NAT, "charged cost")
-        ty = ctypecheck(ctx, e.pair)
-        return ty if type(ty) is ProdTy else _pair_ty(ty)
-    if t is CPlus:
-        if e.lhs is not NUM_1:  # the shared leaf is a natural
-            ty = ctypecheck(ctx, e.lhs)
-            if ty is not NAT:
-                _expect(ty, NAT, "left operand of +")
-        ty = ctypecheck(ctx, e.rhs)
-        if ty is not NAT:
-            _expect(ty, NAT, "right operand of +")
-        return NAT
-    if t is CostOf or t is PotOf:
-        if e.pair is LIT_PAIR or e.pair is NIL_PAIR:
-            return NAT
-        ty = ctypecheck(ctx, e.pair)
-        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
-        return NAT if t is CostOf else ty.pot
     if t is COp:
         ty = ctypecheck(ctx, e.lhs)
         if type(ty) is not ProdTy:
@@ -338,30 +356,17 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if type(ty) is not ProdTy:
             _pair_ty(ty)
         return NAT_PAIR
-    if t is CLet:
-        return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
     if t is CLam:
         if not is_potential(e.param_ty):
             raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
         body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
         return ProdTy(ArrowPotTy(e.param_ty, body_ty))
-    if t is CMax:
-        lt = ctypecheck(ctx, e.lhs)
-        rt = ctypecheck(ctx, e.rhs)
-        if lt is not rt and lt != rt:
-            raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
-        return lt
-    if t is PFold:
-        ty = ctypecheck(ctx, e.scrut)
-        if ty is not NAT:
-            _expect(ty, NAT, "pfold scrutinee")
-        zero_ty = ctypecheck(ctx, e.zero)
-        if not isinstance(zero_ty, ProdTy):
-            raise CplxTypeError(f"pfold branches must be pairs, got {zero_ty}")
-        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT, e.w: zero_ty}, e.succ)
-        if succ_ty is not zero_ty and succ_ty != zero_ty:
-            raise CplxTypeError(f"pfold branches disagree: {zero_ty} and {succ_ty}")
-        return zero_ty
+    if t is CIf:  # as its expansion: the test first
+        ty = ctypecheck(ctx, e.test)
+        if type(ty) is not ProdTy:
+            _pair_ty(ty)
+        ty = _join_ty(ctypecheck(ctx, e.then), ctypecheck(ctx, e.orelse))
+        return ty if type(ty) is ProdTy else _pair_ty(ty)
     if t is StarApp:
         fn_ty = ctypecheck(ctx, e.fn)
         fn_ty = fn_ty if type(fn_ty) is ProdTy else _pair_ty(fn_ty)
@@ -373,20 +378,65 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
             raise CplxTypeError(
                 f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
         return fn_ty.pot.cod
-    if t is PCase:
+    if t is CCase or t is CFold:  # as its expansion (see CCase)
         ty = ctypecheck(ctx, e.scrut)
-        if ty is not NAT:
-            _expect(ty, NAT, "pcase scrutinee")
-        zero_ty = ctypecheck(ctx, e.zero)
-        succ_ty = ctypecheck({**ctx, e.p: NAT, e.ps: NAT}, e.succ)
-        if succ_ty is not zero_ty and succ_ty != zero_ty:
-            raise CplxTypeError(f"pcase branches disagree: {zero_ty} and {succ_ty}")
-        return zero_ty
+        ty = _branches_ty(ctx, e, (ty if type(ty) is ProdTy else _pair_ty(ty)).pot)
+        return ty if type(ty) is ProdTy else _pair_ty(ty)
     if t is CNum:
         if not 0 <= e.value <= NAT_MAX:
             raise CplxTypeError(f"numeral out of natural range: {e.value}")
         return NAT
+    if t is Charge:
+        ty = ctypecheck(ctx, e.extra)
+        if ty is not NAT:
+            _expect(ty, NAT, "charged cost")
+        ty = ctypecheck(ctx, e.pair)
+        return ty if type(ty) is ProdTy else _pair_ty(ty)
+    if t is CPlus:
+        ty = ctypecheck(ctx, e.lhs)
+        if ty is not NAT:
+            _expect(ty, NAT, "left operand of +")
+        ty = ctypecheck(ctx, e.rhs)
+        if ty is not NAT:
+            _expect(ty, NAT, "right operand of +")
+        return NAT
+    if t is CostOf or t is PotOf:
+        ty = ctypecheck(ctx, e.pair)
+        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
+        return NAT if t is CostOf else ty.pot
+    if t is CLet:
+        return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
+    if t is CMax:
+        return _join_ty(ctypecheck(ctx, e.lhs), ctypecheck(ctx, e.rhs))
+    if t is PCase or t is PFold:
+        return _branches_ty(ctx, e, ctypecheck(ctx, e.scrut))
     raise CplxTypeError(f"not a complexity expression: {e!r}")
+
+
+def _join_ty(lt: CTy, rt: CTy) -> CTy:
+    """The type of `max` of the two types: both, if they agree."""
+    if lt is not rt and lt != rt:
+        raise CplxTypeError(f"max of mismatched types: {lt} and {rt}")
+    return lt
+
+
+def _branches_ty(ctx: Mapping[str, CTy], e: CplxExpr, scrut: CTy) -> CTy:
+    """The type of pcase or pfold e, or of the pcase or pfold in `CCase` or
+    `CFold` e, whose scrutinee has type scrut."""
+    fold = type(e) is PFold or type(e) is CFold
+    if scrut is not NAT:
+        _expect(scrut, NAT, "pfold scrutinee" if fold else "pcase scrutinee")
+    zero_ty = ctypecheck(ctx, e.zero)
+    inner = {**ctx, e.p: NAT, e.ps: NAT}
+    if fold:
+        if not isinstance(zero_ty, ProdTy):
+            raise CplxTypeError(f"pfold branches must be pairs, got {zero_ty}")
+        inner[e.w] = zero_ty
+    succ_ty = ctypecheck(inner, e.succ)
+    if succ_ty is not zero_ty and succ_ty != zero_ty:
+        raise CplxTypeError(f"{'pfold' if fold else 'pcase'} branches disagree: "
+                            f"{zero_ty} and {succ_ty}")
+    return zero_ty
 
 
 def _expect(actual: CTy, expected: CTy, what: str) -> None:
@@ -512,48 +562,14 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             if p > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
             return _new_pair(SPair, (1 + n, p))
-    elif t is Charge:
-        def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
-            pair = pf(env)
-            pair = pair if type(pair) is SPair else _as_pair(pair)
-            x = xf(env)
-            n = (x if type(x) is int else _as_nat(x)) + pair[0]
-            if n > NAT_MAX:
-                raise NatOverflowError(_OVERFLOW)
-            return _new_pair(SPair, (n, pair[1]))
-    elif t is CPlus:
-        lhs, rhs = e.lhs, e.rhs
-        if type(lhs) is CNum and type(lhs.value) is int:  # k + e
-            def fn(env, k=lhs.value, rf=_stage(rhs, fv)) -> SemVal:
-                b = rf(env)
-                n = k + b if type(b) is int else _sum(k, b)
-                if n > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                return n
-        else:
-            def fn(env, lf=_stage(lhs, fv), rf=_stage(rhs, fv)) -> SemVal:
-                a, b = lf(env), rf(env)
-                n = a + b if type(a) is int and type(b) is int else _sum(a, b)
-                if n > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                return n
-    elif t is CostOf or t is PotOf:
-        pair, i = e.pair, 0 if t is CostOf else 1
-        if type(pair) is CVar:  # x_c or x_p: read env directly
-            fv.add(pair.name)
+    elif t is CVar:
+        fv.add(e.name)
 
-            def fn(env, name=pair.name, i=i) -> SemVal:
-                try:
-                    v = env[name]
-                except KeyError:
-                    raise DenoteError(f"unbound variable at denotation time: {name}") from None
-                if type(v) is not SPair:
-                    raise DenoteError(f"expected a cost/potential pair, got: {v!r}")
-                return v[i]
-        else:
-            def fn(env, pf=_stage(pair, fv), i=i) -> SemVal:
-                v = pf(env)
-                return v[i] if type(v) is SPair else _as_pair(v)[i]
+        def fn(env, name=e.name) -> SemVal:
+            try:
+                return env[name]
+            except KeyError:
+                raise DenoteError(f"unbound variable at denotation time: {name}") from None
     elif t is COp:
         # The checks of `(2 + (lhs_c + rhs_c), 1)`, in its order; `n > NAT_MAX
         # - 2` stands for the checks after both additions.
@@ -566,18 +582,6 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             if n > NAT_MAX - 2:
                 raise NatOverflowError(_OVERFLOW)
             return _new_pair(SPair, (2 + n, 1))
-    elif t is CVar:
-        fv.add(e.name)
-
-        def fn(env, name=e.name) -> SemVal:
-            try:
-                return env[name]
-            except KeyError:
-                raise DenoteError(f"unbound variable at denotation time: {name}") from None
-    elif t is CLet:
-        def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
-               name=e.name) -> SemVal:
-            return body({**env, name: bf(env)})
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
@@ -590,49 +594,109 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
         if not own:  # closed: one value, and so one memo, for the whole denotation
             def fn(env, value=fn({})) -> SemVal:
                 return value
-    elif t is CMax:
-        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
-            return sem_max(lf(env), rf(env))
-    elif t is PFold:
-        # Primitive recursion, bottom up to keep long recursions off the
-        # Python stack: acc is the value at q, starting at 0.
-        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
-               tf=_stage_under(e.succ, fv, {e.p, e.ps, e.w})[0], p=e.p, ps=e.ps,
-               w=e.w) -> SemVal:
-            n = sf(env)
-            n = n if type(n) is int else _as_nat(n)
-            if n > DEFAULT_BUDGET:
-                raise BudgetExceededError(
-                    DEFAULT_BUDGET, f"pfold of {n} steps is over the budget of {DEFAULT_BUDGET}")
-            acc = zf(env)
-            acc = acc if type(acc) is SPair else _as_pair(acc)
-            zero_pot = acc[1]
-            for q in range(n):
-                step = tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc[1]))})
-                step = step if type(step) is SPair else _as_pair(step)
-                cost = 2 + acc[0] + step[0]
-                if cost > NAT_MAX:
-                    raise NatOverflowError(_OVERFLOW)
-                acc = _new_pair(SPair, (cost, sem_max(zero_pot, step[1])))
-            return acc
+    elif t is CIf:
+        # The checks of `(1 + test_c) +_c max(then, orelse)`, in its order:
+        # the joined branches, then the test.
+        def fn(env, tf=_stage(e.test, fv), af=_stage(e.then, fv),
+               bf=_stage(e.orelse, fv)) -> SemVal:
+            pair = sem_max(af(env), bf(env))
+            pair = pair if type(pair) is SPair else _as_pair(pair)
+            test = tf(env)
+            return _charged(test[0] if type(test) is SPair else _as_pair(test)[0], pair)
     elif t is StarApp:
         def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
             return sem_apply(ff(env), af(env))
-    elif t is PCase:
-        def fn(env, sf=_stage(e.scrut, fv), zf=_stage(e.zero, fv),
-               tf=_stage_under(e.succ, fv, {e.p, e.ps})[0], p=e.p, ps=e.ps) -> SemVal:
-            n = sf(env)
+    elif t is CCase or t is CFold:
+        # The checks of `let $s = scrut in (1 + $s_c) +_c pcase $s_p of ...`,
+        # in its order; the branches run without `$s`.
+        def fn(env, sf=_stage(e.scrut, fv), run=_stage_branches(e, fv)) -> SemVal:
+            s = sf(env)
+            s = s if type(s) is SPair else _as_pair(s)
+            pair = run(env, s[1])
+            return _charged(s[0], pair if type(pair) is SPair else _as_pair(pair))
+    elif t is CNum:
+        def fn(env, value=e.value) -> SemVal:
+            return value
+    elif t is Charge:
+        def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
+            pair = pf(env)
+            pair = pair if type(pair) is SPair else _as_pair(pair)
+            x = xf(env)
+            n = (x if type(x) is int else _as_nat(x)) + pair[0]
+            if n > NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            return _new_pair(SPair, (n, pair[1]))
+    elif t is CPlus:
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            a, b = lf(env), rf(env)
+            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
+            if n > NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            return n
+    elif t is CostOf or t is PotOf:
+        def fn(env, pf=_stage(e.pair, fv), i=0 if t is CostOf else 1) -> SemVal:
+            v = pf(env)
+            return v[i] if type(v) is SPair else _as_pair(v)[i]
+    elif t is CLet:
+        def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
+               name=e.name) -> SemVal:
+            return body({**env, name: bf(env)})
+    elif t is CMax:
+        def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
+            return sem_max(lf(env), rf(env))
+    elif t is PCase or t is PFold:
+        def fn(env, sf=_stage(e.scrut, fv), run=_stage_branches(e, fv)) -> SemVal:
+            return run(env, sf(env))
+    else:
+        raise DenoteError(f"not a complexity expression: {e!r}")
+    return fn
+
+
+def _stage_branches(e: CplxExpr, fv: set[str]) -> Callable[[dict[str, SemVal], SemVal], SemVal]:
+    """Stage pcase or pfold e, or the pcase or pfold in `CCase` or `CFold` e,
+    into a closure from an environment and the scrutinee's value to e's."""
+    if type(e) is PCase or type(e) is CCase:
+        def run(env, n, zf=_stage(e.zero, fv), tf=_stage_under(e.succ, fv, {e.p, e.ps})[0],
+                p=e.p, ps=e.ps) -> SemVal:
             n = n if type(n) is int else _as_nat(n)
             if n == 0:
                 return zf(env)
             zero = zf(env)
             return sem_max(zero, tf({**env, p: 1, ps: n - 1}))
-    elif t is CNum:
-        def fn(env, value=e.value) -> SemVal:
-            return value
-    else:
-        raise DenoteError(f"not a complexity expression: {e!r}")
-    return fn
+        return run
+
+    # Primitive recursion, bottom up to keep long recursions off the Python
+    # stack: acc is the value at q, starting at 0.
+    def run(env, n, zf=_stage(e.zero, fv), tf=_stage_under(e.succ, fv, {e.p, e.ps, e.w})[0],
+            p=e.p, ps=e.ps, w=e.w) -> SemVal:
+        n = n if type(n) is int else _as_nat(n)
+        if n > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                DEFAULT_BUDGET, f"pfold of {n} steps is over the budget of {DEFAULT_BUDGET}")
+        acc = zf(env)
+        acc = acc if type(acc) is SPair else _as_pair(acc)
+        zero_pot = acc[1]
+        for q in range(n):
+            step = tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc[1]))})
+            step = step if type(step) is SPair else _as_pair(step)
+            cost = 2 + acc[0] + step[0]
+            if cost > NAT_MAX:
+                raise NatOverflowError(_OVERFLOW)
+            acc = _new_pair(SPair, (cost, sem_max(zero_pot, step[1])))
+        return acc
+    return run
+
+
+def _charged(c: SemVal, pair: SPair) -> SPair:
+    """`(1 + c) +_c pair`, for a test's or a scrutinee's cost c, with the
+    checks of the `+` and `+_c` closures, in their order."""
+    n = 1 + c if type(c) is int else _sum(1, c)
+    if n > NAT_MAX:
+        raise NatOverflowError(_OVERFLOW)
+    n += pair[0]
+    if n > NAT_MAX:
+        raise NatOverflowError(_OVERFLOW)
+    return _new_pair(SPair, (n, pair[1]))
 
 
 # `LIT_PAIR` and `NIL_PAIR`, staged once and shared by every denotation.
@@ -726,6 +790,13 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
         case Charge(extra, pair):
             p = _cshow(pair, _PREC_PROJ, lets)
             s = f"({_cshow(extra, _PREC_PLUS, lets)} + {p}_c, {p}_p)"
+        case CIf(test, then, orelse):
+            p = f"max({_cshow(then, 0, lets)}, {_cshow(orelse, 0, lets)})"
+            s = f"(1 + {_cshow(test, _PREC_PROJ, lets)}_c + {p}_c, {p}_p)"
+        case CCase() | CFold():
+            r = _cshow(e.scrut, _PREC_PROJ, lets)
+            p = f"({_branches_src(e, f'{r}_p', lets)})"
+            s = f"(1 + {r}_c + {p}_c, {p}_p)"
         case CLet(name, bound, body):
             s = _cshow(body, ctx, {**lets, name: _cshow(bound, _PREC_PROJ, lets)})
         case CostOf(pair):
@@ -738,19 +809,23 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
         case StarApp(fn, arg):
             s = f"{_cshow(fn, _PREC_STAR, lets)} * {_cshow(arg, _PREC_STAR + 1, lets)}"
             s = _cwrap(s, ctx > _PREC_STAR)
-        case PCase(scrut, zero, p, ps, succ):
-            s = (f"pcase {_cshow(scrut, 0, lets)} of ({_cshow(zero, 0, lets)}, "
-                 f"[{p}, {ps}] {_cshow(succ, 0, lets)})")
-            s = _cwrap(s, ctx > _PREC_CO_OPEN)
-        case PFold(scrut, zero, p, ps, w, succ):
-            s = (f"pfold {_cshow(scrut, 0, lets)} of ({_cshow(zero, 0, lets)}, "
-                 f"[{p}, {ps}, {w}] {_cshow(succ, 0, lets)})")
-            s = _cwrap(s, ctx > _PREC_CO_OPEN)
+        case PCase() | PFold():
+            s = _cwrap(_branches_src(e, _cshow(e.scrut, 0, lets), lets), ctx > _PREC_CO_OPEN)
         case _:
             raise TypeError(f"not a complexity expression: {e!r}")
     if len(s) > MAX_PRINTED:
         raise ValueError(f"recurrence too large to print (over {MAX_PRINTED} bytes)")
     return s
+
+
+def _branches_src(e: CplxExpr, scrut: str, lets: dict[str, str]) -> str:
+    """pcase or pfold e, or the pcase or pfold in `CCase` or `CFold` e, over
+    the scrutinee text scrut."""
+    if type(e) is PCase or type(e) is CCase:
+        head, binders = "pcase", f"{e.p}, {e.ps}"
+    else:
+        head, binders = "pfold", f"{e.p}, {e.ps}, {e.w}"
+    return f"{head} {scrut} of ({_cshow(e.zero, 0, lets)}, [{binders}] {_cshow(e.succ, 0, lets)})"
 
 
 def _cwrap(s: str, needed: bool) -> str:

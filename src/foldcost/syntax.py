@@ -16,11 +16,12 @@ Invariants:
   - Comparisons and arithmetic are one node, `BinOp`, whose operator every
     walker looks up in one table, `OPS`; an operator not in it is ill-typed.
   - Binder nodes (`Lam`, `Case`, `Fold`, and the complexity language's
-    `CLet`, `CLam`, `PCase`, `PFold`) declare the names they bind and the
-    one field those scope over (see `Expr`).  `names`, which `translate`
-    walks once per program, reads that and serves both languages, as do
-    the tests' `oracles.free_vars` and `oracles.subst`.  The parser checks
-    that a `def` body is closed while reading it, with no walk.
+    `CLet`, `CLam`, `PCase`, `PFold`, `CCase`, `CFold`) declare the names
+    they bind and the one field those scope over (see `Expr`).  The tests'
+    `oracles.names`, `oracles.free_vars` and `oracles.subst` read that and
+    serve both languages.  The library walks no term for its names or its
+    free variables: `translate` collects names in its own walk, and the
+    parser checks that a `def` body is closed while reading it.
   - `to_source`, `typecheck`, `translate`, `ctypecheck` and the evaluator's
     `_eval` dispatch on the exact node type, most frequent first, not on
     `match` patterns, which test isinstance case by case; so node classes
@@ -33,10 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from .complexity import CplxExpr
+from typing import Callable, Mapping, NamedTuple
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -255,46 +253,6 @@ OPS: Mapping[str, Op] = {
 
 
 # ---------------------------------------------------------------- binding structure
-
-class _Shape(NamedTuple):
-    """What the binding walkers need of a node class of either language."""
-
-    is_var: bool
-    kids: tuple[str, ...]  # the subterm fields: those annotated with the base class
-    binds: tuple[str, ...]  # the fields holding the names bound in `scope`
-    scope: str | None  # the subterm the binders scope over
-
-
-_SHAPES: dict[type, _Shape] = {}
-
-
-def _shape(t: type) -> _Shape:
-    var = getattr(t, "var_class", None)
-    if var is None:
-        raise TypeError(f"not an expression type: {t!r}")
-    base = var.__base__.__name__  # both modules' annotations are strings
-    kids = tuple(f.name for f in fields(t) if f.type == base)
-    shape = _SHAPES[t] = _Shape(t is var, kids, t.binds, t.scope)
-    return shape
-
-
-def names(e: Expr | CplxExpr) -> set[str]:
-    """Every variable and binder name in a term of either language."""
-    out: set[str] = set()
-    todo = [e]
-    while todo:
-        e = todo.pop()
-        t = type(e)
-        is_var, kids, binds, _ = _SHAPES.get(t) or _shape(t)
-        if is_var:
-            out.add(e.name)
-            continue
-        for b in binds:
-            out.add(getattr(e, b))
-        for k in kids:
-            todo.append(getattr(e, k))
-    return out
-
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     """A name not in `avoid`, derived from `base` by priming."""

@@ -6,26 +6,30 @@ potential 1, a list's potential bounds its length) and
 ⟨σ -> τ⟩ = ⟨σ⟩ -> ‖τ‖.  The cost component bounds the evaluation cost of the
 expression; the potential component bounds the size of its value.
 
-The translation is compositional and syntax-directed.  Conditionals and list
-matches cannot know which branch will run, so both are translated and joined
-with max; `fold` becomes `pfold`, primitive recursion on the scrutinee's
-potential, which dominates the actual recursion on the list because the
-potential bounds the length.  Extra cost charged onto a pair (for the rule
-instances the original program will execute) is written with the paper's
-`+_c`.  A cons `r :: s` is the one node `CCons` of (1 + r_c + s_c, 1 +
-s_p), and an operator the one node `COp` of (2 + r_c + s_c, 1), each
-reading its operands once.  A case/fold scrutinee, read by both
-projections, is named by a `let`, so the recurrence grows linearly with the
-program.  A scrutinee that is a variable, or the shared pair of a literal
-or of nil, has constant size and is read in place, with no `let`: `case xs
-of ...` and `case nil of ...` bind nothing.
+The translation is compositional and syntax-directed, and each target node
+becomes one complexity node, a derived form that `complexity` prints,
+types and denotes as its expansion in the paper's core nodes.
+Conditionals and list matches cannot know which branch will run, so both
+are translated and joined with max; `fold` becomes `pfold`, primitive
+recursion on the scrutinee's potential, which dominates the actual
+recursion on the list because the potential bounds the length.  Extra cost
+charged onto a pair (for the rule instances the original program will
+execute) is written with the paper's `+_c`.  So a cons `r :: s` is `CCons`
+(1 + r_c + s_c, 1 + s_p), an operator `COp` (2 + r_c + s_c, 1), an `if`
+`CIf` (1 + test_c) +_c max(then, orelse), and a `case` or `fold` of s is
+`CCase` or `CFold`, (1 + s_c) +_c pcase s_p of ... or pfold s_p of ....
+Each node reads its operands once, so the recurrence grows linearly with
+the program.
 
 A cons branch is translated with its head and tail bound, in an
 environment, to the pairs (1, p) and (1, ps) over the potential variables
 the pcase/pfold binds, as in the paper's translation.  Their names are apart
 from every variable and binder name of the program, and a nested branch's
 are primed on from the enclosing one's, so no target binder is ever renamed
-and the recurrence needs no substitution pass.
+and the recurrence needs no substitution pass.  The one walk that
+translates a program also collects its names, and takes p and ps primed
+once per level of nesting; a program that itself uses one of the names p,
+ps, p', ps', ... is translated again, with the names it uses avoided.
 
 The constant leaf 1 and the pairs (1, 1) of a literal and (1, 0) of nil
 are nodes that `complexity` defines and every translation shares.
@@ -35,9 +39,8 @@ prints as, a fresh one.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Collection, Mapping
 
-from . import syntax
 from .complexity import (
     LIT_PAIR,
     NAT,
@@ -45,21 +48,16 @@ from .complexity import (
     NIL_PAIR,
     NUM_1,
     ArrowPotTy,
+    CCase,
     CCons,
-    Charge,
+    CFold,
+    CIf,
     CLam,
-    CLet,
-    CMax,
     COp,
     CPair,
-    CPlus,
     CplxExpr,
-    CostOf,
     CTy,
     CVar,
-    PCase,
-    PFold,
-    PotOf,
     ProdTy,
     StarApp,
 )
@@ -102,27 +100,37 @@ def translate_ty(ty: Ty) -> ProdTy:
 # Translation environments map the target variables bound by enclosing
 # branches to their potential pairs.
 _Env = Mapping[str, CplxExpr]
-_Fresh = tuple[set[str], str, str]  # the program's names; the next p and ps
+# The names met so far, the names to avoid, and the next p and ps.
+_Fresh = tuple[set[str], Collection[str], str, str]
 
 
 def translate(e: Expr) -> CplxExpr:
     """The cost/potential recurrence of a target expression.
 
     Free target variables appear free in the result, at their translated
-    types; a closed program translates to a closed recurrence.
+    types; a closed program translates to a closed recurrence.  The walk
+    collects the program's names and picks branch variables as if none were
+    taken; only a program that uses a name of the form p, ps, p', ps', ...
+    is translated again, apart from every name the first walk met.
     """
-    return _translate(e, {}, (syntax.names(e), "p", "ps"))
+    met: set[str] = set()
+    out = _translate(e, {}, (met, frozenset(), "p", "ps"))
+    if any(name.rstrip("'") in ("p", "ps") for name in met):
+        out = _translate(e, {}, (set(), met, "p", "ps"))
+    return out
 
 
 def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
     """Translate e with the target variables in env replaced by their
-    translations; fresh holds the next branch's candidates (see _bind_branch)."""
+    translations, adding e's names to fresh's first set; fresh holds the
+    next branch's candidates (see _bind_branch)."""
     t = type(e)
     if t is IntLit or t is BoolLit:
         return LIT_PAIR
     if t is Cons:
         return CCons(_translate(e.head, env, fresh), _translate(e.tail, env, fresh))
     if t is Var:
+        fresh[0].add(e.name)
         bound = env.get(e.name)
         return CVar(e.name) if bound is None else bound
     if t is Nil:
@@ -130,45 +138,28 @@ def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
     if t is BinOp:
         return COp(_translate(e.lhs, env, fresh), _translate(e.rhs, env, fresh))
     if t is Lam:
+        fresh[0].add(e.param)
         if e.param in env:  # the parameter shadows a head or tail
             env = {k: v for k, v in env.items() if k != e.param}
         return CLam(e.param, pot_ty(e.param_ty), _translate(e.body, env, fresh))
     if t is If:
-        tt = _translate(e.test, env, fresh)
-        joined = CMax(_translate(e.then, env, fresh), _translate(e.orelse, env, fresh))
-        return Charge(CPlus(NUM_1, CostOf(tt)), joined)
+        return CIf(_translate(e.test, env, fresh), _translate(e.then, env, fresh),
+                   _translate(e.orelse, env, fresh))
     if t is Fold:
         ts = _translate(e.scrutinee, env, fresh)
         tz = _translate(e.nil_branch, env, fresh)
         env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
+        fresh[0].add(e.acc)
         env.pop(e.acc, None)  # the accumulator shadows the head and tail
-        tb = _translate(e.step, env, fresh)
-        r = _reader(ts)
-        body = Charge(CPlus(NUM_1, CostOf(r)), PFold(PotOf(r), tz, p, ps, e.acc, tb))
-        return body if r is ts else CLet(_SCRUT.name, ts, body)
+        return CFold(ts, tz, p, ps, e.acc, _translate(e.step, env, fresh))
     if t is App:
         return StarApp(_translate(e.fn, env, fresh), _translate(e.arg, env, fresh))
     if t is Case:
         ts = _translate(e.scrutinee, env, fresh)
         tz = _translate(e.nil_branch, env, fresh)
         env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
-        tb = _translate(e.cons_branch, env, fresh)
-        r = _reader(ts)
-        body = Charge(CPlus(NUM_1, CostOf(r)), PCase(PotOf(r), tz, p, ps, tb))
-        return body if r is ts else CLet(_SCRUT.name, ts, body)
+        return CCase(ts, tz, p, ps, _translate(e.cons_branch, env, fresh))
     raise TypeError(f"not an expression: {e!r}")
-
-
-# The variable a `let` binds a case/fold scrutinee to; no program uses this
-# name, and every translation shares the node.
-_SCRUT = CVar("$s")
-
-
-def _reader(bound: CplxExpr) -> CplxExpr:
-    """What a body reads `bound` through: bound itself, if it is a variable or
-    a shared constant pair, else `_SCRUT`, for a `let` around the body to bind."""
-    shared = type(bound) is CVar or bound is LIT_PAIR or bound is NIL_PAIR
-    return bound if shared else _SCRUT
 
 
 def _bind_branch(head: str, tail: str, env: _Env, fresh: _Fresh
@@ -178,11 +169,13 @@ def _bind_branch(head: str, tail: str, env: _Env, fresh: _Fresh
     The head is a value of potential at most 1 (an int); the tail a value
     whose potential is one less than the scrutinee's.  They become (1, p)
     and (1, ps) over the first of fresh's candidates, each primed on, that
-    name no variable or binder of the program.  Branches inside start one
-    prime further, so they never rebind this p or ps.  One pair per binder
-    is shared by all its occurrences.
+    is not a name to avoid.  Branches inside start one prime further, so
+    they never rebind this p or ps.  One pair per binder is shared by all
+    its occurrences.
     """
-    taken, p, ps = fresh
+    met, taken, p, ps = fresh
+    met.add(head)
+    met.add(tail)
     p, ps = fresh_name(p, taken), fresh_name(ps, taken)
     inner = {**env, head: CPair(NUM_1, CVar(p)), tail: CPair(NUM_1, CVar(ps))}
-    return inner, (taken, p + "'", ps + "'"), p, ps
+    return inner, (met, taken, p + "'", ps + "'"), p, ps

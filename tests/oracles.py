@@ -1,23 +1,29 @@
 """Oracles that only the tests call: the bounding relation as a yes/no
 answer, direct runs of an application, the order on semantic values, a
 generator for the complexity language, the expansion of its derived
-forms, free variables and capture-avoiding substitution for both languages
-(the substitution lemma, criterion 9) and the materialised big-step
-derivation (criterion 10).  The library never calls them, so they live
-beside the tests that do.
+forms, the names, free variables and capture-avoiding substitution of a
+term of either language (the substitution lemma, criterion 9) and the
+materialised big-step derivation (criterion 10).  The library never calls
+them, so they live beside the tests that do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from foldcost.complexity import (
+    LIT_PAIR,
     NAT,
+    NIL_PAIR,
     NUM_1,
     ArrowPotTy,
+    CCase,
     CCons,
+    CFold,
+    Charge,
+    CIf,
     CLam,
     CLet,
     CMax,
@@ -53,7 +59,6 @@ from foldcost.interp import (
     render_value,
 )
 from foldcost.syntax import (
-    _SHAPES,
     App,
     BinOp,
     BoolLit,
@@ -67,7 +72,6 @@ from foldcost.syntax import (
     Nil,
     Ty,
     Var,
-    _shape,
     fresh_name,
 )
 
@@ -240,9 +244,12 @@ def _fresh_cplx_var(ctx: Mapping[str, CTy]) -> str:
 
 
 def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> CplxExpr:
-    """e with every `CCons` and `COp` written out in the core nodes, a cons's
-    tail bound by a `let` and read through `$t` (see `complexity.CCons`).  A
-    node shared in e is expanded once (`done` maps node ids to expansions)."""
+    """e with every derived node written out in the core nodes, as the
+    translation once wrote them.  A cons's tail is bound by a `let` and read
+    through `$t` (see `complexity.CCons`).  A case or fold scrutinee is read
+    in place if it is a variable or a shared constant pair, and else bound by
+    a `let` and read through `$s` (see `complexity.CCase`).  A node shared
+    in e is expanded once (`done` maps node ids to expansions)."""
     done = {} if done is None else done
     out = done.get(id(e))
     if out is not None:
@@ -256,6 +263,18 @@ def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> Cplx
     elif t is COp:
         out = CPair(CPlus(CNum(2), CPlus(CostOf(expand_derived(e.lhs, done)),
                                          CostOf(expand_derived(e.rhs, done)))), NUM_1)
+    elif t is CIf:
+        out = Charge(CPlus(NUM_1, CostOf(expand_derived(e.test, done))),
+                     CMax(expand_derived(e.then, done), expand_derived(e.orelse, done)))
+    elif t is CCase or t is CFold:
+        scrut = expand_derived(e.scrut, done)
+        shared = type(e.scrut) is CVar or e.scrut is LIT_PAIR or e.scrut is NIL_PAIR
+        r = scrut if shared else CVar("$s")
+        zero, succ = expand_derived(e.zero, done), expand_derived(e.succ, done)
+        out = Charge(CPlus(NUM_1, CostOf(r)),
+                     PCase(PotOf(r), zero, e.p, e.ps, succ) if t is CCase
+                     else PFold(PotOf(r), zero, e.p, e.ps, e.w, succ))
+        out = out if shared else CLet("$s", scrut, out)
     else:
         kids = {f.name: expand_derived(v, done) for f in fields(e)
                 if isinstance(v := getattr(e, f.name), CplxExpr)}
@@ -264,7 +283,47 @@ def expand_derived(e: CplxExpr, done: dict[int, CplxExpr] | None = None) -> Cplx
     return out
 
 
-# ---------------------------------------------------------------- substitution
+# ---------------------------------------------------------------- names and substitution
+
+class _Shape(NamedTuple):
+    """What the binding walkers need of a node class of either language."""
+
+    is_var: bool
+    kids: tuple[str, ...]  # the subterm fields: those annotated with the base class
+    binds: tuple[str, ...]  # the fields holding the names bound in `scope`
+    scope: str | None  # the subterm the binders scope over
+
+
+_SHAPES: dict[type, _Shape] = {}
+
+
+def _shape(t: type) -> _Shape:
+    var = getattr(t, "var_class", None)
+    if var is None:
+        raise TypeError(f"not an expression type: {t!r}")
+    base = var.__base__.__name__  # both modules' annotations are strings
+    kids = tuple(f.name for f in fields(t) if f.type == base)
+    shape = _SHAPES[t] = _Shape(t is var, kids, t.binds, t.scope)
+    return shape
+
+
+def names(e: Expr | CplxExpr) -> set[str]:
+    """Every variable and binder name in a term of either language."""
+    out: set[str] = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        is_var, kids, binds, _ = _SHAPES.get(t) or _shape(t)
+        if is_var:
+            out.add(e.name)
+            continue
+        for b in binds:
+            out.add(getattr(e, b))
+        for k in kids:
+            todo.append(getattr(e, k))
+    return out
+
 
 _NO_VARS: frozenset[str] = frozenset()
 

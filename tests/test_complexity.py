@@ -14,10 +14,14 @@ from foldcost.complexity import (
     NAT_MAX,
     NAT_PAIR,
     NIL_PAIR,
+    NUM_1,
     MAX_PRINTED,
     ArrowPotTy,
+    CCase,
     CCons,
+    CFold,
     Charge,
+    CIf,
     CLam,
     CLet,
     CMax,
@@ -247,10 +251,9 @@ def test_denote_env_and_errors():
 _OVERFLOW = "cost/potential arithmetic overflowed 64 bits"
 _NOT_A_PAIR = "expected a cost/potential pair, got: 3"
 
-# Staging fuses projections of variables and `k + e` into one closure each;
-# every error keeps its class and its text, recorded before any of them was
-# fused.  The `a_c + b_c` cases, recorded when that shape was fused as well,
-# take the generic `+` closure.
+# The errors of the `+` and projection closures, with the class and text
+# they had before staging fused any shape; the derived nodes' closures,
+# which stand for these shapes, must raise the same (DERIVED_DENOTATIONS).
 FUSED_ERRORS = [
     pytest.param(CostOf(CVar("x")), {}, DenoteError,
                  "unbound variable at denotation time: x", id="cost-of-unbound"),
@@ -455,8 +458,18 @@ _PAIR_ERROR = "expected a cost/potential pair, got: "
 _NOT_NATURALS = (DenoteError, "operands of + must be naturals")
 _OVERFLOWED = (NatOverflowError, _OVERFLOW)
 
-# A cons and an operator node denote as their expansions (`expand_derived`):
-# the same value, or the same first error, at every check of every addition.
+_IF = CIf(CVar("b"), _L, _R)
+# A case of s whose cons branch is (ps, p), and a fold of s whose step is
+# the translation of `h :: w`; the scrutinee of the last two is compound,
+# so their expansions bind it by a `let`.
+_CASE = CCase(CVar("s"), CVar("z"), "p", "ps", CPair(CVar("ps"), CVar("p")))
+_FOLD = CFold(CVar("s"), CVar("z"), "p", "ps", "w", CCons(CPair(NUM_1, CVar("p")), _W))
+_CASE_OF_CONS = CCase(CCons(_H, _T), CVar("z"), "p", "ps", CPair(CVar("ps"), CVar("p")))
+_FOLD_OF_OP = CFold(COp(_L, _R), CVar("z"), "p", "ps", "w", _W)
+_BRANCHES = {"l": SPair(2, 3), "r": SPair(4, 1)}
+
+# The derived nodes denote as their expansions (`expand_derived`): the same
+# value, or the same first error, at every check of every addition.
 DERIVED_DENOTATIONS = [
     pytest.param(CCons(_H, _T), {"h": SPair(2, 1), "t": SPair(3, 4)}, SPair(6, 5), id="cons"),
     pytest.param(CCons(_H, _T), {"h": 3, "t": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
@@ -509,6 +522,78 @@ DERIVED_DENOTATIONS = [
                  id="op-function-potentials"),
     pytest.param(CCons(COp(LIT_PAIR, PAIR(3, 1)), CCons(LIT_PAIR, NIL_PAIR)), {}, SPair(10, 2),
                  id="nested"),
+    pytest.param(_IF, {"b": SPair(1, 1), **_BRANCHES}, SPair(6, 3), id="if"),
+    pytest.param(_IF, {"b": 3, **_BRANCHES}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="if-test-natural"),
+    pytest.param(_IF, {"b": 3}, (DenoteError, "unbound variable at denotation time: l"),
+                 id="if-branches-first"),
+    pytest.param(_IF, {"l": 1, "r": 2}, (DenoteError, _PAIR_ERROR + "2"),
+                 id="if-branch-check-before-test"),
+    pytest.param(_IF, {"b": SPair(1, 1), "l": SPair(1, 1), "r": 3},
+                 (DenoteError, "max of mismatched values: SPair(cost=1, pot=1) and 3"),
+                 id="if-branches-mismatched"),
+    pytest.param(_IF, {"b": SPair(True, 1), "l": SPair(True, 1), "r": SPair(False, 1)},
+                 SPair(3, 1), id="if-bools"),
+    pytest.param(_IF, {"b": SPair(NAT_MAX, 1), **_BRANCHES}, _OVERFLOWED,
+                 id="if-one-plus-overflows"),
+    pytest.param(_IF, {"b": SPair(NAT_MAX - 4, 1), **_BRANCHES}, _OVERFLOWED,
+                 id="if-sum-overflows"),
+    pytest.param(_IF, {"b": SPair(NAT_MAX - 5, 1), **_BRANCHES}, SPair(NAT_MAX, 3),
+                 id="if-cost-at-max"),
+    pytest.param(_IF, {"b": SPair(_GROW, 1), **_BRANCHES}, _NOT_NATURALS,
+                 id="if-function-cost"),
+    pytest.param(_CASE, {"s": SPair(2, 3), "z": SPair(1, 0)}, SPair(5, 1), id="case"),
+    pytest.param(_CASE, {"s": SPair(2, 0), "z": SPair(1, 0)}, SPair(4, 0), id="case-at-zero"),
+    pytest.param(_CASE, {"s": 3, "z": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="case-scrutinee-natural"),
+    pytest.param(_CASE, {"s": SPair(1, SPair(1, 1)), "z": SPair(1, 0)},
+                 (DenoteError, _NOT_A_NATURAL), id="case-potential-pair"),
+    pytest.param(_CASE, {"z": 4}, (DenoteError, "unbound variable at denotation time: s"),
+                 id="case-scrutinee-first"),
+    pytest.param(_CASE, {"s": SPair(1, 1)},
+                 (DenoteError, "unbound variable at denotation time: z"),
+                 id="case-zero-unbound"),
+    pytest.param(_CASE, {"s": SPair(1, 0), "z": 4}, (DenoteError, _PAIR_ERROR + "4"),
+                 id="case-zero-natural"),
+    pytest.param(_CASE, {"s": SPair(1, 1), "z": 4},
+                 (DenoteError, "max of mismatched values: 4 and SPair(cost=0, pot=1)"),
+                 id="case-branches-mismatched"),
+    pytest.param(_CASE, {"s": SPair(True, True), "z": SPair(1, 0)}, SPair(3, 1),
+                 id="case-bools"),
+    pytest.param(_CASE, {"s": SPair(NAT_MAX, 0), "z": SPair(1, 0)}, _OVERFLOWED,
+                 id="case-one-plus-overflows"),
+    pytest.param(_CASE, {"s": SPair(NAT_MAX - 1, 0), "z": SPair(1, 0)}, _OVERFLOWED,
+                 id="case-sum-overflows"),
+    pytest.param(_CASE, {"s": SPair(NAT_MAX - 2, 0), "z": SPair(1, 0)}, SPair(NAT_MAX, 0),
+                 id="case-cost-at-max"),
+    pytest.param(_CASE, {"s": SPair(_GROW, 0), "z": SPair(1, 0)}, _NOT_NATURALS,
+                 id="case-function-cost"),
+    pytest.param(_CASE_OF_CONS, {"h": SPair(1, 1), "t": SPair(1, 2), "z": SPair(1, 0)},
+                 SPair(6, 1), id="case-of-cons"),
+    pytest.param(_CASE_OF_CONS, {"z": 4}, (DenoteError, "unbound variable at denotation time: t"),
+                 id="case-of-cons-scrutinee-first"),
+    pytest.param(_FOLD, {"s": SPair(1, 2), "z": SPair(1, 0)}, SPair(13, 2), id="fold"),
+    pytest.param(_FOLD, {"s": 3, "z": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
+                 id="fold-scrutinee-natural"),
+    pytest.param(_FOLD, {"s": SPair(1, SPair(1, 1)), "z": SPair(1, 0)},
+                 (DenoteError, _NOT_A_NATURAL), id="fold-potential-pair"),
+    pytest.param(_FOLD, {"z": 4}, (DenoteError, "unbound variable at denotation time: s"),
+                 id="fold-scrutinee-first"),
+    pytest.param(_FOLD, {"s": SPair(1, 1), "z": 4}, (DenoteError, _PAIR_ERROR + "4"),
+                 id="fold-zero-natural"),
+    pytest.param(_FOLD, {"s": SPair(True, True), "z": SPair(False, 0)}, SPair(7, 1),
+                 id="fold-bools"),
+    pytest.param(_FOLD, {"s": SPair(NAT_MAX, 0), "z": SPair(1, 0)}, _OVERFLOWED,
+                 id="fold-one-plus-overflows"),
+    pytest.param(_FOLD, {"s": SPair(NAT_MAX - 1, 0), "z": SPair(1, 0)}, _OVERFLOWED,
+                 id="fold-sum-overflows"),
+    pytest.param(_FOLD, {"s": SPair(NAT_MAX - 2, 0), "z": SPair(1, 0)}, SPair(NAT_MAX, 0),
+                 id="fold-cost-at-max"),
+    pytest.param(_FOLD_OF_OP, {"l": SPair(1, 1), "r": SPair(1, 1), "z": SPair(1, 0)},
+                 SPair(9, 0), id="fold-of-op"),
+    pytest.param(_FOLD_OF_OP, {"r": SPair(1, 1)},
+                 (DenoteError, "unbound variable at denotation time: l"),
+                 id="fold-of-op-scrutinee-first"),
 ]
 
 
@@ -536,6 +621,45 @@ DERIVED_TYPES = [
     pytest.param(COp(LIT_PAIR, CNum(1)), "expected a cost/potential pair, got N",
                  id="op-right-natural"),
     pytest.param(COp(CVar("q"), CVar("r")), "unbound variable: q", id="op-left-first"),
+    pytest.param(CIf(LIT_PAIR, LIT_PAIR, NIL_PAIR), NAT_PAIR, id="if"),
+    pytest.param(CIf(CNum(1), LIT_PAIR, LIT_PAIR), "expected a cost/potential pair, got N",
+                 id="if-test-natural"),
+    pytest.param(CIf(CNum(1), CVar("q"), CVar("r")), "expected a cost/potential pair, got N",
+                 id="if-test-first"),
+    pytest.param(CIf(CVar("q"), CVar("r"), CVar("s")), "unbound variable: q",
+                 id="if-test-unbound-first"),
+    pytest.param(CIf(LIT_PAIR, LIT_PAIR, _FUN_PAIR),
+                 "max of mismatched types: N x N and N x (N -> N x N)", id="if-mismatched"),
+    pytest.param(CIf(LIT_PAIR, CNum(1), CNum(2)), "expected a cost/potential pair, got N",
+                 id="if-branches-natural"),
+    pytest.param(CCase(LIT_PAIR, NIL_PAIR, "p", "ps", CPair(NUM_1, CVar("ps"))), NAT_PAIR,
+                 id="case"),
+    pytest.param(CCase(CCons(LIT_PAIR, NIL_PAIR), NIL_PAIR, "p", "ps",
+                       CPair(CVar("p"), CVar("ps"))),
+                 NAT_PAIR, id="case-of-cons"),
+    pytest.param(CCase(CNum(1), NIL_PAIR, "p", "ps", NIL_PAIR),
+                 "expected a cost/potential pair, got N", id="case-scrutinee-natural"),
+    pytest.param(CCase(_FUN_PAIR, NIL_PAIR, "p", "ps", NIL_PAIR),
+                 "pcase scrutinee: expected N, got N -> N x N", id="case-scrutinee-function"),
+    pytest.param(CCase(CVar("q"), CVar("r"), "p", "ps", CVar("s")), "unbound variable: q",
+                 id="case-scrutinee-first"),
+    pytest.param(CCase(LIT_PAIR, CVar("r"), "p", "ps", CVar("s")), "unbound variable: r",
+                 id="case-zero-before-succ"),
+    pytest.param(CCase(LIT_PAIR, NIL_PAIR, "p", "ps", _FUN_PAIR),
+                 "pcase branches disagree: N x N and N x (N -> N x N)", id="case-disagree"),
+    pytest.param(CCase(LIT_PAIR, CNum(0), "p", "ps", CVar("ps")),
+                 "expected a cost/potential pair, got N", id="case-branches-natural"),
+    pytest.param(CFold(LIT_PAIR, NIL_PAIR, "p", "ps", "w", CVar("w")), NAT_PAIR, id="fold"),
+    pytest.param(CFold(COp(LIT_PAIR, LIT_PAIR), NIL_PAIR, "p", "ps", "p", CVar("p")), NAT_PAIR,
+                 id="fold-accumulator-shadows"),
+    pytest.param(CFold(LIT_PAIR, CNum(0), "p", "ps", "w", CVar("w")),
+                 "pfold branches must be pairs, got N", id="fold-zero-natural"),
+    pytest.param(CFold(_FUN_PAIR, NIL_PAIR, "p", "ps", "w", CVar("w")),
+                 "pfold scrutinee: expected N, got N -> N x N", id="fold-scrutinee-function"),
+    pytest.param(CFold(NIL_PAIR, NIL_PAIR, "p", "ps", "w", _FUN_PAIR),
+                 "pfold branches disagree: N x N and N x (N -> N x N)", id="fold-disagree"),
+    pytest.param(CFold(CVar("q"), CVar("r"), "p", "ps", "w", CVar("s")), "unbound variable: q",
+                 id="fold-scrutinee-first"),
 ]
 
 
@@ -560,6 +684,24 @@ def test_pfold_over_the_budget_stops_before_its_first_step(monkeypatch):
         denote(fold, {"n": 6})
     steps = PFold(CVar("n"), PAIR(1, 0), "p", "ps", "w", CPair(CNum(0), CPlus(CNum(1), PotOf(_W))))
     assert denote(steps, {"n": 5}) == SPair(11, 5)
+    # A fold node and its expansion stop there too, after the scrutinee.
+    derived = CFold(CVar("s"), CVar("z"), "p", "ps", "w", CVar("t"))
+    for e in (derived, expand_derived(derived)):
+        with pytest.raises(BudgetExceededError, match="pfold of 6 steps"):
+            denote(e, {"s": SPair(1, 6)})
+        with pytest.raises(DenoteError, match="unbound variable at denotation time: s"):
+            denote(e, {})
+
+
+def test_case_and_fold_branches_see_no_scrutinee_name():
+    # The expansions name a compound scrutinee `$s`; the derived nodes bind
+    # no such name around their branches.
+    for e in (CCase(COp(LIT_PAIR, LIT_PAIR), CVar("$s"), "p", "ps", NIL_PAIR),
+              CFold(COp(LIT_PAIR, LIT_PAIR), CVar("$s"), "p", "ps", "w", NIL_PAIR)):
+        with pytest.raises(CplxTypeError, match=r"unbound variable: \$s"):
+            ctypecheck({}, e)
+        with pytest.raises(DenoteError, match=r"unbound variable at denotation time: \$s"):
+            denote(e)
 
 
 # ---------------------------------------------------------------- maxima and naturals

@@ -37,7 +37,7 @@ from foldcost.syntax import (
     Var,
     to_source,
 )
-from oracles import free_vars, subst
+from oracles import free_vars, names, subst
 
 # ---------------------------------------------------------------- round trips
 
@@ -221,7 +221,7 @@ def test_def_resolution_agrees_with_substitution():
     checked = 0
     for seed in itertools.count():
         m = gen_typed_term(seed, 4, INT, {"k": INT})
-        binders = sorted(syntax.names(m) - {"k"})
+        binders = sorted(names(m) - {"k"})
         if not binders:
             continue
         source = re.sub(rf"\b{binders[seed % len(binders)]}\b", "k", to_source(m))
@@ -240,7 +240,7 @@ def test_def_resolution_agrees_with_substitution():
     for seed in range(500):
         m = gen_typed_term(seed, 3, INT, {"y": INT, "z": INT_LIST})
         source = to_source(m)
-        binders = sorted(syntax.names(m) - {"y", "z"})
+        binders = sorted(names(m) - {"y", "z"})
         if binders and seed % 2:
             source = re.sub(rf"\b{binders[seed % len(binders)]}\b", "z", source)
         e = parse(source)

@@ -2,6 +2,7 @@
 preservation."""
 
 import hashlib
+import importlib
 import random
 import sys
 import time
@@ -16,8 +17,11 @@ from foldcost.complexity import (
     NAT_PAIR,
     NIL_PAIR,
     ArrowPotTy,
+    CCase,
     CCons,
+    CFold,
     Charge,
+    CIf,
     CLam,
     CLet,
     CMax,
@@ -47,7 +51,7 @@ from foldcost.syntax import (
     BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, to_source)
 from foldcost.translate import pot_ty, translate, translate_ty
 from foldcost.typecheck import typecheck
-from oracles import expand_derived, free_vars, gen_cplx_term, subst
+from oracles import expand_derived, free_vars, gen_cplx_term, names, subst
 
 # ---------------------------------------------------------------- types
 
@@ -92,26 +96,32 @@ def test_lambda_translation():
 
 
 def test_if_translation_joins_branches():
-    joined = CMax(CPair(CNum(1), CNum(1)), CPair(CNum(1), CNum(1)))
-    expected = Charge(CPlus(CNum(1), CostOf(CPair(CNum(1), CNum(1)))), joined)
-    assert translate(parse("if true then 1 else 0")) == expected
+    # One node, which stands for the charge of the test on the joined branches.
+    lit = CPair(CNum(1), CNum(1))
+    e = translate(parse("if true then 1 else 0"))
+    assert e == CIf(lit, lit, lit)
+    assert expand_derived(e) == Charge(CPlus(CNum(1), CostOf(lit)), CMax(lit, lit))
 
 
 def test_case_translation_substitutes_potential_pairs():
     ts = CVar("xs")
-    inner = PCase(
-        PotOf(ts), CPair(CNum(1), CNum(0)), "p", "ps", CPair(CNum(1), CVar("ps")))
-    expected = Charge(CPlus(CNum(1), CostOf(ts)), inner)
-    assert translate(parse("case xs of (nil, [h, t] t)")) == expected
+    e = translate(parse("case xs of (nil, [h, t] t)"))
+    assert e == CCase(ts, CPair(CNum(1), CNum(0)), "p", "ps", CPair(CNum(1), CVar("ps")))
+    # A variable scrutinee is read in place by both projections, with no `let`.
+    inner = PCase(PotOf(ts), CPair(CNum(1), CNum(0)), "p", "ps", CPair(CNum(1), CVar("ps")))
+    assert expand_derived(e) == Charge(CPlus(CNum(1), CostOf(ts)), inner)
 
 
 def test_fold_translation_binds_accumulator():
     e = translate(parse("fold xs of (nil, [h, t, w] h :: w)"))
-    inner = e.pair
-    assert isinstance(inner, PFold)
-    assert inner.w == "w"
+    assert isinstance(e, CFold)
+    assert e.w == "w"
     # Head occurrences become (1, p); the accumulator stays a variable.
-    assert inner.succ == CCons(CPair(CNum(1), CVar("p")), CVar("w"))
+    assert e.succ == CCons(CPair(CNum(1), CVar("p")), CVar("w"))
+    # A compound scrutinee is named by a `let` in the expansion.
+    e = translate(parse("fold [1] of (nil, [h, t, w] w)"))
+    x = expand_derived(e)
+    assert type(x) is CLet and x.name == "$s" and type(x.body.pair) is PFold
 
 
 def test_fold_accumulator_shadows_head_binding():
@@ -127,7 +137,7 @@ def test_fold_accumulator_shadows_head_binding():
 def test_lambda_parameter_shadows_head_binding():
     # Under a lambda that rebinds the head's name, occurrences refer to the
     # parameter, not to the branch's (1, p) pair.
-    lam = translate(parse("case xs of (\\h:int. h, [h, t] \\h:int. h)")).pair.succ
+    lam = translate(parse("case xs of (\\h:int. h, [h, t] \\h:int. h)")).succ
     assert lam == CLam("h", NAT, CVar("h"))
 
 
@@ -135,10 +145,9 @@ def test_branch_variables_fresh_against_branch_body():
     # A branch that already uses p/ps forces primed replacements.
     e = parse("case xs of (0, [h, t] h + p)")
     cplx = translate(e)
-    inner = cplx.pair
-    assert isinstance(inner, PCase)
-    assert inner.p == "p'"
-    assert inner.ps == "ps"
+    assert isinstance(cplx, CCase)
+    assert cplx.p == "p'"
+    assert cplx.ps == "ps"
     assert ctypecheck(
         {"xs": NAT_PAIR, "p": NAT_PAIR}, cplx) == NAT_PAIR
 
@@ -146,13 +155,13 @@ def test_branch_variables_fresh_against_branch_body():
 # ---------------------------------------------------------------- size
 
 
-def tree_size(e: CplxExpr, limit: int) -> int:
-    """Nodes of e counted as a tree, a node reached twice counted twice; the
-    count stops once it passes limit."""
+def tree_size(e: Expr | CplxExpr, limit: int) -> int:
+    """Nodes of a term of either language counted as a tree, a node reached
+    twice counted twice; the count stops once it passes limit."""
     count, todo = 0, [e]
     while todo and count <= limit:
         count += 1
-        todo.extend(v for v in vars(todo.pop()).values() if isinstance(v, CplxExpr))
+        todo.extend(v for v in vars(todo.pop()).values() if isinstance(v, (Expr, CplxExpr)))
     return count
 
 
@@ -201,13 +210,15 @@ def test_literals_and_nil_translate_to_the_shared_pairs():
 
 
 def test_translations_take_only_the_fused_shapes():
-    # `_stage` fuses `k + e` with a numeral k, and stages `LIT_PAIR` and
-    # `NIL_PAIR` to shared closures; the generic `+` closure and the pair of
-    # two other numerals serve no translation.  Over the corpus and criterion
-    # 2's first 2,000 programs, walked as trees, every `+` has the fused
-    # shape, every pair of numerals is a shared one, and every `let` names a
-    # case/fold scrutinee.  Each cons and operator is one node: together they
-    # number the 54,497 `a_c + b_c` sums the spelled-out pairs held.
+    # Each target node translates to one complexity node, so translations
+    # hold none of the core nodes `+`, `_c`, `_p`, `+_c`, `let`, `max`,
+    # `pcase` and `pfold`, and `_stage` and `ctypecheck` need no fast path
+    # for them.  `_stage` stages `LIT_PAIR` and `NIL_PAIR` to shared
+    # closures, so the pair of two other numerals serves no translation.
+    # Over the corpus and criterion 2's first 2,000 programs, walked as
+    # trees, these are the node counts; the 27,726 `1 + e_c` charges that
+    # the ifs, cases and folds were spelled out with before are the sum of
+    # the last three.
     programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     shapes: Counter[str] = Counter()
     for e in programs:
@@ -215,20 +226,13 @@ def test_translations_take_only_the_fused_shapes():
         while todo:
             node = todo.pop()
             t = type(node)
-            if t is CPlus:
-                lhs, rhs = node.lhs, node.rhs
-                if type(lhs) is CNum and type(lhs.value) is int:
-                    shapes["k + e"] += 1
-                else:
-                    shapes[f"{type(lhs).__name__} + {type(rhs).__name__}"] += 1
-            elif t is CCons or t is COp:
-                shapes[t.__name__] += 1
-            elif t is CPair and type(node.cost) is CNum and type(node.pot) is CNum:
+            shapes[t.__name__] += 1
+            if t is CPair and type(node.cost) is CNum and type(node.pot) is CNum:
                 assert node is LIT_PAIR or node is NIL_PAIR, cplx_to_source(node)
-            elif t is CLet:
-                assert node.name == "$s", cplx_to_source(node)
             todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
-    assert shapes == {"k + e": 27_726, "CCons": 32_268, "COp": 22_229}
+    assert shapes == {
+        "CNum": 212_868, "CPair": 114_517, "CCons": 32_268, "CVar": 22_663, "COp": 22_229,
+        "CLam": 11_621, "CIf": 9_603, "StarApp": 9_060, "CFold": 9_244, "CCase": 8_879}
 
 
 def _denotes(t: CplxExpr):
@@ -247,28 +251,27 @@ def _denotes(t: CplxExpr):
 
 def test_translations_denote_as_their_expansions():
     # Over the corpus and criterion 2's first 2,000 programs, a translation
-    # denotes and type-checks as it does with every cons and operator node
-    # written out (`expand_derived`), which is how they were translated
-    # before; the first 500 also print the same (printing takes most of the
-    # time, and `test_campaign_translations_are_frozen` pins 300 of them).
+    # type-checks, denotes and prints as it does with every derived node
+    # (cons, operator, if, case and fold) written out (`expand_derived`),
+    # which is how they were translated before.
+    # `test_campaign_translations_are_frozen` pins the printed text of 300.
     programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     derived = 0
-    for k, e in enumerate(programs):
+    for e in programs:
         t = translate(e)
         x = expand_derived(t)
         derived += x != t
         assert ctypecheck({}, t) == ctypecheck({}, x)
         assert _denotes(t) == _denotes(x), to_source(e)
-        if k < 500:
-            assert cplx_to_source(t) == cplx_to_source(x)
+        assert cplx_to_source(t) == cplx_to_source(x)
     assert derived > 1500
 
 
 def test_translations_hold_few_distinct_nodes():
     # Distinct complexity nodes per translation, as the benchmark's
     # `dag_nodes` counts them, over the corpus and criterion 2's first 2,000
-    # programs: 126.4 on average, 276.5 with every cons and operator spelled
-    # out in core nodes.
+    # programs: 67.6 on average; 126.4 with every if, case and fold spelled
+    # out in core nodes, and 276.5 with every cons and operator too.
     programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
     total = 0
     for e in programs:
@@ -279,7 +282,7 @@ def test_translations_hold_few_distinct_nodes():
                 seen.add(id(node))
                 todo.extend(v for v in vars(node).values() if isinstance(v, CplxExpr))
         total += len(seen)
-    assert total / len(programs) <= 140
+    assert total / len(programs) <= 75
 
 
 def test_branch_translation_keeps_sharing():
@@ -388,19 +391,20 @@ def test_free_variables_agree_across_layers():
 
 def test_substitution_lemma_on_translations():
     # denote(t[x := (a, y)], y := q) = denote(t, x := (a, q)) over open
-    # translated programs, whose +_c and let nodes substitution must enter.
-    lets = charges = 0
+    # translated programs, whose if nodes and case and fold binders
+    # substitution must enter.
+    branches = ifs = 0
     for seed in range(150):
         ty = (INT, BOOL, INT_LIST)[seed % 3]
         e = gen_typed_term(seed, 4, ty, {"x": INT})
         t = translate(e)
         text = repr(t)
-        lets += text.count("CLet(")
-        charges += text.count("Charge(")
+        branches += text.count("CCase(") + text.count("CFold(")
+        ifs += text.count("CIf(")
         for a, q in ((1, 0), (3, 4)):
             lhs = denote(subst(t, {"x": CPair(CNum(a), CVar("y"))}), {"y": q})
             assert lhs == denote(t, {"x": SPair(a, q)}), to_source(e)
-    assert lets > 50 and charges > 50
+    assert branches > 50 and ifs > 50
 
 
 # ---------------------------------------------------------------- branch binding
@@ -410,7 +414,7 @@ def test_inner_binders_do_not_capture_branch_pairs():
     # The lambda parameter keeps its name p; the pcase's potential variable
     # is named apart from it, so h translates to the pair over p' and the
     # lambda's p captures nothing.
-    inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)")).pair
+    inner = translate(parse("case xs of (\\p:int. 0, [h, t] \\p:int. h + p)"))
     lam = inner.succ
     assert (inner.p, lam.param) == ("p'", "p")
     assert lam.body == COp(CPair(CNum(1), CVar("p'")), CVar("p"))
@@ -422,8 +426,8 @@ ADVERSARIAL_NAMES = ("p", "ps", "p'", "ps'", "p''", "w")
 def test_adversarial_binder_names(monkeypatch):
     # Generated programs whose binders all take names the translation also
     # picks for its potential variables.
-    names = random.Random(0)
-    monkeypatch.setattr(gen, "_fresh_var", lambda ctx: names.choice(ADVERSARIAL_NAMES))
+    draws = random.Random(0)
+    monkeypatch.setattr(gen, "_fresh_var", lambda ctx: draws.choice(ADVERSARIAL_NAMES))
     adversarial = 0
     for seed in range(300):
         ty = (INT, BOOL, INT_LIST)[seed % 3]
@@ -432,14 +436,15 @@ def test_adversarial_binder_names(monkeypatch):
         assert ctypecheck({}, translate(e)) == translate_ty(ty), to_source(e)
         report = check_program(e)
         assert report.status != "fail", (to_source(e), report.detail)
-        adversarial += not syntax.names(e).isdisjoint(ADVERSARIAL_NAMES)
+        adversarial += not names(e).isdisjoint(ADVERSARIAL_NAMES)
     # The patched names reach the programs: 229 of the 300 bind one.
     assert adversarial >= 200
 
 
 def _binder_names(e) -> tuple[list[str], set[str]]:
     """A term's lambda parameters and fold accumulators, sorted, and its
-    pcase and pfold potential variables; the term is walked as a tree."""
+    pcase and pfold potential variables, those of `CCase` and `CFold` among
+    them; the term is walked as a tree."""
     kept: list[str] = []
     branch: set[str] = set()
     todo = [e]
@@ -448,9 +453,9 @@ def _binder_names(e) -> tuple[list[str], set[str]]:
         t = type(e)
         if t is Lam or t is CLam:
             kept.append(e.param)
-        elif t is Fold or t is PFold:
+        elif t is Fold or t is PFold or t is CFold:
             kept.append(e.acc if t is Fold else e.w)
-        if t is PCase or t is PFold:
+        if t is PCase or t is PFold or t is CCase or t is CFold:
             branch |= {e.p, e.ps}
         todo.extend(v for v in vars(e).values() if isinstance(v, (Expr, CplxExpr)))
     return sorted(kept), branch
@@ -466,17 +471,49 @@ def test_translation_keeps_every_binder_name(monkeypatch):
     monkeypatch.setattr(gen, "_fresh_var", lambda ctx: draws.choice(ADVERSARIAL_NAMES))
     programs += [gen_typed_term(seed, 5, (INT, BOOL, INT_LIST)[seed % 3]) for seed in range(300)]
 
-    # translate collects the program's names once and never asks for free
-    # variables, at a branch or at a binder: the library has no free-variable
-    # walk at all.
-    assert not hasattr(syntax, "free_vars")
+    # translate collects the program's names in its own walk and never asks
+    # for free variables, at a branch or at a binder: the library has no
+    # walk for either (see `test_translation_walks_each_program_once`).
+    assert not hasattr(syntax, "free_vars") and not hasattr(syntax, "names")
     branches = 0
     for e in programs:
         kept, branch_vars = _binder_names(translate(e))
         assert kept == _binder_names(e)[0], to_source(e)
-        assert branch_vars.isdisjoint(syntax.names(e)), to_source(e)
+        assert branch_vars.isdisjoint(names(e)), to_source(e)
         branches += bool(branch_vars)
     assert branches > 1000
+
+
+def test_translation_walks_each_program_once(monkeypatch):
+    # `_translate` runs once per node of the program, walked as a tree, over
+    # the corpus and criterion 2's first 2,000 programs: the translation's
+    # walk is the only one, and collects the program's names as it goes.
+    # Only a program that uses a name the branch variables take is walked
+    # again, apart from those names.  The names walk that translate made
+    # first would raise, were it there to call.
+    translation = importlib.import_module("foldcost.translate")
+    calls = 0
+
+    def counted(e, env, fresh, walk=translation._translate):
+        nonlocal calls
+        calls += 1
+        return walk(e, env, fresh)
+
+    def no_names_walk(e):
+        raise AssertionError("syntax.names called")
+
+    monkeypatch.setattr(translation, "_translate", counted)
+    monkeypatch.setattr(syntax, "names", no_names_walk, raising=False)
+    programs = [corpus_expr(name) for name in CORPUS_NAMES] + list(campaign_programs())
+    for e in programs:
+        calls = 0
+        translate(e)
+        assert calls == tree_size(e, 10**6), to_source(e)
+    for source, walks in [("case xs of (0, [h, t] h + p)", 2), ("\\ps':int. ps'", 2),
+                          ("case xs of (0, [h, t] h + q)", 1)]:
+        calls = 0
+        translate(parse(source))
+        assert calls == walks * tree_size(parse(source), 100), source
 
 
 def _nested(n: int, fold: bool) -> Expr:
@@ -508,10 +545,9 @@ def test_deep_branch_nesting_primes_once_per_level(fold):
     finally:
         sys.setrecursionlimit(limit)
     for k in range(n):
-        branch = pair.pair
-        assert type(branch) is (PFold if fold else PCase)
-        assert (branch.p, branch.ps) == ("p" + "'" * k, "ps" + "'" * k)
-        pair = branch.succ
+        assert type(pair) is (CFold if fold else CCase)
+        assert (pair.p, pair.ps) == ("p" + "'" * k, "ps" + "'" * k)
+        pair = pair.succ
     assert pair == CPair(CNum(1), CVar("p"))
     assert elapsed < 2.0
 
