@@ -8,10 +8,10 @@ Commands:
   check FILE                compare a measured run against the bound
   fuzz                      run a generated-program campaign
 
-Exit codes: 0 success (and, for check/fuzz, no bound violations); 1 a bound
-was violated; 2 parse, type, usage, 64-bit overflow, too deep input, too
-large a recurrence to print, or (for fuzz, when no bound was violated) a
-trial that ended in an error; 3 the evaluation cost budget was exhausted.
+Exit codes (see the README): 0 success, and for check/fuzz no bound was
+violated; 1 a bound was violated; 2 parse, type, usage, a 64-bit overflow
+outside check/fuzz, too deep input, too large a recurrence to print, or (for
+fuzz, with no violation) an errored trial; 3 a cost or pfold budget ran out.
 
 All randomized commands are deterministic for a fixed --seed: running the
 same command twice prints byte-identical output.

@@ -238,6 +238,8 @@ def _probe_args(
 
 @dataclass(frozen=True)
 class Trial:
+    """Campaign trial `index`, drawn from `seed`, and its report."""
+
     index: int
     seed: int
     report: Report
@@ -299,6 +301,8 @@ ArgSpec = Union[SweepArg, FixedArg, TermArg]
 
 @dataclass(frozen=True)
 class BoundRow:
+    """The bound's cost and potential at swept potential n."""
+
     n: int
     cost: int
     pot: int
@@ -306,6 +310,8 @@ class BoundRow:
 
 @dataclass(frozen=True)
 class BoundTable:
+    """A bound's rows, one per swept n."""
+
     rows: tuple[BoundRow, ...]
 
 

@@ -71,6 +71,8 @@ class ArithOverflowError(EvalError):
 
 @dataclass(frozen=True, eq=False)
 class VClosure:
+    """A function value: a lambda's parameter and body, closed over `env`."""
+
     param: str
     body: Expr
     env: Mapping[str, Value]

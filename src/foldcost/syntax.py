@@ -8,7 +8,8 @@ general recursion, so every well-typed program terminates.
 Invariants:
   - Expression and type nodes of both languages are made by `node`:
     immutable and slotted, so no node keeps a per-instance dict (an
-    expression's `vars()` is built from its fields by `fields_dict`).
+    expression's `vars()` is built from its fields by `fields_dict`), and
+    import compiles none of their methods, each compiled at its first call.
     Sharing is safe, and generated programs rely on it: the harness's
     generator hands out one shared node for `nil`, `true`, `false`, each
     small integer literal and each of its first 64 variables, and interned
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
+from reprlib import recursive_repr
 from typing import Callable, Mapping, NamedTuple
 
 INT_MIN = -(2**63)
@@ -44,33 +46,49 @@ INT_MAX = 2**63 - 1
 
 def node(cls: type) -> type:
     """Make cls a frozen, slotted dataclass, as every node and type class of
-    both languages is.
+    both languages is, whose methods are compiled at first use (`_lazy`).
 
-    Its `__init__`, generated at the first construction, stores each field
-    through the field's slot descriptor, which takes about two thirds of the
-    time of the dataclass one's `object.__setattr__`; keyword construction,
-    which `dataclasses.replace` uses, still works.  Assignment and deletion
-    raise FrozenInstanceError, also on a class with no fields.
+    `__eq__`, `__hash__` and `__repr__` are the ones `dataclass(frozen=True)`
+    generates.  `__init__` stores each field through its slot descriptor, in
+    two thirds of the time of `object.__setattr__`, and takes keywords too.
+    Assignment and deletion raise FrozenInstanceError, so pickle and copy
+    rebuild a node from its fields (`_reduce`).  A class with no docstring
+    gets its field names as one, sparing `dataclass` an `inspect.signature`.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__init__ = _first_init
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
+    cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = _STUBS
+    cls.__setattr__, cls.__delattr__, cls.__reduce__ = _frozen_setattr, _frozen_delattr, _reduce
     return cls
 
 
-def _first_init(self: object, *args: object, **kwargs: object) -> None:
-    """Generate the class's `__init__` at its first construction, then run
-    it, so that import compiles none: compiling all of them would add about
-    a millisecond to `import foldcost` (Python 3.11)."""
-    cls = type(self)
-    names = [f.name for f in fields(cls)]
-    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-    body = "".join(f" _set_{n}(self, {n});" for n in names) or " pass"
-    namespace: dict[str, Callable] = {}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__(self, *args, **kwargs)
+def _lazy(name: str) -> Callable:
+    """A stub for method `name` that compiles and installs the class's own
+    at its first call, then runs it.  Compiling all 144 at import would add
+    about 7 ms, a third, to `import foldcost` (Python 3.11)."""
+    def stub(self: object, *args: object, **kwargs: object) -> object:
+        cls = type(self)
+        names = [f.name for f in fields(cls)]
+        own = f"({''.join(f'self.{n},' for n in names)})"
+        scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        exec(_TEXT[name].format(
+            params="".join(f", {n}" for n in names), own=own, other=own.replace("self.", "other."),
+            stores="".join(f" _set_{n}(self, {n});" for n in names) or " pass",
+            shown=", ".join(f"{n}={{self.{n}!r}}" for n in names)), scope)
+        setattr(cls, name, recursive_repr()(scope[name]) if name == "__repr__" else scope[name])
+        return getattr(cls, name)(self, *args, **kwargs)
+    return stub
+
+
+# Each method's text: as `dataclass(frozen=True)` writes it, except `__init__` (see `node`).
+_TEXT = {
+    "__init__": "def __init__(self{params}):{stores}",
+    "__eq__": ("def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+               "  return {own}=={other}\n return NotImplemented"),
+    "__hash__": "def __hash__(self): return hash({own})",
+    "__repr__": 'def __repr__(self): return self.__class__.__qualname__ + f"({shown})"',
+}
+_STUBS = tuple(map(_lazy, _TEXT))
 
 
 def _frozen_setattr(self: object, name: str, value: object) -> None:
@@ -79,6 +97,10 @@ def _frozen_setattr(self: object, name: str, value: object) -> None:
 
 def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _reduce(self: object) -> tuple[type, tuple]:
+    return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 @property
