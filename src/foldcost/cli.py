@@ -32,7 +32,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from typing import Mapping, Sequence
 
-from .complexity import CplxTypeError, DenoteError, NatOverflowError, ctypecheck, cplx_to_source
+from .complexity import CplxTypeError, NatOverflowError, ctypecheck, cplx_to_source
 from .gen import DEFAULT_CONFIG, ProbeConfig
 from .harness import (
     ArgSpec,
@@ -190,7 +190,7 @@ def _run(ns: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ArithOverflowError, EvalError, NatOverflowError, DenoteError) as exc:
+    except (ArithOverflowError, EvalError, NatOverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:

@@ -41,24 +41,28 @@ structurally, so a shared one equals a fresh one: `ctypecheck` and
 translation shares are defined here (`NUM_0`, `NUM_1`, `LIT_PAIR` (1, 1),
 `NIL_PAIR` (1, 0)); `ctypecheck` and `_stage` answer the pairs by identity.
 
-`denote` stages each node into a closure.  A pair `(k, e)` with a numeral
-cost makes no closure for its cost, and `LIT_PAIR` and `NIL_PAIR` stage to
-one shared closure each.  The closure of a derived node makes the same
-checks in the same order as the core nodes it stands for, so an error
-keeps its class and its message.
+`denote` interprets well-typed expressions only, as the paper's semantics
+does: e must be accepted by `ctypecheck` under the types of the
+environment's values, with every natural in 0..NAT_MAX.  A translation of a
+program that `typecheck` accepts is one, and `check_program` and `tabulate`
+confirm it with `ctypecheck` first.  So the denotation checks no shapes and
+raises only NatOverflowError and `interp.BudgetExceededError`.  It stages
+each node into a closure.  A pair `(k, e)` with a numeral cost makes no
+closure for its cost, and `LIT_PAIR` and `NIL_PAIR` stage to one shared
+closure each.  Subterms are evaluated in a fixed order, a derived node's in
+its expansion's: a cons's tail before its head, an `if`'s branches before
+its test, a `Charge`'s pair before its extra cost.  That order decides
+whether a budget stop or an overflow is reported first.
 
-The hot paths of `sem_apply`, `sem_max`, the staged closures and
-`ctypecheck` test the exact type first (`type(v) is SPair`, `type(n) is
-int`, `ty is NAT`, `e is NUM_1`) and call the checking helper (`_as_pair`,
-`_as_nat`, `_sum`, `_expect`, `_pair_ty`) only when that test fails, so the
-helper raises the same error, with the same text, as it would have on every
-call.
-A bool passes `isinstance(v, int)` but no exact test, so it stays on the
-helper path and gives what it always gave.
+`ctypecheck` tests the exact type first (`ty is NAT`, `type(ty) is ProdTy`,
+`e is NUM_1`) and calls a checking helper (`_expect`, `_pair_ty`) only when
+that test fails, so the helper raises the same error, with the same text,
+as it would have on every call.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .interp import DEFAULT_BUDGET, BudgetExceededError
@@ -71,11 +75,7 @@ class CplxTypeError(Exception):
     pass
 
 
-class DenoteError(Exception):
-    pass
-
-
-class NatOverflowError(DenoteError):
+class NatOverflowError(Exception):
     pass
 
 
@@ -360,6 +360,8 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if not is_potential(e.param_ty):
             raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
         body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
+        if type(body_ty) is not ProdTy:
+            _pair_ty(body_ty)
         return ProdTy(ArrowPotTy(e.param_ty, body_ty))
     if t is CIf:  # as its expansion: the test first
         ty = ctypecheck(ctx, e.test)
@@ -383,8 +385,8 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         ty = _branches_ty(ctx, e, (ty if type(ty) is ProdTy else _pair_ty(ty)).pot)
         return ty if type(ty) is ProdTy else _pair_ty(ty)
     if t is CNum:
-        if not 0 <= e.value <= NAT_MAX:
-            raise CplxTypeError(f"numeral out of natural range: {e.value}")
+        if type(e.value) is not int or not 0 <= e.value <= NAT_MAX:
+            raise CplxTypeError(f"numeral out of natural range: {e.value!r}")
         return NAT
     if t is Charge:
         ty = ctypecheck(ctx, e.extra)
@@ -476,27 +478,17 @@ def sem_max(a: SemVal, b: SemVal) -> SemVal:
     this holds at a function argument, keyed by identity, as at a natural.
     """
     t = type(a)
-    if t is int and type(b) is int:
+    if t is int:
         return b if b > a else a
-    if t is SPair and type(b) is SPair:
+    if t is SPair:
         return _new_pair(SPair, (b[0] if b[0] > a[0] else a[0], sem_max(a[1], b[1])))
-    if isinstance(a, int) and isinstance(b, int):  # a bool on either side
-        return max(a, b)
-    if callable(a) and callable(b):
-        return _memoised(lambda q: sem_max(a(q), b(q)))
-    raise DenoteError(f"max of mismatched values: {a!r} and {b!r}")
+    return _memoised(lambda q: sem_max(a(q), b(q)))
 
 
-def sem_apply(f: SemVal, a: SemVal) -> SPair:
+def sem_apply(f: SPair, a: SPair) -> SPair:
     """The costed application `f * a`: one unit plus both sides' costs plus
     the body's, paired with the body's potential."""
-    if type(f) is not SPair or type(a) is not SPair:
-        f, a = _as_pair(f), _as_pair(a)
-    if not callable(f[1]):
-        raise DenoteError("applied a value with non-function potential")
     out = f[1](a[1])
-    if type(out) is not SPair:
-        out = _as_pair(out)
     n = 1 + f[0] + a[0] + out[0]
     if n > NAT_MAX:
         raise NatOverflowError(_OVERFLOW)
@@ -510,7 +502,13 @@ Staged = Callable[[dict[str, SemVal]], SemVal]
 
 
 def denote(e: CplxExpr, env: Mapping[str, SemVal] | None = None) -> SemVal:
-    """Evaluate a complexity expression to its semantic value.
+    """Evaluate a well-typed complexity expression to its semantic value.
+
+    e must be accepted by `ctypecheck` under the types of env's values, with
+    every natural in e and env in 0..NAT_MAX; nothing else is checked (see
+    the module docstring).  It raises only NatOverflowError and
+    `BudgetExceededError`; a derived node evaluates its subterms in the
+    order of its expansion, so the two raise the same one first.
 
     The expression is first staged into closures, so that pfold steps and
     potential-function bodies, which run many times, do not dispatch on node
@@ -542,46 +540,25 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             return _new_pair(SPair, (cost, pf(env)))
     elif t is CPair:
         def fn(env, cf=_stage(e.cost, fv), pf=_stage(e.pot, fv)) -> SemVal:
-            c = cf(env)
-            return _new_pair(SPair, (c if type(c) is int else _as_nat(c), pf(env)))
+            return _new_pair(SPair, (cf(env), pf(env)))
     elif t is CCons:
-        # The checks of `let t = tail in (1 + (head_c + t_c), 1 + t_p)`, in
-        # its order; `n >= NAT_MAX` stands for the checks after `head_c +
-        # t_c` and after `1 +` it, which raise the same error.
+        # `let t = tail in (1 + (head_c + t_c), 1 + t_p)`: the tail first.
         def fn(env, hf=_stage(e.head, fv), tf=_stage(e.tail, fv)) -> SemVal:
             tail = tf(env)
-            head = hf(env)
-            if type(head) is not SPair or type(tail) is not SPair:
-                head, tail = _as_pair(head), _as_pair(tail)
-            a, b = head[0], tail[0]
-            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
-            if n >= NAT_MAX:
+            n = 1 + hf(env)[0] + tail[0]
+            p = 1 + tail[1]
+            if n > NAT_MAX or p > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
-            p = tail[1]
-            p = 1 + p if type(p) is int else _sum(1, p)
-            if p > NAT_MAX:
-                raise NatOverflowError(_OVERFLOW)
-            return _new_pair(SPair, (1 + n, p))
+            return _new_pair(SPair, (n, p))
     elif t is CVar:
         fv.add(e.name)
-
-        def fn(env, name=e.name) -> SemVal:
-            try:
-                return env[name]
-            except KeyError:
-                raise DenoteError(f"unbound variable at denotation time: {name}") from None
+        fn = itemgetter(e.name)
     elif t is COp:
-        # The checks of `(2 + (lhs_c + rhs_c), 1)`, in its order; `n > NAT_MAX
-        # - 2` stands for the checks after both additions.
         def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
-            a = lf(env)
-            a = a[0] if type(a) is SPair else _as_pair(a)[0]
-            b = rf(env)
-            b = b[0] if type(b) is SPair else _as_pair(b)[0]
-            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
-            if n > NAT_MAX - 2:
+            n = 2 + lf(env)[0] + rf(env)[0]
+            if n > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
-            return _new_pair(SPair, (2 + n, 1))
+            return _new_pair(SPair, (n, 1))
     elif t is CLam:
         # The parameter is bound to a pair of cost 1 (it is a value) and the
         # argument's potential.
@@ -595,48 +572,39 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
             def fn(env, value=fn({})) -> SemVal:
                 return value
     elif t is CIf:
-        # The checks of `(1 + test_c) +_c max(then, orelse)`, in its order:
-        # the joined branches, then the test.
+        # `(1 + test_c) +_c max(then, orelse)`: the branches first.
         def fn(env, tf=_stage(e.test, fv), af=_stage(e.then, fv),
                bf=_stage(e.orelse, fv)) -> SemVal:
             pair = sem_max(af(env), bf(env))
-            pair = pair if type(pair) is SPair else _as_pair(pair)
-            test = tf(env)
-            return _charged(test[0] if type(test) is SPair else _as_pair(test)[0], pair)
+            return _charged(tf(env)[0], pair)
     elif t is StarApp:
         def fn(env, ff=_stage(e.fn, fv), af=_stage(e.arg, fv)) -> SemVal:
             return sem_apply(ff(env), af(env))
     elif t is CCase or t is CFold:
-        # The checks of `let $s = scrut in (1 + $s_c) +_c pcase $s_p of ...`,
-        # in its order; the branches run without `$s`.
+        # `let $s = scrut in (1 + $s_c) +_c pcase $s_p of ...`; the branches
+        # run without `$s`.
         def fn(env, sf=_stage(e.scrut, fv), run=_stage_branches(e, fv)) -> SemVal:
             s = sf(env)
-            s = s if type(s) is SPair else _as_pair(s)
-            pair = run(env, s[1])
-            return _charged(s[0], pair if type(pair) is SPair else _as_pair(pair))
+            return _charged(s[0], run(env, s[1]))
     elif t is CNum:
         def fn(env, value=e.value) -> SemVal:
             return value
     elif t is Charge:
         def fn(env, xf=_stage(e.extra, fv), pf=_stage(e.pair, fv)) -> SemVal:
             pair = pf(env)
-            pair = pair if type(pair) is SPair else _as_pair(pair)
-            x = xf(env)
-            n = (x if type(x) is int else _as_nat(x)) + pair[0]
+            n = xf(env) + pair[0]
             if n > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
             return _new_pair(SPair, (n, pair[1]))
     elif t is CPlus:
         def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
-            a, b = lf(env), rf(env)
-            n = a + b if type(a) is int and type(b) is int else _sum(a, b)
+            n = lf(env) + rf(env)
             if n > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
             return n
     elif t is CostOf or t is PotOf:
         def fn(env, pf=_stage(e.pair, fv), i=0 if t is CostOf else 1) -> SemVal:
-            v = pf(env)
-            return v[i] if type(v) is SPair else _as_pair(v)[i]
+            return pf(env)[i]
     elif t is CLet:
         def fn(env, bf=_stage(e.bound, fv), body=_stage_under(e.body, fv, {e.name})[0],
                name=e.name) -> SemVal:
@@ -644,21 +612,18 @@ def _stage(e: CplxExpr, fv: set[str]) -> Staged:
     elif t is CMax:
         def fn(env, lf=_stage(e.lhs, fv), rf=_stage(e.rhs, fv)) -> SemVal:
             return sem_max(lf(env), rf(env))
-    elif t is PCase or t is PFold:
+    else:  # PCase or PFold
         def fn(env, sf=_stage(e.scrut, fv), run=_stage_branches(e, fv)) -> SemVal:
             return run(env, sf(env))
-    else:
-        raise DenoteError(f"not a complexity expression: {e!r}")
     return fn
 
 
-def _stage_branches(e: CplxExpr, fv: set[str]) -> Callable[[dict[str, SemVal], SemVal], SemVal]:
+def _stage_branches(e: CplxExpr, fv: set[str]) -> Callable[[dict[str, SemVal], int], SemVal]:
     """Stage pcase or pfold e, or the pcase or pfold in `CCase` or `CFold` e,
     into a closure from an environment and the scrutinee's value to e's."""
     if type(e) is PCase or type(e) is CCase:
         def run(env, n, zf=_stage(e.zero, fv), tf=_stage_under(e.succ, fv, {e.p, e.ps})[0],
                 p=e.p, ps=e.ps) -> SemVal:
-            n = n if type(n) is int else _as_nat(n)
             if n == 0:
                 return zf(env)
             zero = zf(env)
@@ -669,16 +634,13 @@ def _stage_branches(e: CplxExpr, fv: set[str]) -> Callable[[dict[str, SemVal], S
     # stack: acc is the value at q, starting at 0.
     def run(env, n, zf=_stage(e.zero, fv), tf=_stage_under(e.succ, fv, {e.p, e.ps, e.w})[0],
             p=e.p, ps=e.ps, w=e.w) -> SemVal:
-        n = n if type(n) is int else _as_nat(n)
         if n > DEFAULT_BUDGET:
             raise BudgetExceededError(
                 DEFAULT_BUDGET, f"pfold of {n} steps is over the budget of {DEFAULT_BUDGET}")
         acc = zf(env)
-        acc = acc if type(acc) is SPair else _as_pair(acc)
         zero_pot = acc[1]
         for q in range(n):
             step = tf({**env, p: 1, ps: q, w: _new_pair(SPair, (1, acc[1]))})
-            step = step if type(step) is SPair else _as_pair(step)
             cost = 2 + acc[0] + step[0]
             if cost > NAT_MAX:
                 raise NatOverflowError(_OVERFLOW)
@@ -687,13 +649,9 @@ def _stage_branches(e: CplxExpr, fv: set[str]) -> Callable[[dict[str, SemVal], S
     return run
 
 
-def _charged(c: SemVal, pair: SPair) -> SPair:
-    """`(1 + c) +_c pair`, for a test's or a scrutinee's cost c, with the
-    checks of the `+` and `+_c` closures, in their order."""
-    n = 1 + c if type(c) is int else _sum(1, c)
-    if n > NAT_MAX:
-        raise NatOverflowError(_OVERFLOW)
-    n += pair[0]
+def _charged(c: int, pair: SPair) -> SPair:
+    """`(1 + c) +_c pair`, for a test's or a scrutinee's cost c."""
+    n = 1 + c + pair[0]
     if n > NAT_MAX:
         raise NatOverflowError(_OVERFLOW)
     return _new_pair(SPair, (n, pair[1]))
@@ -706,14 +664,6 @@ def _staged_lit(env: dict[str, SemVal], value: SemVal = SPair(1, 1)) -> SemVal:
 
 def _staged_nil(env: dict[str, SemVal], value: SemVal = SPair(1, 0)) -> SemVal:
     return value
-
-
-def _sum(a: SemVal, b: SemVal) -> int:
-    """`a + b` for the staged `+` closures when an operand is not an exact
-    int: a bool adds as the int it is, and anything else is refused."""
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise DenoteError("operands of + must be naturals")
-    return a + b
 
 
 def _stage_under(body: CplxExpr, fv: set[str], bound: set[str]) -> tuple[Staged, set[str]]:
@@ -738,18 +688,6 @@ def _memoised(f: Callable[[SemVal], SemVal]) -> Callable[[SemVal], SemVal]:
         return v
 
     return fn
-
-
-def _as_nat(v: SemVal) -> int:
-    if not isinstance(v, int):
-        raise DenoteError(f"expected a natural, got: {v!r}")
-    return v
-
-
-def _as_pair(v: SemVal) -> SPair:
-    if not isinstance(v, SPair):
-        raise DenoteError(f"expected a cost/potential pair, got: {v!r}")
-    return v
 
 
 # ---------------------------------------------------------------- printing

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .complexity import DenoteError, NatOverflowError, SPair, SemVal, ctypecheck, denote, sem_apply
+from .complexity import (
+    NAT_MAX, CplxExpr, CplxTypeError, NatOverflowError, SPair, SemVal, ctypecheck, denote,
+    sem_apply)
 # `gen_typed_term` is re-exported for callers that import it from here.
 from .gen import DEFAULT_CONFIG, ProbeConfig, _BASE_TYPES, _below, _gen, gen_typed_term
 from .interp import (
@@ -71,17 +73,11 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     too.
     """
     ty = typecheck({}, e)
-    cplx = translate(e)
-    cty = ctypecheck({}, cplx)
-    if cty != translate_ty(ty):
-        raise AssertionError(f"translation changed the type: {cty} vs {translate_ty(ty)}")
-
+    cplx = _checked_translation(e, ty)
     result = None
     try:
         chi = denote(cplx)
         result = eval_expr(e, budget=cfg.budget)
-        if not isinstance(chi, SPair):
-            raise AssertionError("translated program denoted a non-pair")
         if result.cost > chi.cost:
             return Report(e, "fail", result.cost, chi.cost,
                           detail=f"cost {result.cost} > bound {chi.cost}")
@@ -108,6 +104,15 @@ def check_program(e: Expr, cfg: ProbeConfig = DEFAULT_CONFIG) -> "Report":
     except NatOverflowError:
         cost = result.cost if result is not None else _run_cost(e, cfg)
         return Report(e, "inconclusive", cost, detail="nat-overflow")
+
+
+def _checked_translation(e: Expr, ty: Ty) -> CplxExpr:
+    """e's translation, once `ctypecheck` gives it the type ty translates to."""
+    cplx = translate(e)
+    cty = ctypecheck({}, cplx)
+    if cty != translate_ty(ty):
+        raise AssertionError(f"translation changed the type: {cty} vs {translate_ty(ty)}")
+    return cplx
 
 
 def _run_cost(e: Expr, cfg: ProbeConfig) -> int | None:
@@ -151,14 +156,12 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
     """
     if not isinstance(ty, ArrowTy):
         size = value_size(v)
-        if not isinstance(pot, int) or size > pot:
+        if size > pot:
             at = "" if arg is None else f"at argument {render_value(arg)}: "
             raise _Violation(f"{at}size {size} > potential {pot!r}")
         return 1, 0
     if type(v) is not VClosure:
         raise _Violation(f"expected a closure at type {ty}")
-    if not callable(pot):
-        raise _Violation(f"expected a function potential, got {pot!r}")
     if rng is None:
         rng = random.Random(cfg.seed)
     if per_level is None:
@@ -175,8 +178,6 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
             skipped += 1
             continue
         out = pot(q)
-        if not isinstance(out, SPair):
-            raise _Violation(f"potential application returned a non-pair: {out!r}")
         if cost > out.cost:
             raise _Violation(
                 f"at argument {render_value(z)}: body cost {cost} > bound {out.cost}")
@@ -226,10 +227,7 @@ def _probe_args(
         elif isinstance(dom, ArrowTy):
             term = _gen(rng, min(cfg.depth, 3), dom, {}, cfg)
             value = eval_expr(term, budget=cfg.budget).value
-            pot = denote(translate(term))
-            if not isinstance(pot, SPair):
-                raise AssertionError("translated function denoted a non-pair")
-            yield value, pot.pot
+            yield value, denote(translate(term)).pot
         else:
             raise TypeError(f"not a type: {dom!r}")
 
@@ -256,10 +254,10 @@ def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
     Deterministic in cfg.seed: each trial derives its own printed seed, so
     any single line can be reproduced in isolation.  Budget and overflow
     stops are inconclusive, not failures.  A trial on which the checker
-    itself breaks (a denotation error, an evaluation error other than those
-    stops, too deep a recursion, or a broken internal assertion) gets the
-    verdict "error", with the exception as its detail, and the campaign
-    goes on.
+    itself breaks (a translation that `ctypecheck` rejects, an evaluation
+    error other than those stops, too deep a recursion, or a broken internal
+    assertion) gets the verdict "error", with the exception as its detail,
+    and the campaign goes on.
     """
     for k in range(cfg.trials):
         s = trial_seed(cfg.seed, k)
@@ -268,7 +266,7 @@ def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
         program = _gen(rng, cfg.depth, ty, {}, cfg)
         try:
             report = check_program(program, cfg)
-        except (DenoteError, EvalError, RecursionError, AssertionError) as exc:
+        except (CplxTypeError, EvalError, RecursionError, AssertionError) as exc:
             report = Report(program, "error", detail=f"{type(exc).__name__}: {exc}")
         yield Trial(k, s, report)
 
@@ -319,11 +317,11 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     """Bound cost/potential of applying e to the given arguments, per n.
 
     Exactly one argument must be a SweepArg; it is modeled as a value
-    (cost 1) of potential n.  A FixedArg's cost and potential must be
-    nonnegative.  Each application is `sem_apply`, the denotation's one
-    application rule: one unit plus both sides' costs plus the body's, which
-    matches evaluating `f a1 .. ak` with the function and arguments already
-    bound to variables.
+    (cost 1) of potential n.  Each n, and a FixedArg's cost and potential,
+    must be a natural in 0..NAT_MAX.  Each application is `sem_apply`, the
+    denotation's one application rule: one unit plus both sides' costs plus
+    the body's, which matches evaluating `f a1 .. ak` with the function and
+    arguments already bound to variables.
     """
     ty = typecheck({}, e)
     if sum(isinstance(a, SweepArg) for a in args) != 1:
@@ -344,8 +342,10 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
             raise ValueError(f"argument term does not have type {dom}")
         if isinstance(spec, FixedArg) and min(spec.cost, spec.pot) < 0:
             raise ValueError(f"negative fixed argument {spec.cost},{spec.pot}")
+        if isinstance(spec, FixedArg) and max(spec.cost, spec.pot) > NAT_MAX:
+            raise ValueError(f"fixed argument {spec.cost},{spec.pot} is over {NAT_MAX}")
 
-    chi = denote(translate(e))
+    chi = denote(_checked_translation(e, ty))
     # Each argument's pair; None for the swept one, which is (1, n) per row.
     pairs = [SPair(spec.cost, spec.pot) if isinstance(spec, FixedArg)
              else denote(translate(spec.term)) if isinstance(spec, TermArg) else None
@@ -354,6 +354,8 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     for n in ns:
         if n < 0:
             raise ValueError("potentials are nonnegative")
+        if n > NAT_MAX:
+            raise ValueError(f"potential {n} is over {NAT_MAX}")
         val = chi
         for arg in pairs:
             val = sem_apply(val, SPair(1, n) if arg is None else arg)

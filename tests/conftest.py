@@ -51,6 +51,19 @@ def campaign_programs() -> tuple[Expr, ...]:
     return tuple(programs)
 
 
+# The free variables of `open_bodies`, and their target types.
+OPEN_BODY_CTX = {"a": INT_LIST, "c": INT}
+
+
+@functools.cache
+def open_bodies() -> tuple[Expr, ...]:
+    """300 generated base-type programs, at depth 4, whose free variables
+    are a free list `a` and a free int `c`; as `campaign_programs`, the
+    first call must come before any test patches the generator."""
+    return tuple(gen._gen(random.Random(seed), 4, gen._BASE_TYPES[seed % 3], OPEN_BODY_CTX,
+                          gen.DEFAULT_CONFIG) for seed in range(300))
+
+
 def corpus_source(name: str) -> str:
     return (CORPUS / f"{name}.tgt").read_text(encoding="utf-8")
 

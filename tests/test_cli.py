@@ -15,7 +15,7 @@ from conftest import CORPUS, fun_acc_fold
 import foldcost
 from foldcost import complexity, harness
 from foldcost.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
-from foldcost.complexity import DenoteError, SPair
+from foldcost.complexity import CplxTypeError, SPair
 from foldcost.parser import parse
 from foldcost.syntax import to_source
 
@@ -271,7 +271,7 @@ def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code
         nonlocal calls
         calls += 1
         if calls == 2:
-            raise DenoteError("boom")
+            raise CplxTypeError("boom")
         report = real(e, cfg)
         return replace(report, status="fail") if failing and calls == 4 else report
 
@@ -279,7 +279,7 @@ def test_fuzz_exit_code_with_an_errored_trial(capsys, monkeypatch, failing, code
     got, out, err = run(capsys, "fuzz", "--trials", "5")
     assert (got, err) == (code, "")
     lines = out.splitlines()
-    assert lines[1].startswith("trial=1 seed=1 verdict=error detail='DenoteError: boom' program=")
+    assert lines[1].startswith("trial=1 seed=1 verdict=error detail='CplxTypeError: boom' program=")
     assert lines[-1] == f"passed={4 - failing} failed={int(failing)} inconclusive=0 errors=1 trials=5"
 
 
@@ -508,6 +508,31 @@ def test_bound_rejects_an_empty_range(capsys):
 def test_bound_rejects_a_negative_range(capsys, bounds):
     code, out, err = run(capsys, "bound", corpus_path("ins"), "--arg", "1,1", "--sweep", *bounds)
     assert (code, out, err) == (EXIT_ERROR, "", "error: potentials are nonnegative\n")
+
+
+# A cost or potential is a natural of at most 64 bits (`NAT_MAX`), as the
+# denotation's arithmetic is; a larger one is refused as a negative one is.
+_OVER_NAT_MAX = "is over 9223372036854775807"
+
+
+@pytest.mark.parametrize("program, specs, message", [
+    (r"\x:int*. \y:int. x", ("--arg", "1,99999999999999999999999", "--sweep", "--range", "0:1"),
+     f"fixed argument 1,99999999999999999999999 {_OVER_NAT_MAX}"),
+    (r"\x:int*. \y:int. x", ("--arg", "99999999999999999999999,1", "--sweep", "--range", "0:1"),
+     f"fixed argument 99999999999999999999999,1 {_OVER_NAT_MAX}"),
+    (r"\x:int*. x", ("--sweep", "--range", "9223372036854775808:9223372036854775808"),
+     f"potential 9223372036854775808 {_OVER_NAT_MAX}"),
+], ids=["fixed-potential", "fixed-cost", "swept"])
+def test_bound_rejects_naturals_over_64_bits(capsys, tmp_path, program, specs, message):
+    code, out, err = run(capsys, "bound", write_program(tmp_path, program), *specs)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+def test_bound_takes_naturals_up_to_64_bits(capsys, tmp_path):
+    n = "9223372036854775807"
+    code, out, err = run(capsys, "bound", write_program(tmp_path, r"\x:int*. x"), "--sweep",
+                         "--range", f"{n}:{n}")
+    assert (code, out, err) == (EXIT_OK, f"n={n} cost=4 pot={n}\n", "")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -34,7 +34,6 @@ from foldcost.complexity import (
     CTy,
     CVar,
     CplxTypeError,
-    DenoteError,
     NatOverflowError,
     PCase,
     PFold,
@@ -238,34 +237,58 @@ def test_every_lambda_remembers_its_results():
     assert repr(denote(translate(parse(readme)))) == "SPair(cost=11, pot=2)"
 
 
+# `denote` is defined on well-typed input only; `check_program` runs
+# `ctypecheck` first.  `_checked_denote` runs that chain on an open term: each
+# value of env is bound by a `let` to the term that denotes it, so the gate
+# reads the value as its type, and a value that is no natural (a bool, a
+# negative, a pair or a function as a cost) is refused by the numeral or
+# pair rule.
+_GROW = lambda q: SPair(1, q)  # noqa: E731
+_GROW_TERM = PotOf(CLam("q", NAT, CPair(NUM_1, PotOf(CVar("q")))))
+
+
+def _term(v):
+    """The closed term that denotes v (`_GROW` is the one function used)."""
+    if type(v) is SPair:
+        return CPair(_term(v.cost), _term(v.pot))
+    return _GROW_TERM if v is _GROW else CNum(v)
+
+
+def _checked_denote(e, env):
+    closed = e
+    for name, v in reversed(env.items()):
+        closed = CLet(name, _term(v), closed)
+    ctypecheck({}, closed)
+    return denote(e, env)
+
+
 def test_denote_env_and_errors():
     assert denote(CVar("x"), {"x": 3}) == 3
-    with pytest.raises(DenoteError, match="unbound"):
-        denote(CVar("x"))
-    with pytest.raises(DenoteError, match="naturals"):
-        denote(CPlus(PAIR(1, 1), CNum(1)))
-    with pytest.raises(DenoteError, match="non-function"):
-        denote(StarApp(PAIR(1, 1), PAIR(1, 1)))
+    assert _checked_denote(_GROW_TERM, {})(4) == _GROW(4)
+    with pytest.raises(CplxTypeError, match="unbound"):
+        _checked_denote(CVar("x"), {})
+    with pytest.raises(CplxTypeError, match="right operand of \\+"):
+        _checked_denote(CPlus(CNum(1), CVar("x")), {"x": SPair(1, 1)})
+    with pytest.raises(CplxTypeError, match="non-function"):
+        _checked_denote(StarApp(PAIR(1, 1), PAIR(1, 1)), {})
 
 
 _OVERFLOW = "cost/potential arithmetic overflowed 64 bits"
-_NOT_A_PAIR = "expected a cost/potential pair, got: 3"
+_NOT_A_PAIR = "expected a cost/potential pair, got N"
+_UNBOUND = "unbound variable: "
 
-# The errors of the `+` and projection closures, with the class and text
-# they had before staging fused any shape; the derived nodes' closures,
-# which stand for these shapes, must raise the same (DERIVED_DENOTATIONS).
+# Each input's first error through `_checked_denote`: a type error from the
+# gate, or an overflow from the denotation.
 FUSED_ERRORS = [
-    pytest.param(CostOf(CVar("x")), {}, DenoteError,
-                 "unbound variable at denotation time: x", id="cost-of-unbound"),
-    pytest.param(PotOf(CVar("x")), {}, DenoteError,
-                 "unbound variable at denotation time: x", id="pot-of-unbound"),
-    pytest.param(CostOf(CVar("x")), {"x": 3}, DenoteError, _NOT_A_PAIR, id="cost-of-natural"),
-    pytest.param(PotOf(CVar("x")), {"x": 3}, DenoteError, _NOT_A_PAIR, id="pot-of-natural"),
-    pytest.param(CostOf(CNum(3)), {}, DenoteError, _NOT_A_PAIR, id="cost-of-numeral"),
-    pytest.param(CPlus(CNum(1), PAIR(1, 1)), {}, DenoteError,
-                 "operands of + must be naturals", id="one-plus-pair"),
-    pytest.param(CPlus(CNum(1), CVar("x")), {}, DenoteError,
-                 "unbound variable at denotation time: x", id="k-plus-unbound"),
+    pytest.param(CostOf(CVar("x")), {}, CplxTypeError, _UNBOUND + "x", id="cost-of-unbound"),
+    pytest.param(PotOf(CVar("x")), {}, CplxTypeError, _UNBOUND + "x", id="pot-of-unbound"),
+    pytest.param(CostOf(CVar("x")), {"x": 3}, CplxTypeError, _NOT_A_PAIR, id="cost-of-natural"),
+    pytest.param(PotOf(CVar("x")), {"x": 3}, CplxTypeError, _NOT_A_PAIR, id="pot-of-natural"),
+    pytest.param(CostOf(CNum(3)), {}, CplxTypeError, _NOT_A_PAIR, id="cost-of-numeral"),
+    pytest.param(CPlus(CNum(1), PAIR(1, 1)), {}, CplxTypeError,
+                 "right operand of +: expected N, got N x N", id="one-plus-pair"),
+    pytest.param(CPlus(CNum(1), CVar("x")), {}, CplxTypeError, _UNBOUND + "x",
+                 id="k-plus-unbound"),
     pytest.param(CPlus(CNum(1), CVar("x")), {"x": NAT_MAX}, NatOverflowError, _OVERFLOW,
                  id="k-plus-overflow"),
     pytest.param(CPlus(CNum(NAT_MAX), CNum(1)), {}, NatOverflowError, _OVERFLOW,
@@ -273,110 +296,107 @@ FUSED_ERRORS = [
     pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))),
                  {"a": SPair(NAT_MAX, 0), "b": SPair(1, 0)}, NatOverflowError, _OVERFLOW,
                  id="costs-overflow"),
-    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": 3}, DenoteError,
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": 3}, CplxTypeError,
                  _NOT_A_PAIR, id="costs-left-natural"),
     pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": SPair(1, 0), "b": 3},
-                 DenoteError, _NOT_A_PAIR, id="costs-right-natural"),
-    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"b": 3}, DenoteError,
-                 "unbound variable at denotation time: a", id="costs-left-unbound"),
+                 CplxTypeError, _NOT_A_PAIR, id="costs-right-natural"),
+    pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"b": 3}, CplxTypeError,
+                 _UNBOUND + "a", id="costs-left-unbound"),
     pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))), {"a": SPair(SPair(1, 1), 0),
-                 "b": SPair(1, 0)}, DenoteError, "operands of + must be naturals",
+                 "b": SPair(1, 0)}, CplxTypeError, "cost component: expected N, got N x N",
                  id="costs-not-naturals"),
 ]
 
 
 @pytest.mark.parametrize("e, env, cls, message", FUSED_ERRORS)
 def test_fused_staging_keeps_error_text(e, env, cls, message):
-    with pytest.raises(DenoteError) as info:
-        denote(e, env)
+    with pytest.raises((CplxTypeError, NatOverflowError)) as info:
+        _checked_denote(e, env)
     assert (type(info.value), str(info.value)) == (cls, message)
 
 
 _W = CVar("w")
-_GROW = lambda q: SPair(1, q)  # noqa: E731
-_NOT_A_NATURAL = "expected a natural, got: SPair(cost=1, pot=1)"
-_MISMATCHED = "max of mismatched values: 1 and SPair(cost=1, pot=1)"
+_MISMATCHED = "max of mismatched types: N and N x N"
 
-# The kernel tests exact types first and calls its checking helpers only
-# when a test fails; every error keeps its class and text, recorded before
-# the exact-type tests were added.
+# As FUSED_ERRORS, for the other nodes.
 KERNEL_ERRORS = [
-    pytest.param(StarApp(CNum(3), PAIR(1, 1)), {}, DenoteError, _NOT_A_PAIR, id="apply-fn-not-pair"),
-    pytest.param(StarApp(CNum(3), CNum(4)), {}, DenoteError, _NOT_A_PAIR,
+    pytest.param(StarApp(CNum(3), PAIR(1, 1)), {}, CplxTypeError, _NOT_A_PAIR,
+                 id="apply-fn-not-pair"),
+    pytest.param(StarApp(CNum(3), CNum(4)), {}, CplxTypeError, _NOT_A_PAIR,
                  id="apply-both-not-pairs"),
-    pytest.param(StarApp(CLam("x", NAT, CVar("x")), CNum(4)), {}, DenoteError,
-                 "expected a cost/potential pair, got: 4", id="apply-arg-not-pair"),
-    pytest.param(StarApp(PAIR(1, 1), PAIR(1, 1)), {}, DenoteError,
-                 "applied a value with non-function potential", id="apply-non-function"),
-    pytest.param(StarApp(CLam("x", NAT, CNum(5)), PAIR(1, 1)), {}, DenoteError,
-                 "expected a cost/potential pair, got: 5", id="apply-body-not-pair"),
+    pytest.param(StarApp(CLam("x", NAT, CVar("x")), CNum(4)), {}, CplxTypeError, _NOT_A_PAIR,
+                 id="apply-arg-not-pair"),
+    pytest.param(StarApp(PAIR(1, 1), PAIR(1, 1)), {}, CplxTypeError,
+                 "applied a non-function of type N x N", id="apply-non-function"),
+    pytest.param(StarApp(CLam("x", NAT, CNum(5)), PAIR(1, 1)), {}, CplxTypeError, _NOT_A_PAIR,
+                 id="apply-body-not-pair"),
     pytest.param(StarApp(CVar("f"), PAIR(1, 1)), {"f": SPair(NAT_MAX - 2, _GROW)},
                  NatOverflowError, _OVERFLOW, id="apply-overflow"),
-    pytest.param(CMax(CNum(1), PAIR(1, 1)), {}, DenoteError, _MISMATCHED, id="max-nat-pair"),
-    pytest.param(CMax(PAIR(1, 1), CNum(1)), {}, DenoteError,
-                 "max of mismatched values: SPair(cost=1, pot=1) and 1", id="max-pair-nat"),
-    pytest.param(CMax(PAIR(1, 1), CPair(CNum(1), PAIR(1, 1))), {}, DenoteError, _MISMATCHED,
-                 id="max-pots-mismatched"),
-    pytest.param(PFold(PAIR(1, 1), PAIR(1, 0), "p", "ps", "w", _W), {}, DenoteError,
-                 _NOT_A_NATURAL, id="pfold-pair-scrutinee"),
-    pytest.param(PFold(CNum(2), CNum(0), "p", "ps", "w", _W), {}, DenoteError,
-                 "expected a cost/potential pair, got: 0", id="pfold-zero-not-pair"),
-    pytest.param(PFold(CNum(2), PAIR(1, 0), "p", "ps", "w", CNum(5)), {}, DenoteError,
-                 "expected a cost/potential pair, got: 5", id="pfold-step-not-pair"),
+    pytest.param(CMax(CNum(1), PAIR(1, 1)), {}, CplxTypeError, _MISMATCHED, id="max-nat-pair"),
+    pytest.param(CMax(PAIR(1, 1), CNum(1)), {}, CplxTypeError,
+                 "max of mismatched types: N x N and N", id="max-pair-nat"),
+    pytest.param(CMax(PAIR(1, 1), CPair(CNum(1), PAIR(1, 1))), {}, CplxTypeError,
+                 "pair potential has non-potential type N x N", id="max-pots-mismatched"),
+    pytest.param(PFold(PAIR(1, 1), PAIR(1, 0), "p", "ps", "w", _W), {}, CplxTypeError,
+                 "pfold scrutinee: expected N, got N x N", id="pfold-pair-scrutinee"),
+    pytest.param(PFold(CNum(2), CNum(0), "p", "ps", "w", _W), {}, CplxTypeError,
+                 "pfold branches must be pairs, got N", id="pfold-zero-not-pair"),
+    pytest.param(PFold(CNum(2), PAIR(1, 0), "p", "ps", "w", CNum(5)), {}, CplxTypeError,
+                 "pfold branches disagree: N x N and N", id="pfold-step-not-pair"),
     pytest.param(PFold(CNum(1), CVar("z"), "p", "ps", "w", _W), {"z": SPair(NAT_MAX - 2, 0)},
                  NatOverflowError, _OVERFLOW, id="pfold-overflow"),
-    pytest.param(PCase(PAIR(1, 1), PAIR(2, 7), "p", "ps", PAIR(9, 9)), {}, DenoteError,
-                 _NOT_A_NATURAL, id="pcase-pair-scrutinee"),
-    pytest.param(Charge(PAIR(1, 1), PAIR(2, 7)), {}, DenoteError, _NOT_A_NATURAL,
-                 id="charge-pair-extra"),
-    pytest.param(Charge(CNum(1), CNum(2)), {}, DenoteError,
-                 "expected a cost/potential pair, got: 2", id="charge-not-pair"),
-    pytest.param(Charge(PAIR(1, 1), CNum(2)), {}, DenoteError,
-                 "expected a cost/potential pair, got: 2", id="charge-both-wrong"),
+    pytest.param(PCase(PAIR(1, 1), PAIR(2, 7), "p", "ps", PAIR(9, 9)), {}, CplxTypeError,
+                 "pcase scrutinee: expected N, got N x N", id="pcase-pair-scrutinee"),
+    pytest.param(Charge(PAIR(1, 1), PAIR(2, 7)), {}, CplxTypeError,
+                 "charged cost: expected N, got N x N", id="charge-pair-extra"),
+    pytest.param(Charge(CNum(1), CNum(2)), {}, CplxTypeError, _NOT_A_PAIR,
+                 id="charge-not-pair"),
+    pytest.param(Charge(PAIR(1, 1), CNum(2)), {}, CplxTypeError,
+                 "charged cost: expected N, got N x N", id="charge-both-wrong"),
     pytest.param(Charge(CNum(NAT_MAX), PAIR(1, 0)), {}, NatOverflowError, _OVERFLOW,
                  id="charge-overflow"),
-    pytest.param(CPair(PAIR(1, 1), CNum(1)), {}, DenoteError, _NOT_A_NATURAL,
-                 id="pair-pair-cost"),
-    pytest.param(CPair(CVar("x"), CVar("y")), {}, DenoteError,
-                 "unbound variable at denotation time: x", id="pair-cost-first"),
-    pytest.param(CostOf(CPlus(CNum(1), CNum(2))), {}, DenoteError, _NOT_A_PAIR,
+    pytest.param(CPair(PAIR(1, 1), CNum(1)), {}, CplxTypeError,
+                 "cost component: expected N, got N x N", id="pair-pair-cost"),
+    pytest.param(CPair(CVar("x"), CVar("y")), {}, CplxTypeError, _UNBOUND + "x",
+                 id="pair-cost-first"),
+    pytest.param(CostOf(CPlus(CNum(1), CNum(2))), {}, CplxTypeError, _NOT_A_PAIR,
                  id="cost-of-sum"),
-    pytest.param(PotOf(CMax(CNum(1), CNum(2))), {}, DenoteError,
-                 "expected a cost/potential pair, got: 2", id="pot-of-max"),
+    pytest.param(PotOf(CMax(CNum(1), CNum(2))), {}, CplxTypeError, _NOT_A_PAIR,
+                 id="pot-of-max"),
 ]
 
 
 @pytest.mark.parametrize("e, env, cls, message", KERNEL_ERRORS)
 def test_kernel_keeps_error_text(e, env, cls, message):
-    with pytest.raises(DenoteError) as info:
-        denote(e, env)
+    with pytest.raises((CplxTypeError, NatOverflowError)) as info:
+        _checked_denote(e, env)
     assert (type(info.value), str(info.value)) == (cls, message)
 
 
-# A bool passes `isinstance(v, int)` but no exact-type test, so it takes the
-# checking path; these results, with the types of their parts, were recorded
-# before the exact-type tests were added.
+# A bool or a negative is no natural, so the gate refuses it, as a numeral
+# or as a value of env.
+_BOOL = "numeral out of natural range: True"
 KERNEL_BOOLS = [
-    pytest.param(CMax(CNum(True), CNum(0)), {}, True, id="max-bool-nat"),
-    pytest.param(CMax(CNum(1), CNum(True)), {}, 1, id="max-nat-bool"),
+    pytest.param(CMax(CNum(True), CNum(0)), {}, _BOOL, id="max-bool-nat"),
+    pytest.param(CMax(CNum(1), CNum(True)), {}, _BOOL, id="max-nat-bool"),
     pytest.param(CMax(CVar("a"), CVar("b")), {"a": SPair(True, False), "b": SPair(0, 1)},
-                 SPair(True, 1), id="max-bool-pairs"),
-    pytest.param(StarApp(CVar("f"), PAIR(1, 1)), {"f": SPair(True, _GROW)}, SPair(4, 1),
+                 _BOOL, id="max-bool-pairs"),
+    pytest.param(StarApp(CVar("f"), PAIR(1, 1)), {"f": SPair(True, _GROW)}, _BOOL,
                  id="apply-bool-cost"),
     pytest.param(StarApp(CLam("x", NAT, CPair(CostOf(CVar("x")), PotOf(CVar("x")))), CVar("a")),
-                 {"a": SPair(True, True)}, SPair(4, True), id="apply-bool-pot"),
+                 {"a": SPair(True, True)}, _BOOL, id="apply-bool-pot"),
     pytest.param(PFold(CNum(True), PAIR(3, 1), "p", "ps", "w",
-                       CPair(CVar("ps"), CPlus(CNum(1), PotOf(_W)))), {}, SPair(5, 2),
+                       CPair(CVar("ps"), CPlus(CNum(1), PotOf(_W)))), {}, _BOOL,
                  id="pfold-bool-scrutinee"),
-    pytest.param(PFold(CVar("n"), PAIR(3, 1), "p", "ps", "w", _W), {"n": -1}, SPair(3, 1),
-                 id="pfold-negative-scrutinee"),
+    pytest.param(PFold(CVar("n"), PAIR(3, 1), "p", "ps", "w", _W), {"n": -1},
+                 "numeral out of natural range: -1", id="pfold-negative-scrutinee"),
     pytest.param(PCase(CNum(True), PAIR(2, 7), "p", "ps",
-                       CPair(CNum(9), CPlus(CVar("p"), CVar("ps")))), {}, SPair(9, 7),
+                       CPair(CNum(9), CPlus(CVar("p"), CVar("ps")))), {}, _BOOL,
                  id="pcase-bool-scrutinee"),
-    pytest.param(Charge(CNum(True), PAIR(2, 7)), {}, SPair(3, 7), id="charge-bool-extra"),
-    pytest.param(CPair(CVar("x"), CNum(1)), {"x": True}, SPair(True, 1), id="pair-bool-cost"),
+    pytest.param(Charge(CNum(True), PAIR(2, 7)), {}, _BOOL, id="charge-bool-extra"),
+    pytest.param(CPair(CVar("x"), CNum(1)), {"x": True}, _BOOL, id="pair-bool-cost"),
     pytest.param(CPlus(CostOf(CVar("a")), CostOf(CVar("b"))),
-                 {"a": SPair(True, 0), "b": SPair(1, 0)}, 2, id="costs-bool"),
+                 {"a": SPair(True, 0), "b": SPair(1, 0)}, _BOOL, id="costs-bool"),
 ]
 
 
@@ -384,9 +404,11 @@ def _typed(v):
     return (type(v), v, *map(type, v)) if type(v) is SPair else (type(v), v)
 
 
-@pytest.mark.parametrize("e, env, want", KERNEL_BOOLS)
-def test_kernel_bools_take_the_checking_path(e, env, want):
-    assert _typed(denote(e, env)) == _typed(want)
+@pytest.mark.parametrize("e, env, message", KERNEL_BOOLS)
+def test_kernel_bools_take_the_checking_path(e, env, message):
+    with pytest.raises(CplxTypeError) as info:
+        _checked_denote(e, env)
+    assert str(info.value) == message
 
 
 # The full text of each CplxTypeError, where the typing tests above match a
@@ -395,6 +417,7 @@ CPLX_TYPE_ERRORS = [
     pytest.param(CNum(-1), "numeral out of natural range: -1", id="numeral-negative"),
     pytest.param(CNum(NAT_MAX + 1), "numeral out of natural range: 9223372036854775808",
                  id="numeral-too-large"),
+    pytest.param(CNum(True), "numeral out of natural range: True", id="numeral-bool"),
     pytest.param(CPlus(PAIR(1, 1), CNum(2)), "left operand of +: expected N, got N x N",
                  id="plus-left"),
     pytest.param(CPlus(CNum(2), PAIR(1, 1)), "right operand of +: expected N, got N x N",
@@ -416,6 +439,8 @@ CPLX_TYPE_ERRORS = [
                  "expected a cost/potential pair, got N", id="apply-arg-not-pair"),
     pytest.param(CLam("x", NAT_PAIR, CVar("x")), "lambda parameter has non-potential type N x N",
                  id="lam-non-potential"),
+    pytest.param(StarApp(CLam("x", NAT, CNum(5)), PAIR(1, 1)),
+                 "expected a cost/potential pair, got N", id="lam-body-not-pair"),
     pytest.param(PCase(CNum(3), CNum(1), "p", "ps", PAIR(1, 1)),
                  "pcase branches disagree: N and N x N", id="pcase-disagree"),
     pytest.param(PCase(PAIR(1, 1), CNum(1), "p", "ps", CNum(1)),
@@ -448,15 +473,18 @@ def _outcome(run):
     """run()'s value with the types of its parts, or its error's class and text."""
     try:
         v = run()
-    except (CplxTypeError, DenoteError) as err:
+    except (CplxTypeError, NatOverflowError, BudgetExceededError) as err:
         return type(err), str(err)
     return _typed(v)
 
 
 _H, _T, _L, _R = CVar("h"), CVar("t"), CVar("l"), CVar("r")
-_PAIR_ERROR = "expected a cost/potential pair, got: "
-_NOT_NATURALS = (DenoteError, "operands of + must be naturals")
+_NOT_PAIR = (CplxTypeError, _NOT_A_PAIR)
+_FUN_COST = (CplxTypeError, "cost component: expected N, got N -> N x N")
+_BOOLS = (CplxTypeError, _BOOL)
 _OVERFLOWED = (NatOverflowError, _OVERFLOW)
+_OVER_BUDGET = (BudgetExceededError, f"pfold of {DEFAULT_BUDGET + 1} steps is over the budget "
+                f"of {DEFAULT_BUDGET}")
 
 _IF = CIf(CVar("b"), _L, _R)
 # A case of s whose cons branch is (ps, p), and a fold of s whose step is
@@ -467,22 +495,26 @@ _FOLD = CFold(CVar("s"), CVar("z"), "p", "ps", "w", CCons(CPair(NUM_1, CVar("p")
 _CASE_OF_CONS = CCase(CCons(_H, _T), CVar("z"), "p", "ps", CPair(CVar("ps"), CVar("p")))
 _FOLD_OF_OP = CFold(COp(_L, _R), CVar("z"), "p", "ps", "w", _W)
 _BRANCHES = {"l": SPair(2, 3), "r": SPair(4, 1)}
+# Well-typed pairs whose denotation overflows, and stops at the budget.
+_OVER = CPair(CPlus(CNum(NAT_MAX), NUM_1), NUM_1)
+_STOP = PFold(CNum(DEFAULT_BUDGET + 1), NIL_PAIR, "p", "ps", "w", _W)
 
-# The derived nodes denote as their expansions (`expand_derived`): the same
-# value, or the same first error, at every check of every addition.
+# The derived nodes denote as their expansions (`expand_derived`) through
+# `_checked_denote`: the same value, or the same first error, at every
+# check of every addition.  An ill-typed row is refused by the gate, on
+# both sides, with the same text.  The last rows fix the order in which
+# subterms are denoted, which decides whether an overflow or a budget stop
+# is reported.
 DERIVED_DENOTATIONS = [
     pytest.param(CCons(_H, _T), {"h": SPair(2, 1), "t": SPair(3, 4)}, SPair(6, 5), id="cons"),
-    pytest.param(CCons(_H, _T), {"h": 3, "t": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="cons-head-natural"),
-    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": 4}, (DenoteError, _PAIR_ERROR + "4"),
-                 id="cons-tail-natural"),
-    pytest.param(CCons(_H, _T), {"h": 3, "t": 4}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="cons-both-natural"),
-    pytest.param(CCons(_H, _T), {"h": 3}, (DenoteError, "unbound variable at denotation time: t"),
-                 id="cons-tail-first"),
-    pytest.param(CCons(_H, CPlus(CNum(1), PAIR(1, 1))), {}, _NOT_NATURALS,
+    pytest.param(CCons(_H, _T), {"h": 3, "t": SPair(1, 0)}, _NOT_PAIR, id="cons-head-natural"),
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": 4}, _NOT_PAIR, id="cons-tail-natural"),
+    pytest.param(CCons(_H, _T), {"h": 3, "t": 4}, _NOT_PAIR, id="cons-both-natural"),
+    pytest.param(CCons(_H, _T), {"h": 3}, (CplxTypeError, _UNBOUND + "t"), id="cons-tail-first"),
+    pytest.param(CCons(_H, CPlus(CNum(1), PAIR(1, 1))), {},
+                 (CplxTypeError, "right operand of +: expected N, got N x N"),
                  id="cons-tail-before-head"),
-    pytest.param(CCons(_H, _T), {"h": SPair(True, 1), "t": SPair(True, True)}, SPair(3, 2),
+    pytest.param(CCons(_H, _T), {"h": SPair(True, 1), "t": SPair(True, True)}, _BOOLS,
                  id="cons-bools"),
     pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX, 1), "t": SPair(1, 0)}, _OVERFLOWED,
                  id="cons-costs-overflow"),
@@ -494,21 +526,20 @@ DERIVED_DENOTATIONS = [
                  id="cons-potential-overflows"),
     pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, NAT_MAX - 1)},
                  SPair(3, NAT_MAX), id="cons-potential-at-max"),
-    pytest.param(CCons(_H, _T), {"h": SPair(_GROW, 1), "t": SPair(1, 0)}, _NOT_NATURALS,
+    pytest.param(CCons(_H, _T), {"h": SPair(_GROW, 1), "t": SPair(1, 0)}, _FUN_COST,
                  id="cons-function-cost"),
-    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, _GROW)}, _NOT_NATURALS,
+    pytest.param(CCons(_H, _T), {"h": SPair(1, 1), "t": SPair(1, _GROW)},
+                 (CplxTypeError, "right operand of +: expected N, got N -> N x N"),
                  id="cons-function-potential"),
-    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX, 1), "t": SPair(1, _GROW)}, _OVERFLOWED,
+    pytest.param(CCons(_H, _T), {"h": SPair(NAT_MAX, 1), "t": SPair(1, _GROW)},
+                 (CplxTypeError, "right operand of +: expected N, got N -> N x N"),
                  id="cons-cost-before-potential"),
     pytest.param(COp(_L, _R), {"l": SPair(2, 1), "r": SPair(3, 9)}, SPair(7, 1), id="op"),
-    pytest.param(COp(_L, _R), {"l": 3, "r": SPair(1, 1)}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="op-left-natural"),
-    pytest.param(COp(_L, _R), {"l": SPair(1, 1), "r": 4}, (DenoteError, _PAIR_ERROR + "4"),
-                 id="op-right-natural"),
-    pytest.param(COp(_L, _R), {"l": 3}, (DenoteError, _PAIR_ERROR + "3"), id="op-left-first"),
-    pytest.param(COp(_L, _R), {"r": 4}, (DenoteError, "unbound variable at denotation time: l"),
-                 id="op-left-unbound"),
-    pytest.param(COp(_L, _R), {"l": SPair(True, 1), "r": SPair(False, 5)}, SPair(3, 1),
+    pytest.param(COp(_L, _R), {"l": 3, "r": SPair(1, 1)}, _NOT_PAIR, id="op-left-natural"),
+    pytest.param(COp(_L, _R), {"l": SPair(1, 1), "r": 4}, _NOT_PAIR, id="op-right-natural"),
+    pytest.param(COp(_L, _R), {"l": 3}, _NOT_PAIR, id="op-left-first"),
+    pytest.param(COp(_L, _R), {"r": 4}, (CplxTypeError, _UNBOUND + "l"), id="op-left-unbound"),
+    pytest.param(COp(_L, _R), {"l": SPair(True, 1), "r": SPair(False, 5)}, _BOOLS,
                  id="op-bools"),
     pytest.param(COp(_L, _R), {"l": SPair(NAT_MAX, 1), "r": SPair(1, 1)}, _OVERFLOWED,
                  id="op-costs-overflow"),
@@ -516,72 +547,65 @@ DERIVED_DENOTATIONS = [
                  id="op-two-plus-overflows"),
     pytest.param(COp(_L, _R), {"l": SPair(NAT_MAX - 3, 1), "r": SPair(1, 1)},
                  SPair(NAT_MAX, 1), id="op-cost-at-max"),
-    pytest.param(COp(_L, _R), {"l": SPair(_GROW, 1), "r": SPair(1, 1)}, _NOT_NATURALS,
+    pytest.param(COp(_L, _R), {"l": SPair(_GROW, 1), "r": SPair(1, 1)}, _FUN_COST,
                  id="op-function-cost"),
     pytest.param(COp(_L, _R), {"l": SPair(1, _GROW), "r": SPair(1, _GROW)}, SPair(4, 1),
                  id="op-function-potentials"),
     pytest.param(CCons(COp(LIT_PAIR, PAIR(3, 1)), CCons(LIT_PAIR, NIL_PAIR)), {}, SPair(10, 2),
                  id="nested"),
     pytest.param(_IF, {"b": SPair(1, 1), **_BRANCHES}, SPair(6, 3), id="if"),
-    pytest.param(_IF, {"b": 3, **_BRANCHES}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="if-test-natural"),
-    pytest.param(_IF, {"b": 3}, (DenoteError, "unbound variable at denotation time: l"),
-                 id="if-branches-first"),
-    pytest.param(_IF, {"l": 1, "r": 2}, (DenoteError, _PAIR_ERROR + "2"),
+    pytest.param(_IF, {"b": 3, **_BRANCHES}, _NOT_PAIR, id="if-test-natural"),
+    pytest.param(_IF, {"b": 3}, _NOT_PAIR, id="if-branches-first"),
+    pytest.param(_IF, {"l": 1, "r": 2}, (CplxTypeError, _UNBOUND + "b"),
                  id="if-branch-check-before-test"),
     pytest.param(_IF, {"b": SPair(1, 1), "l": SPair(1, 1), "r": 3},
-                 (DenoteError, "max of mismatched values: SPair(cost=1, pot=1) and 3"),
+                 (CplxTypeError, "max of mismatched types: N x N and N"),
                  id="if-branches-mismatched"),
     pytest.param(_IF, {"b": SPair(True, 1), "l": SPair(True, 1), "r": SPair(False, 1)},
-                 SPair(3, 1), id="if-bools"),
+                 _BOOLS, id="if-bools"),
     pytest.param(_IF, {"b": SPair(NAT_MAX, 1), **_BRANCHES}, _OVERFLOWED,
                  id="if-one-plus-overflows"),
     pytest.param(_IF, {"b": SPair(NAT_MAX - 4, 1), **_BRANCHES}, _OVERFLOWED,
                  id="if-sum-overflows"),
     pytest.param(_IF, {"b": SPair(NAT_MAX - 5, 1), **_BRANCHES}, SPair(NAT_MAX, 3),
                  id="if-cost-at-max"),
-    pytest.param(_IF, {"b": SPair(_GROW, 1), **_BRANCHES}, _NOT_NATURALS,
-                 id="if-function-cost"),
+    pytest.param(_IF, {"b": SPair(_GROW, 1), **_BRANCHES}, _FUN_COST, id="if-function-cost"),
     pytest.param(_CASE, {"s": SPair(2, 3), "z": SPair(1, 0)}, SPair(5, 1), id="case"),
     pytest.param(_CASE, {"s": SPair(2, 0), "z": SPair(1, 0)}, SPair(4, 0), id="case-at-zero"),
-    pytest.param(_CASE, {"s": 3, "z": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="case-scrutinee-natural"),
+    pytest.param(_CASE, {"s": 3, "z": SPair(1, 0)}, _NOT_PAIR, id="case-scrutinee-natural"),
     pytest.param(_CASE, {"s": SPair(1, SPair(1, 1)), "z": SPair(1, 0)},
-                 (DenoteError, _NOT_A_NATURAL), id="case-potential-pair"),
-    pytest.param(_CASE, {"z": 4}, (DenoteError, "unbound variable at denotation time: s"),
-                 id="case-scrutinee-first"),
-    pytest.param(_CASE, {"s": SPair(1, 1)},
-                 (DenoteError, "unbound variable at denotation time: z"),
+                 (CplxTypeError, "pair potential has non-potential type N x N"),
+                 id="case-potential-pair"),
+    pytest.param(_CASE, {"z": 4}, (CplxTypeError, _UNBOUND + "s"), id="case-scrutinee-first"),
+    pytest.param(_CASE, {"s": SPair(1, 1)}, (CplxTypeError, _UNBOUND + "z"),
                  id="case-zero-unbound"),
-    pytest.param(_CASE, {"s": SPair(1, 0), "z": 4}, (DenoteError, _PAIR_ERROR + "4"),
-                 id="case-zero-natural"),
+    pytest.param(_CASE, {"s": SPair(1, 0), "z": 4},
+                 (CplxTypeError, "pcase branches disagree: N and N x N"), id="case-zero-natural"),
     pytest.param(_CASE, {"s": SPair(1, 1), "z": 4},
-                 (DenoteError, "max of mismatched values: 4 and SPair(cost=0, pot=1)"),
+                 (CplxTypeError, "pcase branches disagree: N and N x N"),
                  id="case-branches-mismatched"),
-    pytest.param(_CASE, {"s": SPair(True, True), "z": SPair(1, 0)}, SPair(3, 1),
-                 id="case-bools"),
+    pytest.param(_CASE, {"s": SPair(True, True), "z": SPair(1, 0)}, _BOOLS, id="case-bools"),
     pytest.param(_CASE, {"s": SPair(NAT_MAX, 0), "z": SPair(1, 0)}, _OVERFLOWED,
                  id="case-one-plus-overflows"),
     pytest.param(_CASE, {"s": SPair(NAT_MAX - 1, 0), "z": SPair(1, 0)}, _OVERFLOWED,
                  id="case-sum-overflows"),
     pytest.param(_CASE, {"s": SPair(NAT_MAX - 2, 0), "z": SPair(1, 0)}, SPair(NAT_MAX, 0),
                  id="case-cost-at-max"),
-    pytest.param(_CASE, {"s": SPair(_GROW, 0), "z": SPair(1, 0)}, _NOT_NATURALS,
+    pytest.param(_CASE, {"s": SPair(_GROW, 0), "z": SPair(1, 0)}, _FUN_COST,
                  id="case-function-cost"),
     pytest.param(_CASE_OF_CONS, {"h": SPair(1, 1), "t": SPair(1, 2), "z": SPair(1, 0)},
                  SPair(6, 1), id="case-of-cons"),
-    pytest.param(_CASE_OF_CONS, {"z": 4}, (DenoteError, "unbound variable at denotation time: t"),
+    pytest.param(_CASE_OF_CONS, {"z": 4}, (CplxTypeError, _UNBOUND + "t"),
                  id="case-of-cons-scrutinee-first"),
     pytest.param(_FOLD, {"s": SPair(1, 2), "z": SPair(1, 0)}, SPair(13, 2), id="fold"),
-    pytest.param(_FOLD, {"s": 3, "z": SPair(1, 0)}, (DenoteError, _PAIR_ERROR + "3"),
-                 id="fold-scrutinee-natural"),
+    pytest.param(_FOLD, {"s": 3, "z": SPair(1, 0)}, _NOT_PAIR, id="fold-scrutinee-natural"),
     pytest.param(_FOLD, {"s": SPair(1, SPair(1, 1)), "z": SPair(1, 0)},
-                 (DenoteError, _NOT_A_NATURAL), id="fold-potential-pair"),
-    pytest.param(_FOLD, {"z": 4}, (DenoteError, "unbound variable at denotation time: s"),
-                 id="fold-scrutinee-first"),
-    pytest.param(_FOLD, {"s": SPair(1, 1), "z": 4}, (DenoteError, _PAIR_ERROR + "4"),
-                 id="fold-zero-natural"),
-    pytest.param(_FOLD, {"s": SPair(True, True), "z": SPair(False, 0)}, SPair(7, 1),
+                 (CplxTypeError, "pair potential has non-potential type N x N"),
+                 id="fold-potential-pair"),
+    pytest.param(_FOLD, {"z": 4}, (CplxTypeError, _UNBOUND + "s"), id="fold-scrutinee-first"),
+    pytest.param(_FOLD, {"s": SPair(1, 1), "z": 4},
+                 (CplxTypeError, "pfold branches must be pairs, got N"), id="fold-zero-natural"),
+    pytest.param(_FOLD, {"s": SPair(True, True), "z": SPair(False, 0)}, _BOOLS,
                  id="fold-bools"),
     pytest.param(_FOLD, {"s": SPair(NAT_MAX, 0), "z": SPair(1, 0)}, _OVERFLOWED,
                  id="fold-one-plus-overflows"),
@@ -591,16 +615,23 @@ DERIVED_DENOTATIONS = [
                  id="fold-cost-at-max"),
     pytest.param(_FOLD_OF_OP, {"l": SPair(1, 1), "r": SPair(1, 1), "z": SPair(1, 0)},
                  SPair(9, 0), id="fold-of-op"),
-    pytest.param(_FOLD_OF_OP, {"r": SPair(1, 1)},
-                 (DenoteError, "unbound variable at denotation time: l"),
+    pytest.param(_FOLD_OF_OP, {"r": SPair(1, 1)}, (CplxTypeError, _UNBOUND + "l"),
                  id="fold-of-op-scrutinee-first"),
+    pytest.param(CCons(_OVER, _STOP), {}, _OVER_BUDGET, id="cons-tail-denoted-first"),
+    pytest.param(CCons(_STOP, _OVER), {}, _OVERFLOWED, id="cons-head-denoted-second"),
+    pytest.param(COp(_OVER, _STOP), {}, _OVERFLOWED, id="op-left-denoted-first"),
+    pytest.param(CIf(_OVER, _STOP, NIL_PAIR), {}, _OVER_BUDGET, id="if-branches-denoted-first"),
+    pytest.param(CCase(_OVER, _STOP, "p", "ps", NIL_PAIR), {}, _OVERFLOWED,
+                 id="case-scrutinee-denoted-first"),
+    pytest.param(Charge(CPlus(CNum(NAT_MAX), NUM_1), _STOP), {}, _OVER_BUDGET,
+                 id="charge-pair-denoted-first"),
 ]
 
 
 @pytest.mark.parametrize("e, env, want", DERIVED_DENOTATIONS)
 def test_derived_forms_denote_as_their_expansions(e, env, want):
-    got = _outcome(lambda: denote(e, env))
-    assert got == _outcome(lambda: denote(expand_derived(e), env))
+    got = _outcome(lambda: _checked_denote(e, env))
+    assert got == _outcome(lambda: _checked_denote(expand_derived(e), env))
     assert got == (_typed(want) if type(want) is SPair else want)
 
 
@@ -654,6 +685,8 @@ DERIVED_TYPES = [
                  id="fold-accumulator-shadows"),
     pytest.param(CFold(LIT_PAIR, CNum(0), "p", "ps", "w", CVar("w")),
                  "pfold branches must be pairs, got N", id="fold-zero-natural"),
+    pytest.param(CFold(CNum(1), NIL_PAIR, "p", "ps", "w", CVar("w")),
+                 "expected a cost/potential pair, got N", id="fold-scrutinee-natural"),
     pytest.param(CFold(_FUN_PAIR, NIL_PAIR, "p", "ps", "w", CVar("w")),
                  "pfold scrutinee: expected N, got N -> N x N", id="fold-scrutinee-function"),
     pytest.param(CFold(NIL_PAIR, NIL_PAIR, "p", "ps", "w", _FUN_PAIR),
@@ -673,7 +706,7 @@ def test_derived_forms_typecheck_and_print_as_their_expansions(e, want):
 
 def test_pfold_over_the_budget_stops_before_its_first_step(monkeypatch):
     # The zero and the step are unbound, so a pfold that ran either would
-    # raise DenoteError; one over the budget raises before both.
+    # fail; one over the budget raises before both.
     fold = PFold(CVar("n"), CVar("z"), "p", "ps", "w", CVar("s"))
     with pytest.raises(BudgetExceededError) as info:
         denote(fold, {"n": DEFAULT_BUDGET + 1})
@@ -689,8 +722,6 @@ def test_pfold_over_the_budget_stops_before_its_first_step(monkeypatch):
     for e in (derived, expand_derived(derived)):
         with pytest.raises(BudgetExceededError, match="pfold of 6 steps"):
             denote(e, {"s": SPair(1, 6)})
-        with pytest.raises(DenoteError, match="unbound variable at denotation time: s"):
-            denote(e, {})
 
 
 def test_case_and_fold_branches_see_no_scrutinee_name():
@@ -700,8 +731,6 @@ def test_case_and_fold_branches_see_no_scrutinee_name():
               CFold(COp(LIT_PAIR, LIT_PAIR), CVar("$s"), "p", "ps", "w", NIL_PAIR)):
         with pytest.raises(CplxTypeError, match=r"unbound variable: \$s"):
             ctypecheck({}, e)
-        with pytest.raises(DenoteError, match=r"unbound variable at denotation time: \$s"):
-            denote(e)
 
 
 # ---------------------------------------------------------------- maxima and naturals
@@ -766,15 +795,15 @@ def test_function_argument_fold_joins_in_linear_work(monkeypatch, n):
 
 
 def test_sem_max_mismatch():
-    with pytest.raises(DenoteError, match="mismatched"):
-        sem_max(1, SPair(1, 1))
+    # `sem_max` joins values of one type; a max of two types is refused
+    # before denotation.
+    with pytest.raises(CplxTypeError, match="mismatched"):
+        _checked_denote(CMax(CVar("a"), CVar("b")), {"a": 1, "b": SPair(1, 1)})
 
 
 def test_sem_apply_charges_one_unit_plus_both_sides_and_the_body():
     f = SPair(2, lambda q: SPair(5, q + 1))
     assert sem_apply(f, SPair(3, 4)) == SPair(1 + 2 + 3 + 5, 5)
-    with pytest.raises(DenoteError, match="non-function potential"):
-        sem_apply(SPair(1, 1), SPair(1, 1))
 
 
 def test_nat_overflow():

@@ -12,7 +12,8 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 
 from conftest import (
-    CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, campaign, corpus_expr, count_sem_max)
+    CAMPAIGN_CONFIG, CORPUS, CORPUS_NAMES, PROBE_TYPES, campaign, corpus_expr, count_sem_max,
+    open_bodies)
 import foldcost
 from foldcost import gen, harness
 from foldcost.cli import main, totals_line, trial_line
@@ -21,7 +22,8 @@ from foldcost.complexity import (
     NAT_PAIR,
     ArrowPotTy,
     CNum,
-    DenoteError,
+    CplxTypeError,
+    NatOverflowError,
     PFold,
     ProdTy,
     SPair,
@@ -239,6 +241,22 @@ def test_src_defines_nothing_only_tests_reach():
     assert [name for name in foldcost.__all__ if name not in front] == ["__version__"]
 
 
+def test_denotation_raises_only_overflow_and_budget_errors():
+    # `denote` is defined on well-typed input only, and `ctypecheck` is the
+    # one type checker, so the code that runs at denotation time raises
+    # nothing but a natural past NAT_MAX and a pfold over the budget.  A
+    # check of a value's shape there would be a second type checker.
+    tree = ast.parse((CORPUS.parent / "src" / "foldcost" / "complexity.py").read_text(
+        encoding="utf-8"))
+    runtime = {"denote", "sem_max", "sem_apply", "_stage", "_stage_branches", "_stage_under",
+               "_charged", "_memoised"}
+    defs = [s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name in runtime]
+    assert {d.name for d in defs} == runtime
+    raised = {ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc) if n.exc else "raise"
+              for d in defs for n in ast.walk(d) if isinstance(n, ast.Raise)}
+    assert raised == {"NatOverflowError", "BudgetExceededError"}
+
+
 def test_benchmark_entry_points_exist():
     # The benchmark imports names from `foldcost`, calls the library through
     # `foldcost.<name>` and wraps the functions named in `spans.WRAP_POINTS`.
@@ -421,7 +439,7 @@ def test_function_typed_denotations_are_frozen():
                 try:
                     v = _saturate(root, pot_ty(ty), q)
                     line = f"{v.cost} {v.pot}\n"
-                except DenoteError as err:
+                except NatOverflowError as err:
                     line = f"{type(err).__name__}: {err}\n"
                 h.update(line.encode("utf-8"))
     assert h.hexdigest() == FUNCTION_DENOTATIONS_SHA256
@@ -621,7 +639,7 @@ def test_join_free_campaign_trials_are_exact(campaign_10k):
 
 
 @pytest.mark.parametrize("exc", [
-    DenoteError("expected a cost/potential pair"),
+    CplxTypeError("expected a cost/potential pair, got N"),
     EvalError("stuck"),
     RecursionError("maximum recursion depth exceeded"),
     AssertionError("translation changed the type"),
@@ -958,9 +976,7 @@ def test_translation_is_monotone_in_its_free_variables():
     from 0 to 5, or the cost of `a` or of a free `c : int`, never lowers the
     bound's cost or potential.  A `pfold` that drops its join with the zero
     branch fails here on 3 of the 300 bodies, and a `pcase` that does on 16."""
-    for seed in range(300):
-        body = gen._gen(random.Random(seed), 4, gen._BASE_TYPES[seed % 3],
-                        {"a": INT_LIST, "c": INT}, gen.DEFAULT_CONFIG)
+    for body in open_bodies():
         bound = translate(body)
         last = SPair(0, 0)
         for k in range(6):

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS_NAMES, campaign_programs, corpus_expr
+from conftest import CORPUS_NAMES, OPEN_BODY_CTX, campaign_programs, corpus_expr, open_bodies
 from foldcost.complexity import (
     LIT_PAIR,
     NAT,
@@ -235,16 +235,16 @@ def test_translations_take_only_the_fused_shapes():
         "CLam": 11_621, "CIf": 9_603, "StarApp": 9_060, "CFold": 9_244, "CCase": 8_879}
 
 
-def _denotes(t: CplxExpr):
-    """t's denotation, a potential function as its results at 0, 1 and 2,
-    or its error's class and text."""
+def _denotes(t: CplxExpr, env=None):
+    """t's denotation under env, a potential function as its results at 0,
+    1 and 2, or its error's class and text."""
     def tabulated(v):
         if type(v) is SPair:
             return v.cost, tabulated(v.pot)
         return [tabulated(v(q)) for q in range(3)] if callable(v) else v
 
     try:
-        return tabulated(denote(t))
+        return tabulated(denote(t, env))
     except Exception as err:  # overflow or budget, the same on both sides
         return type(err), str(err)
 
@@ -265,6 +265,17 @@ def test_translations_denote_as_their_expansions():
         assert _denotes(t) == _denotes(x), to_source(e)
         assert cplx_to_source(t) == cplx_to_source(x)
     assert derived > 1500
+    # Open bodies, with a free list `a` of potential k and a free int `c`,
+    # run the derived nodes' closures on environments no closed program
+    # makes.
+    ctx = {name: translate_ty(ty) for name, ty in OPEN_BODY_CTX.items()}
+    for e in open_bodies():
+        t = translate(e)
+        x = expand_derived(t)
+        assert ctypecheck(ctx, t) == ctypecheck(ctx, x)
+        for k in range(6):
+            env = {"a": SPair(1, k), "c": SPair(1, 1)}
+            assert _denotes(t, env) == _denotes(x, env), (to_source(e), k)
 
 
 def test_translations_hold_few_distinct_nodes():
