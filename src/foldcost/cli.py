@@ -45,7 +45,7 @@ from .harness import (
     check_program,
     tabulate,
 )
-from .interp import ArithOverflowError, BudgetExceededError, DEFAULT_BUDGET, EvalError, eval_expr, render_value
+from .interp import ArithOverflowError, BudgetExceededError, DEFAULT_BUDGET, eval_expr, render_value
 from .parser import ParseError, parse
 from .syntax import Expr
 from .translate import translate
@@ -190,7 +190,7 @@ def _run(ns: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ArithOverflowError, EvalError, NatOverflowError) as exc:
+    except (ArithOverflowError, NatOverflowError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:

@@ -130,7 +130,10 @@ NAT_PAIR = ProdTy(NAT)
 
 
 def is_potential(ty: CTy) -> bool:
-    return isinstance(ty, (NatTy, ArrowPotTy))
+    """N, or an arrow from a potential to `N x` a potential."""
+    if type(ty) is ArrowPotTy:
+        return is_potential(ty.dom) and type(ty.cod) is ProdTy and is_potential(ty.cod.pot)
+    return type(ty) is NatTy
 
 
 # ---------------------------------------------------------------- expressions

@@ -34,8 +34,6 @@ from .gen import DEFAULT_CONFIG, ProbeConfig, _BASE_TYPES, _below, _gen, gen_typ
 from .interp import (
     ArithOverflowError,
     BudgetExceededError,
-    EvalError,
-    VClosure,
     Value,
     eval_expr,
     render_value,
@@ -43,7 +41,7 @@ from .interp import (
 )
 from .syntax import BOOL, INT, INT_LIST, ArrowTy, Expr, Ty, to_source
 from .translate import translate, translate_ty
-from .typecheck import typecheck
+from .typecheck import TypeCheckError, typecheck
 
 
 class _Violation(Exception):
@@ -160,8 +158,6 @@ def _check_value(v: Value, pot: SemVal, ty: Ty, cfg: ProbeConfig, rng: random.Ra
             at = "" if arg is None else f"at argument {render_value(arg)}: "
             raise _Violation(f"{at}size {size} > potential {pot!r}")
         return 1, 0
-    if type(v) is not VClosure:
-        raise _Violation(f"expected a closure at type {ty}")
     if rng is None:
         rng = random.Random(cfg.seed)
     if per_level is None:
@@ -213,7 +209,10 @@ def _probe_args(
 
     Base arguments are bounded by construction (ints and booleans by 1,
     lists by their length).  Function arguments are generated as closed
-    terms and paired with their own translated potentials.
+    terms, run and paired with their own translated potentials, with no
+    `typecheck` or `ctypecheck` per probe: `gen` draws well-typed terms by
+    construction, which `test_generated_terms_are_closed_and_well_typed`
+    pins.
     """
     lo, width = cfg.int_lo, cfg.int_hi + 1 - cfg.int_lo
     for _ in range(count):
@@ -254,10 +253,10 @@ def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
     Deterministic in cfg.seed: each trial derives its own printed seed, so
     any single line can be reproduced in isolation.  Budget and overflow
     stops are inconclusive, not failures.  A trial on which the checker
-    itself breaks (a translation that `ctypecheck` rejects, an evaluation
-    error other than those stops, too deep a recursion, or a broken internal
-    assertion) gets the verdict "error", with the exception as its detail,
-    and the campaign goes on.
+    itself breaks (a generated program that `typecheck` rejects, a
+    translation that `ctypecheck` rejects, too deep a recursion, or a broken
+    internal assertion) gets the verdict "error", with the exception as its
+    detail, and the campaign goes on.
     """
     for k in range(cfg.trials):
         s = trial_seed(cfg.seed, k)
@@ -266,7 +265,7 @@ def campaign_trials(cfg: ProbeConfig = DEFAULT_CONFIG) -> Iterator[Trial]:
         program = _gen(rng, cfg.depth, ty, {}, cfg)
         try:
             report = check_program(program, cfg)
-        except (CplxTypeError, EvalError, RecursionError, AssertionError) as exc:
+        except (TypeCheckError, CplxTypeError, RecursionError, AssertionError) as exc:
             report = Report(program, "error", detail=f"{type(exc).__name__}: {exc}")
         yield Trial(k, s, report)
 
@@ -348,8 +347,9 @@ def tabulate(e: Expr, args: Sequence[ArgSpec], ns: Sequence[int]) -> BoundTable:
     chi = denote(_checked_translation(e, ty))
     # Each argument's pair; None for the swept one, which is (1, n) per row.
     pairs = [SPair(spec.cost, spec.pot) if isinstance(spec, FixedArg)
-             else denote(translate(spec.term)) if isinstance(spec, TermArg) else None
-             for spec in args]
+             else denote(_checked_translation(spec.term, dom)) if isinstance(spec, TermArg)
+             else None
+             for spec, dom in zip(args, doms)]
     rows = []
     for n in ns:
         if n < 0:

@@ -48,13 +48,11 @@ from foldcost.gen import DEFAULT_CONFIG, ProbeConfig
 from foldcost.harness import _check_value, _TooManyProbes, _Violation
 from foldcost.interp import (
     DEFAULT_BUDGET,
-    EvalError,
     EvalResult,
     Value,
     ValueEnv,
     VClosure,
     _checked,
-    _expected,
     eval_expr,
     render_value,
 )
@@ -407,6 +405,18 @@ def _subst(e: Expr | CplxExpr, bindings: Mapping[str, Expr | CplxExpr],
     return replace(e, **changes)
 
 
+class StuckError(Exception):
+    """No rule derives the term: a value has the wrong shape for its rule.
+
+    The oracle checks each value's shape itself, so that it does not rely on
+    the evaluator's precondition that the program is well typed.
+    """
+
+
+def _expected(kind: str, v: Value) -> StuckError:
+    return StuckError(f"expected {kind}, got: {render_value(v)}")
+
+
 def _as_int(v: Value) -> int:
     if type(v) is not int:
         raise _expected("an integer", v)
@@ -491,7 +501,7 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
             df, da = _derive(fn, env), _derive(arg, env)
             clo = df.value
             if type(clo) is not VClosure:
-                raise EvalError(f"applied a non-function: {render_value(clo)}")
+                raise StuckError(f"applied a non-function: {render_value(clo)}")
             db = _derive(clo.body, {**clo.env, clo.param: da.value})
             return Derivation("app", db.value, (df, da, db))
         case Case(scrutinee, nil_branch, head, tail, cons_branch):
@@ -516,7 +526,7 @@ def _derive(e: Expr, env: ValueEnv) -> Derivation:
             env1 = {**env, head: items[0], tail: items[1:], acc: dr.value}
             db = _derive(step, env1)
             return Derivation("fold-cons", db.value, (ds, dr, db))
-    raise EvalError(f"not an expression: {e!r}")
+    raise StuckError(f"not an expression: {e!r}")
 
 
 def derivation_nodes(d: Derivation) -> Iterator[Derivation]:

@@ -439,6 +439,18 @@ CPLX_TYPE_ERRORS = [
                  "expected a cost/potential pair, got N", id="apply-arg-not-pair"),
     pytest.param(CLam("x", NAT_PAIR, CVar("x")), "lambda parameter has non-potential type N x N",
                  id="lam-non-potential"),
+    # A potential is N, or an arrow from a potential to `N x` a potential.
+    pytest.param(CLam("f", ArrowPotTy(NAT, NAT), CVar("f")),
+                 "lambda parameter has non-potential type N -> N", id="lam-arrow-to-natural"),
+    pytest.param(CLam("f", ArrowPotTy(NAT_PAIR, NAT_PAIR), CVar("f")),
+                 "lambda parameter has non-potential type (N x N) -> N x N",
+                 id="lam-arrow-from-pair"),
+    pytest.param(CLam("f", ArrowPotTy(NAT, ProdTy(NAT_PAIR)), CVar("f")),
+                 "lambda parameter has non-potential type N -> N x N x N",
+                 id="lam-arrow-to-pair-of-pair"),
+    pytest.param(CLam("g", ArrowPotTy(ArrowPotTy(NAT, NAT), NAT_PAIR), CVar("g")),
+                 "lambda parameter has non-potential type (N -> N) -> N x N",
+                 id="lam-arrow-from-ill-formed-arrow"),
     pytest.param(StarApp(CLam("x", NAT, CNum(5)), PAIR(1, 1)),
                  "expected a cost/potential pair, got N", id="lam-body-not-pair"),
     pytest.param(PCase(CNum(3), CNum(1), "p", "ps", PAIR(1, 1)),

@@ -43,14 +43,14 @@ from foldcost.harness import (
 )
 from foldcost.harness import MAX_PROBE_VECTORS, _probes_per_level
 from foldcost.interp import (
-    DEFAULT_BUDGET, ArithOverflowError, BudgetExceededError, EvalError, eval_expr, render_value,
+    DEFAULT_BUDGET, ArithOverflowError, BudgetExceededError, eval_expr, render_value,
     value_size)
 from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, INT_MAX, ArrowTy, BoolLit, Case, Expr, Fold, If, IntLit, Lam, Nil, Var,
     to_source)
 from foldcost.translate import pot_ty, translate
-from foldcost.typecheck import typecheck
+from foldcost.typecheck import TypeCheckError, typecheck
 from oracles import (
     canonical_semval, check_value_bounded, free_vars, gen_cplx_term, measure_application, semval_le,
     subst)
@@ -255,6 +255,22 @@ def test_denotation_raises_only_overflow_and_budget_errors():
     raised = {ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc) if n.exc else "raise"
               for d in defs for n in ast.walk(d) if isinstance(n, ast.Raise)}
     assert raised == {"NatOverflowError", "BudgetExceededError"}
+
+
+def test_evaluation_raises_only_budget_and_overflow_errors():
+    # `eval_expr` is defined on programs that `typecheck` accepts only, and
+    # `typecheck` is the one type checker of the target language, so the
+    # code that runs at evaluation time raises nothing but a run over its
+    # budget and an integer past 64 bits.  A test of a value's type there
+    # would be a second type checker.
+    tree = ast.parse((CORPUS.parent / "src" / "foldcost" / "interp.py").read_text(
+        encoding="utf-8"))
+    runtime = {"eval_expr", "_eval", "_checked"}
+    defs = [s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name in runtime]
+    assert {d.name for d in defs} == runtime
+    raised = {ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc) if n.exc else "raise"
+              for d in defs for n in ast.walk(d) if isinstance(n, ast.Raise)}
+    assert raised == {"BudgetExceededError", "ArithOverflowError"}
 
 
 def test_benchmark_entry_points_exist():
@@ -640,7 +656,7 @@ def test_join_free_campaign_trials_are_exact(campaign_10k):
 
 @pytest.mark.parametrize("exc", [
     CplxTypeError("expected a cost/potential pair, got N"),
-    EvalError("stuck"),
+    TypeCheckError("unbound variable: ghost"),
     RecursionError("maximum recursion depth exceeded"),
     AssertionError("translation changed the type"),
 ], ids=lambda exc: type(exc).__name__)
@@ -778,6 +794,19 @@ def test_tabulate_argument_validation():
         tabulate(ins, [FixedArg(-7, 1), SweepArg()], [0])
     with pytest.raises(ValueError, match="negative fixed argument 1,-5"):
         tabulate(ins, [SweepArg(), FixedArg(1, -5)], [0])
+
+
+def test_tabulate_confirms_each_argument_translation(monkeypatch):
+    # `denote` is defined on what `ctypecheck` accepts only, so a term
+    # argument's translation is confirmed as the root's is.  A translation
+    # that lost the argument's function type stops the table before it is
+    # denoted.
+    double = parse("\\x:int. x + x")
+    real = harness.translate
+    monkeypatch.setattr(harness, "translate",
+                        lambda e: real(IntLit(3)) if e is double else real(e))
+    with pytest.raises(AssertionError, match="translation changed the type: N x N vs "):
+        tabulate(corpus_expr("map"), [TermArg(double), SweepArg()], [1])
 
 
 def test_measured_cost_matches_identity_bound():

@@ -14,7 +14,6 @@ from foldcost.interp import (
     DEFAULT_BUDGET,
     ArithOverflowError,
     BudgetExceededError,
-    EvalError,
     VClosure,
     eval_expr,
     render_value,
@@ -22,6 +21,7 @@ from foldcost.interp import (
 )
 from foldcost.parser import parse
 from foldcost.syntax import BOOL, INT, INT_LIST, INT_MAX, ArrowTy, Var
+from foldcost.typecheck import TypeCheckError, typecheck
 from oracles import derivation_nodes, derive
 
 # ---------------------------------------------------------------- frozen costs
@@ -124,7 +124,7 @@ def test_arithmetic_overflow_checked():
 def _outcome(e, env, budget):
     try:
         result = eval_expr(e, env, budget=budget)
-    except EvalError as exc:
+    except (BudgetExceededError, ArithOverflowError) as exc:
         return type(exc).__name__
     return f"{render_value(result.value)}:{result.cost}"
 
@@ -179,8 +179,11 @@ def test_budget_outcomes_are_frozen():
 
 
 def test_unbound_variable_at_runtime():
-    with pytest.raises(EvalError, match="unbound variable"):
-        eval_expr(Var("ghost"))
+    # `eval_expr` is defined only on what `typecheck` accepts under the types
+    # of env's values, and it refuses a variable that env does not bind.
+    with pytest.raises(TypeCheckError) as info:
+        typecheck({}, Var("ghost"))
+    assert str(info.value) == "unbound variable: ghost"
 
 
 # ---------------------------------------------------------------- values
@@ -208,10 +211,15 @@ def test_bools_and_ints_stay_apart():
     assert render_value(1) == "1"
     with pytest.raises(ValueError, match="no size measure"):
         value_size(VClosure("x", Var("x"), {}))
-    with pytest.raises(EvalError, match="expected an integer, got: true"):
-        eval_expr(parse("x + 1"), {"x": True})
-    with pytest.raises(EvalError, match="expected a boolean, got: 1"):
-        eval_expr(parse("if x then 1 else 2"), {"x": 1})
+    # A boolean where an integer is wanted, or the other way round, is
+    # refused by `typecheck` under the types of env's values ({"x": True}
+    # and {"x": 1}), so `eval_expr` never runs on it.
+    with pytest.raises(TypeCheckError) as info:
+        typecheck({"x": BOOL}, parse("x + 1"))
+    assert str(info.value) == "expected int, got bool in: x + 1"
+    with pytest.raises(TypeCheckError) as info:
+        typecheck({"x": INT}, parse("if x then 1 else 2"))
+    assert str(info.value) == "expected bool, got int in: if x then 1 else 2"
 
 
 # ---------------------------------------------------------------- derivation oracle
