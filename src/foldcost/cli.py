@@ -28,7 +28,6 @@ import re
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import replace
 from typing import Mapping, Sequence
 
@@ -157,13 +156,13 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     ns = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     # Every layer recurses on the input's nesting, so run on a deep stack.
-    done: Future[int] = Future()
+    done: list[int | BaseException | None] = [None]  # the exit code, or what the command raised
 
     def work() -> None:
         try:
-            done.set_result(_run(ns))
+            done[0] = _run(ns)
         except BaseException as exc:
-            done.set_exception(exc)
+            done[0] = exc
 
     old_stack = threading.stack_size(256 * 2**20)
     old_limit = sys.getrecursionlimit()
@@ -175,7 +174,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         threading.stack_size(old_stack)
         sys.setrecursionlimit(old_limit)
-    return done.result()  # raises what the command raised
+    if isinstance(done[0], BaseException):
+        raise done[0]  # what the command raised
+    return done[0]
 
 
 def _run(ns: argparse.Namespace) -> int:

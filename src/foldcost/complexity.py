@@ -53,11 +53,6 @@ closure each.  Subterms are evaluated in a fixed order, a derived node's in
 its expansion's: a cons's tail before its head, an `if`'s branches before
 its test, a `Charge`'s pair before its extra cost.  That order decides
 whether a budget stop or an overflow is reported first.
-
-`ctypecheck` tests the exact type first (`ty is NAT`, `type(ty) is ProdTy`,
-`e is NUM_1`) and calls a checking helper (`_expect`, `_pair_ty`) only when
-that test fails, so the helper raises the same error, with the same text,
-as it would have on every call.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .interp import DEFAULT_BUDGET, BudgetExceededError
-from .syntax import fields_dict, node
+from .syntax import _wrap, fields_dict, node
 
 NAT_MAX = 2**63 - 1
 
@@ -330,11 +325,9 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         if e is LIT_PAIR or e is NIL_PAIR:
             return NAT_PAIR
         if e.cost is not NUM_1:
-            ty = ctypecheck(ctx, e.cost)
-            if ty is not NAT:
-                _expect(ty, NAT, "cost component")
+            _expect(ctypecheck(ctx, e.cost), NAT, "cost component")
         pt = ctypecheck(ctx, e.pot)
-        if pt is not NAT and not is_potential(pt):
+        if not is_potential(pt):
             raise CplxTypeError(f"pair potential has non-potential type {pt}")
         return NAT_PAIR if pt is NAT else ProdTy(pt)
     if t is CVar:
@@ -344,70 +337,45 @@ def ctypecheck(ctx: Mapping[str, CTy], e: CplxExpr) -> CTy:
         return ty
     if t is CCons:  # as its expansion, the tail first (see CCons)
         tail = ctypecheck(ctx, e.tail)
-        head = ctypecheck(ctx, e.head)
-        if type(head) is not ProdTy:
-            _pair_ty(head)
-        tail = tail if type(tail) is ProdTy else _pair_ty(tail)
-        if tail.pot is not NAT:
-            _expect(tail.pot, NAT, "right operand of +")
+        _pair_ty(ctypecheck(ctx, e.head))
+        _expect(_pair_ty(tail).pot, NAT, "right operand of +")
         return NAT_PAIR
     if t is COp:
-        ty = ctypecheck(ctx, e.lhs)
-        if type(ty) is not ProdTy:
-            _pair_ty(ty)
-        ty = ctypecheck(ctx, e.rhs)
-        if type(ty) is not ProdTy:
-            _pair_ty(ty)
+        _pair_ty(ctypecheck(ctx, e.lhs))
+        _pair_ty(ctypecheck(ctx, e.rhs))
         return NAT_PAIR
     if t is CLam:
         if not is_potential(e.param_ty):
             raise CplxTypeError(f"lambda parameter has non-potential type {e.param_ty}")
-        body_ty = ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body)
-        if type(body_ty) is not ProdTy:
-            _pair_ty(body_ty)
+        body_ty = _pair_ty(ctypecheck({**ctx, e.param: ProdTy(e.param_ty)}, e.body))
         return ProdTy(ArrowPotTy(e.param_ty, body_ty))
     if t is CIf:  # as its expansion: the test first
-        ty = ctypecheck(ctx, e.test)
-        if type(ty) is not ProdTy:
-            _pair_ty(ty)
-        ty = _join_ty(ctypecheck(ctx, e.then), ctypecheck(ctx, e.orelse))
-        return ty if type(ty) is ProdTy else _pair_ty(ty)
+        _pair_ty(ctypecheck(ctx, e.test))
+        return _pair_ty(_join_ty(ctypecheck(ctx, e.then), ctypecheck(ctx, e.orelse)))
     if t is StarApp:
-        fn_ty = ctypecheck(ctx, e.fn)
-        fn_ty = fn_ty if type(fn_ty) is ProdTy else _pair_ty(fn_ty)
+        fn_ty = _pair_ty(ctypecheck(ctx, e.fn))
         if not isinstance(fn_ty.pot, ArrowPotTy):
             raise CplxTypeError(f"applied a non-function of type {fn_ty}")
-        arg_ty = ctypecheck(ctx, e.arg)
-        arg_ty = arg_ty if type(arg_ty) is ProdTy else _pair_ty(arg_ty)
+        arg_ty = _pair_ty(ctypecheck(ctx, e.arg))
         if arg_ty.pot != fn_ty.pot.dom:
             raise CplxTypeError(
                 f"argument potential {arg_ty.pot} does not match parameter {fn_ty.pot.dom}")
         return fn_ty.pot.cod
     if t is CCase or t is CFold:  # as its expansion (see CCase)
-        ty = ctypecheck(ctx, e.scrut)
-        ty = _branches_ty(ctx, e, (ty if type(ty) is ProdTy else _pair_ty(ty)).pot)
-        return ty if type(ty) is ProdTy else _pair_ty(ty)
+        return _pair_ty(_branches_ty(ctx, e, _pair_ty(ctypecheck(ctx, e.scrut)).pot))
     if t is CNum:
         if type(e.value) is not int or not 0 <= e.value <= NAT_MAX:
             raise CplxTypeError(f"numeral out of natural range: {e.value!r}")
         return NAT
     if t is Charge:
-        ty = ctypecheck(ctx, e.extra)
-        if ty is not NAT:
-            _expect(ty, NAT, "charged cost")
-        ty = ctypecheck(ctx, e.pair)
-        return ty if type(ty) is ProdTy else _pair_ty(ty)
+        _expect(ctypecheck(ctx, e.extra), NAT, "charged cost")
+        return _pair_ty(ctypecheck(ctx, e.pair))
     if t is CPlus:
-        ty = ctypecheck(ctx, e.lhs)
-        if ty is not NAT:
-            _expect(ty, NAT, "left operand of +")
-        ty = ctypecheck(ctx, e.rhs)
-        if ty is not NAT:
-            _expect(ty, NAT, "right operand of +")
+        _expect(ctypecheck(ctx, e.lhs), NAT, "left operand of +")
+        _expect(ctypecheck(ctx, e.rhs), NAT, "right operand of +")
         return NAT
     if t is CostOf or t is PotOf:
-        ty = ctypecheck(ctx, e.pair)
-        ty = ty if type(ty) is ProdTy else _pair_ty(ty)
+        ty = _pair_ty(ctypecheck(ctx, e.pair))
         return NAT if t is CostOf else ty.pot
     if t is CLet:
         return ctypecheck({**ctx, e.name: ctypecheck(ctx, e.bound)}, e.body)
@@ -429,8 +397,7 @@ def _branches_ty(ctx: Mapping[str, CTy], e: CplxExpr, scrut: CTy) -> CTy:
     """The type of pcase or pfold e, or of the pcase or pfold in `CCase` or
     `CFold` e, whose scrutinee has type scrut."""
     fold = type(e) is PFold or type(e) is CFold
-    if scrut is not NAT:
-        _expect(scrut, NAT, "pfold scrutinee" if fold else "pcase scrutinee")
+    _expect(scrut, NAT, "pfold scrutinee" if fold else "pcase scrutinee")
     zero_ty = ctypecheck(ctx, e.zero)
     inner = {**ctx, e.p: NAT, e.ps: NAT}
     if fold:
@@ -450,7 +417,7 @@ def _expect(actual: CTy, expected: CTy, what: str) -> None:
 
 
 def _pair_ty(ty: CTy) -> ProdTy:
-    if not isinstance(ty, ProdTy):
+    if type(ty) is not ProdTy:
         raise CplxTypeError(f"expected a cost/potential pair, got {ty}")
     return ty
 
@@ -717,7 +684,7 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
             s = str(value)
         case CPlus(lhs, rhs):
             s = f"{_cshow(lhs, _PREC_PLUS, lets)} + {_cshow(rhs, _PREC_PLUS + 1, lets)}"
-            s = _cwrap(s, ctx > _PREC_PLUS)
+            s = _wrap(s, ctx > _PREC_PLUS)
         case CMax(lhs, rhs):
             s = f"max({_cshow(lhs, 0, lets)}, {_cshow(rhs, 0, lets)})"
         case CPair(cost, pot):
@@ -746,12 +713,12 @@ def _cshow(e: CplxExpr, ctx: int, lets: dict[str, str]) -> str:
             s = f"{_cshow(pair, _PREC_PROJ, lets)}_p"
         case CLam(param, param_ty, body):
             s = f"\\*{param}:{param_ty}. {_cshow(body, 0, lets)}"
-            s = _cwrap(s, ctx > _PREC_CO_OPEN)
+            s = _wrap(s, ctx > _PREC_CO_OPEN)
         case StarApp(fn, arg):
             s = f"{_cshow(fn, _PREC_STAR, lets)} * {_cshow(arg, _PREC_STAR + 1, lets)}"
-            s = _cwrap(s, ctx > _PREC_STAR)
+            s = _wrap(s, ctx > _PREC_STAR)
         case PCase() | PFold():
-            s = _cwrap(_branches_src(e, _cshow(e.scrut, 0, lets), lets), ctx > _PREC_CO_OPEN)
+            s = _wrap(_branches_src(e, _cshow(e.scrut, 0, lets), lets), ctx > _PREC_CO_OPEN)
         case _:
             raise TypeError(f"not a complexity expression: {e!r}")
     if len(s) > MAX_PRINTED:
@@ -767,8 +734,4 @@ def _branches_src(e: CplxExpr, scrut: str, lets: dict[str, str]) -> str:
     else:
         head, binders = "pfold", f"{e.p}, {e.ps}, {e.w}"
     return f"{head} {scrut} of ({_cshow(e.zero, 0, lets)}, [{binders}] {_cshow(e.succ, 0, lets)})"
-
-
-def _cwrap(s: str, needed: bool) -> str:
-    return f"({s})" if needed else s
 

@@ -223,12 +223,10 @@ def _probe_args(
         elif dom is INT_LIST:
             items = tuple(lo + _below(rng, width) for _ in range(_below(rng, cfg.max_list + 1)))
             yield items, len(items)
-        elif isinstance(dom, ArrowTy):
+        else:  # an arrow
             term = _gen(rng, min(cfg.depth, 3), dom, {}, cfg)
             value = eval_expr(term, budget=cfg.budget).value
             yield value, denote(translate(term)).pot
-        else:
-            raise TypeError(f"not a type: {dom!r}")
 
 
 # ---------------------------------------------------------------- fuzz campaign

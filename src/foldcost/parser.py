@@ -163,7 +163,11 @@ class _Parser:
         self.kinds, self.texts, self.lines = _lex(text)
         self.pos = 0
         self.group = 0  # parenthesis/bracket nesting; relaxes the app line rule
-        self.scoped = False  # set at the first `def`; from then on names are resolved
+        # Set at the first `def`; from then on names are resolved.  A program
+        # with no `def`, as every printed one is, is read without tracking
+        # binders: resolving names from the first token made the recheck
+        # benchmark about 4.6% slower (median of 4 pairs).
+        self.scoped = False
         self.defs: dict[str, Expr] = {}  # the definitions read so far, by name
         self.bound: set[str] = set()  # names of the enclosing binders
         self.free: set[str] = set()  # names read that are neither bound nor defined

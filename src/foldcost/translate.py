@@ -66,7 +66,6 @@ from .syntax import (
     ArrowTy,
     BinOp,
     BoolLit,
-    Case,
     Cons,
     Expr,
     Fold,
@@ -105,7 +104,8 @@ _Fresh = tuple[set[str], Collection[str], str, str]
 
 
 def translate(e: Expr) -> CplxExpr:
-    """The cost/potential recurrence of a target expression.
+    """The cost/potential recurrence of a target expression, which every
+    caller has given to `typecheck` first.
 
     Free target variables appear free in the result, at their translated
     types; a closed program translates to a closed recurrence.  The walk
@@ -154,12 +154,11 @@ def _translate(e: Expr, env: _Env, fresh: _Fresh) -> CplxExpr:
         return CFold(ts, tz, p, ps, e.acc, _translate(e.step, env, fresh))
     if t is App:
         return StarApp(_translate(e.fn, env, fresh), _translate(e.arg, env, fresh))
-    if t is Case:
-        ts = _translate(e.scrutinee, env, fresh)
-        tz = _translate(e.nil_branch, env, fresh)
-        env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
-        return CCase(ts, tz, p, ps, _translate(e.cons_branch, env, fresh))
-    raise TypeError(f"not an expression: {e!r}")
+    # Case
+    ts = _translate(e.scrutinee, env, fresh)
+    tz = _translate(e.nil_branch, env, fresh)
+    env, fresh, p, ps = _bind_branch(e.head, e.tail, env, fresh)
+    return CCase(ts, tz, p, ps, _translate(e.cons_branch, env, fresh))
 
 
 def _bind_branch(head: str, tail: str, env: _Env, fresh: _Fresh

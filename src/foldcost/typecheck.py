@@ -43,7 +43,7 @@ def _mismatch(e: Expr, expected: str, actual: Ty) -> TypeCheckError:
 
 def check(ctx: Mapping[str, Ty], e: Expr, expected: Ty, where: Expr) -> None:
     actual = typecheck(ctx, e)
-    if actual != expected:
+    if actual is not expected and actual != expected:
         raise _mismatch(where, str(expected), actual)
 
 
@@ -58,12 +58,8 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
     # ----------------------------
     #  Γ ⊢ r :: s : int*
     if t is Cons:
-        ty = typecheck(ctx, e.head)
-        if ty is not INT and ty != INT:
-            raise _mismatch(e, str(INT), ty)
-        ty = typecheck(ctx, e.tail)
-        if ty is not INT_LIST and ty != INT_LIST:
-            raise _mismatch(e, str(INT_LIST), ty)
+        check(ctx, e.head, INT, e)
+        check(ctx, e.tail, INT_LIST, e)
         return INT_LIST
 
     #  x : τ ∈ Γ
@@ -90,12 +86,8 @@ def typecheck(ctx: Mapping[str, Ty], e: Expr) -> Ty:
         op = OPS.get(e.op)
         if op is None:
             raise TypeCheckError(f"unknown operator: {e.op}")
-        ty = typecheck(ctx, e.lhs)
-        if ty is not INT and ty != INT:
-            raise _mismatch(e, str(INT), ty)
-        ty = typecheck(ctx, e.rhs)
-        if ty is not INT and ty != INT:
-            raise _mismatch(e, str(INT), ty)
+        check(ctx, e.lhs, INT, e)
+        check(ctx, e.rhs, INT, e)
         return op.result
 
     # Γ ⊢ true/false : bool

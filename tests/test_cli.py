@@ -318,6 +318,19 @@ def test_module_entry_point():
     assert proc.stdout == "(int -> int) -> int* -> int*\n"
 
 
+def test_cli_imports_no_thread_pool_or_logging():
+    # `main` runs each command on a thread of its own and hands the result
+    # back in a list, so starting the command line imports neither
+    # `concurrent.futures` nor the `logging` it pulls in.  Checked in a
+    # fresh interpreter, with no timing.
+    src = os.path.dirname(os.path.dirname(foldcost.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import foldcost.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                           check=True, timeout=60)
+    assert child.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------- error paths
 
 

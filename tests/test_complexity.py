@@ -468,6 +468,17 @@ CPLX_TYPE_ERRORS = [
     pytest.param(Charge(CNum(1), CNum(2)), "expected a cost/potential pair, got N",
                  id="charge-pair"),
     pytest.param(CVar("q"), "unbound variable: q", id="unbound"),
+    # Two ill-typed parts: the first part typed is the one reported.
+    pytest.param(CPlus(PAIR(1, 1), CVar("q")), "left operand of +: expected N, got N x N",
+                 id="plus-left-first"),
+    pytest.param(CPair(PAIR(1, 1), CVar("q")), "cost component: expected N, got N x N",
+                 id="pair-cost-first"),
+    pytest.param(Charge(PAIR(1, 1), CNum(2)), "charged cost: expected N, got N x N",
+                 id="charge-cost-first"),
+    pytest.param(StarApp(PAIR(1, 1), CVar("q")), "applied a non-function of type N x N",
+                 id="apply-function-first"),
+    pytest.param(PFold(PAIR(1, 1), CVar("q"), "p", "ps", "w", _W),
+                 "pfold scrutinee: expected N, got N x N", id="pfold-scrutinee-first"),
 ]
 
 
@@ -658,6 +669,8 @@ DERIVED_TYPES = [
     pytest.param(CCons(LIT_PAIR, _FUN_PAIR), "right operand of +: expected N, got N -> N x N",
                  id="cons-tail-function"),
     pytest.param(CCons(CVar("q"), CVar("r")), "unbound variable: r", id="cons-tail-first"),
+    pytest.param(CCons(CVar("q"), CNum(0)), "unbound variable: q",
+                 id="cons-head-typed-before-tail-checked"),
     pytest.param(COp(LIT_PAIR, _FUN_PAIR), NAT_PAIR, id="op"),
     pytest.param(COp(CNum(1), LIT_PAIR), "expected a cost/potential pair, got N",
                  id="op-left-natural"),

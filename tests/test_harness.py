@@ -7,7 +7,8 @@ import itertools
 import json
 import random
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from typing import Iterator
 
 import pytest
 
@@ -21,8 +22,12 @@ from foldcost.complexity import (
     NAT,
     NAT_PAIR,
     ArrowPotTy,
+    CLam,
     CNum,
+    CPair,
+    CplxExpr,
     CplxTypeError,
+    CVar,
     NatOverflowError,
     PFold,
     ProdTy,
@@ -52,8 +57,8 @@ from foldcost.syntax import (
 from foldcost.translate import pot_ty, translate
 from foldcost.typecheck import TypeCheckError, typecheck
 from oracles import (
-    canonical_semval, check_value_bounded, free_vars, gen_cplx_term, measure_application, semval_le,
-    subst)
+    canonical_semval, check_value_bounded, free_vars, gen_cplx_term, measure_application, names,
+    semval_le, subst)
 
 GEN_TYPES = (INT, BOOL, INT_LIST, ArrowTy(INT, INT), ArrowTy(INT_LIST, INT_LIST))
 
@@ -271,6 +276,72 @@ def test_evaluation_raises_only_budget_and_overflow_errors():
     raised = {ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc) if n.exc else "raise"
               for d in defs for n in ast.walk(d) if isinstance(n, ast.Raise)}
     assert raised == {"BudgetExceededError", "ArithOverflowError"}
+
+
+def _subterm_paths(e: object, base: type) -> list[tuple[str, ...]]:
+    """The path of field names to every subterm of e, e's own first."""
+    paths = [()]
+    for f in fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, base):
+            paths += [(f.name, *p) for p in _subterm_paths(v, base)]
+    return paths
+
+
+def _replaced(e: object, path: tuple[str, ...], new: object) -> object:
+    if not path:
+        return new
+    return replace(e, **{path[0]: _replaced(getattr(e, path[0]), path[1:], new)})
+
+
+def test_each_checker_is_exactly_its_layers_precondition():
+    # `ctypecheck` is the one gate in front of `denote`, and `typecheck` the
+    # one in front of evaluation and checking: on any term, well typed or
+    # not, the gate raises only its own type error, and on what it accepts
+    # `denote` raises only the limits its docstring names, and
+    # `check_program` nothing.  The terms are well-typed ones with one
+    # subterm replaced by a leaf of either language.
+    rng = random.Random(35)
+
+    def leaf(choices: list[str]) -> object:
+        k = rng.randrange(4)
+        return rng.choice([
+            CNum(k), CPair(CNum(k), CNum(1)), CLam("u9", NAT, CVar("u9")),
+            CVar(rng.choice(choices)), IntLit(k - 1), BoolLit(k > 1), Nil(),
+            Lam("v0", INT, Var("v0")), Var(rng.choice(choices))])
+
+    def mutants(e: object, base: type) -> Iterator[object]:
+        choices = sorted(names(e)) + ["zz"]
+        for path in _subterm_paths(e, base):
+            yield _replaced(e, path, leaf(choices))
+
+    terms = [gen_cplx_term(seed, 3, cty) for seed in range(120)
+             for cty in (NAT_PAIR, ProdTy(ArrowPotTy(NAT, NAT_PAIR)), NAT)]
+    programs = [gen_typed_term(seed, 3, GEN_TYPES[seed % 5]) for seed in range(750)]
+    terms += [translate(e) for e in programs[:400]]
+    accepted = 0
+    for e in terms:
+        for m in mutants(e, CplxExpr):
+            try:
+                ctypecheck({}, m)
+            except CplxTypeError:
+                continue
+            accepted += 1
+            try:
+                denote(m)
+            except (NatOverflowError, BudgetExceededError):
+                pass
+    assert accepted >= 2500
+    cfg, accepted = ProbeConfig(trials=3, depth=2), 0
+    for e in programs:
+        for m in mutants(e, Expr):
+            try:
+                typecheck({}, m)
+            except TypeCheckError:
+                continue
+            accepted += 1
+            check_program(m, cfg)
+    assert accepted >= 1500
 
 
 def test_benchmark_entry_points_exist():

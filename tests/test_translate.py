@@ -50,7 +50,7 @@ from foldcost.parser import parse
 from foldcost.syntax import (
     BOOL, INT, INT_LIST, ArrowTy, Case, Expr, Fold, Lam, Nil, Var, to_source)
 from foldcost.translate import pot_ty, translate, translate_ty
-from foldcost.typecheck import typecheck
+from foldcost.typecheck import TypeCheckError, typecheck
 from oracles import expand_derived, free_vars, gen_cplx_term, names, subst
 
 # ---------------------------------------------------------------- types
@@ -608,5 +608,8 @@ def test_worked_example_bound_dominates():
 
 
 def test_translation_rejects_non_expressions():
-    with pytest.raises(TypeError):
-        translate("not an expression")
+    # Every caller runs `typecheck` before `translate`, and `typecheck`
+    # refuses what is not an expression.
+    with pytest.raises(TypeCheckError) as info:
+        typecheck({}, "not an expression")
+    assert str(info.value) == "not an expression: 'not an expression'"

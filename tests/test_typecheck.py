@@ -4,7 +4,7 @@ import pytest
 
 from conftest import corpus_expr
 from foldcost.parser import parse
-from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, BinOp, IntLit
+from foldcost.syntax import BOOL, INT, INT_LIST, ArrowTy, BinOp, IntLit, Var
 from foldcost.typecheck import TypeCheckError, typecheck
 
 # ---------------------------------------------------------------- corpus
@@ -76,6 +76,27 @@ def test_mismatch_messages_show_source():
         typecheck({}, parse("nil < 1"))
     with pytest.raises(TypeCheckError, match=r"expected int\*, got int"):
         typecheck({}, parse("1 :: 2"))
+
+
+# Terms whose two operands are both ill-typed: the left one is reported,
+# so the left operand is typed and checked before the right one is typed.
+OPERAND_ORDER = [
+    pytest.param(parse("true :: 1"), "expected int, got bool in: true :: 1", id="cons-types"),
+    pytest.param(parse("nil :: ghost"), "expected int, got int* in: nil :: ghost",
+                 id="cons-head-before-unbound-tail"),
+    pytest.param(parse("true + nil"), "expected int, got bool in: true + nil", id="op-types"),
+    pytest.param(parse("nil < ghost"), "expected int, got int* in: nil < ghost",
+                 id="op-lhs-before-unbound-rhs"),
+    pytest.param(BinOp("/", Var("q"), Var("r")), "unknown operator: /",
+                 id="op-operator-before-operands"),
+]
+
+
+@pytest.mark.parametrize("e, message", OPERAND_ORDER)
+def test_ill_typed_operands_are_reported_left_first(e, message):
+    with pytest.raises(TypeCheckError) as info:
+        typecheck({}, e)
+    assert str(info.value) == message
 
 
 def test_unknown_operator():
